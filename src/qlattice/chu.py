@@ -12,8 +12,7 @@ determines a unique dual map on effects and vice versa.
 
 from dataclasses import dataclass
 
-from .core_order import (BOT, NO, YES, InputError, CapExceeded,
-                         bool_meet, bool_bar, StateSpace, bool_space)
+from .core_order import BOT, NO, YES, InputError, CapExceeded, bool_space
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,6 @@ def _part_meet(space, x, y):
 def effect_meet(space, l1, l2):
     return Effect(_part_meet(space, l1.yes, l2.yes),
                   _part_meet(space, l1.no, l2.no))
-
-
-def effect_meet_all(space, effects):
-    out = yes_effect(space)
-    for l in effects:
-        out = effect_meet(space, out, l)
-    return out
 
 
 def _part_sup(space, x, y):
@@ -172,21 +164,6 @@ class ChuMorphism(object):
         except KeyError:
             raise InputError("no dual effect matches profile of %r" % (l,))
 
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source:
-            raise InputError("composition endpoint mismatch")
-        return ChuMorphism(other.source, self.target,
-                           [self.forward[other.forward[i]]
-                            for i in range(other.source.n)])
-
-    def pointwise_meet(self, other):
-        if other.source is not self.source or other.target is not self.target:
-            raise InputError("pointwise meet endpoint mismatch")
-        return ChuMorphism(self.source, self.target,
-                           [self.target.meet(self.forward[i], other.forward[i])
-                            for i in range(self.source.n)])
-
 
 def measurement(space, l, bool3=None):
     """The two-outcome observation of an effect, as a morphism into the
@@ -194,18 +171,3 @@ def measurement(space, l, bool3=None):
     bool3 = bool_space() if bool3 is None else bool3
     forward = [bool3.index(evaluate(space, l, s)) for s in range(space.n)]
     return ChuMorphism(space, bool3, forward)
-
-
-def state_from_effect_map(space, effects, b):
-    """Recover the unique state whose evaluations realize the outcome
-    assignment b over the given effects."""
-    l_b = effect_meet_all(space, (l for l in effects if b(l) == YES))
-    candidates = [s for s in range(space.n) if evaluate(space, l_b, s) == YES]
-    if not candidates:
-        raise InputError("no state realizes the YES class")
-    sigma = space.meet_all(candidates)
-    for l in effects:
-        if evaluate(space, l, sigma) != b(l):
-            raise InputError("not a homomorphism: effect %r disagrees at %r"
-                             % (l, space.names[sigma]))
-    return sigma

@@ -13,7 +13,7 @@ import click
 from .core_order import InputError, CapExceeded
 from .realspaces import make_space, classify
 from .ontic import build_completion
-from .tensor import build_tensor, indeterministic_tensor
+from .tensor import nfold_tensor, indeterministic_tensor
 from .contextuality import maximal_contexts
 from .geometry import build_geometry, incidence_json, consistency_dot
 from . import quantum
@@ -38,7 +38,11 @@ def _space(kind, n):
 def _cap(cap_elements):
     override = os.environ.get("QLATTICE_CAP_OVERRIDE")
     if override:
-        return int(override)
+        try:
+            return int(override)
+        except ValueError:
+            raise InputError("QLATTICE_CAP_OVERRIDE must be an integer, "
+                             "got %r" % override)
     return cap_elements
 
 
@@ -95,13 +99,12 @@ def tensor(factors, cap_elements, out, fmt):
     for item in factors.split(","):
         bits = item.strip().split(":")
         kind = bits[0]
-        n = int(bits[1]) if len(bits) > 1 else None
+        try:
+            n = int(bits[1]) if len(bits) > 1 else None
+        except ValueError:
+            raise InputError("factor size in %r is not an integer" % item)
         parts.append(_space(kind, n))
-    if len(parts) < 2:
-        raise InputError("tensor needs at least two factors")
-    ts = build_tensor(parts[0], parts[1], cap=_cap(cap_elements))
-    for extra in parts[2:]:
-        ts = build_tensor(ts.real_space, extra, cap=_cap(cap_elements))
+    ts = nfold_tensor(parts, cap=_cap(cap_elements))
     if fmt == "dot":
         _emit(ts.space.to_dot(), out, fmt="dot")
     else:
@@ -148,8 +151,8 @@ def contexts(kind, n, out):
 @cli.command()
 @click.option("--na", type=int, default=2)
 @click.option("--nb", type=int, default=2)
-@click.option("--variant", type=click.Choice(["check", "widecheck"]),
-              default="widecheck")
+@click.option("--variant", type=click.Choice(["narrow", "wide"]),
+              default="narrow")
 @click.option("--cap-elements", type=int, default=10 ** 6)
 @click.option("--out", default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]),

@@ -11,7 +11,7 @@ real state.
 
 import numpy as np
 
-from .core_order import BOT, NO, YES, InputError, CapExceeded, bool_meet, bool_bar
+from .core_order import BOT, NO, YES, InputError, CapExceeded
 from . import chu
 from .realspaces import real_effects, is_deterministic, bool_real_space
 from .tensor import SimplexPower
@@ -367,66 +367,6 @@ class Description(object):
                  "values": [[l.serialize(space), self.values[ci][l]]
                             for l in self.cover[ci].sorted_effects()]}
                 for ci in range(len(self.cover))]
-
-
-def check_description_laws(base_space, desc):
-    """Per-context laws: unit, bar, and meet; then overlap agreement."""
-    for ci, c in enumerate(desc.cover):
-        v = desc.values[ci]
-        if v[chu.yes_effect(base_space)] != YES:
-            return False, "unit law fails in context %d" % ci
-        for l in c.effects:
-            if v[chu.effect_bar(l)] != bool_bar(v[l]):
-                return False, "bar law fails in context %d" % ci
-        for l1 in c.effects:
-            for l2 in c.effects:
-                m = chu.effect_meet(base_space, l1, l2)
-                if v[m] != bool_meet(v[l1], v[l2]):
-                    return False, "meet law fails in context %d" % ci
-    for ci, c1 in enumerate(desc.cover):
-        for cj in range(ci + 1, len(desc.cover)):
-            for l in c1.effects & desc.cover[cj].effects:
-                if desc.values[ci][l] != desc.values[cj][l]:
-                    return False, ("overlap disagreement between contexts "
-                                   "%d and %d" % (ci, cj))
-    return True, None
-
-
-def resolve_description(completion, desc):
-    """Ontic state per context, the global candidate state, and whether the
-    description is coherent / globally defined."""
-    space = completion.space
-    ok, why = check_description_laws(completion.base.space, desc)
-    per_context = []
-    for ci, c in enumerate(desc.cover):
-        yes_effects = [l for l in c.sorted_effects()
-                       if desc.values[ci][l] == YES]
-        hits = [x for x in range(space.n)
-                if all(evaluate_on_completion(completion, l, x) == YES
-                       for l in yes_effects)]
-        per_context.append(space.meet_all(hits) if hits else None)
-    sigma = None
-    if ok and all(x is not None for x in per_context):
-        parts = []
-        for x in per_context:
-            parts.extend(completion.components(x))
-        sigma = completion.sharpening(parts)
-    globally = sigma is not None and not completion.is_hidden(sigma)
-    if sigma is not None:
-        for ci, c in enumerate(desc.cover):
-            for l in c.effects:
-                if desc.values[ci][l] != evaluate_on_completion(
-                        completion, l, sigma):
-                    ok, why = False, ("context %d disagrees with the "
-                                      "resolved state" % ci)
-                    sigma = None
-                    globally = False
-                    break
-            if sigma is None:
-                break
-    return {"per_context": per_context, "global": sigma,
-            "coherent": ok and sigma is not None,
-            "globally_defined": globally, "why": why}
 
 
 def coherent_descriptions(completion, cover=None):

@@ -97,7 +97,8 @@ class StateSpace(object):
     """A finite meet-semilattice with bottom, over named elements.
 
     The order matrix `leq` is indexed so that leq[i, j] means element i lies
-    below element j.  Validation is eager: antisymmetry, a unique bottom and
+    below element j, and the read-only covering matrix `cover_matrix[i, j]`
+    that j covers i.  Validation is eager: antisymmetry, a unique bottom and
     the existence of a unique greatest common lower bound for every pair are
     all checked at construction time, and the first offending pair (in id
     order) is named in the error.
@@ -121,8 +122,8 @@ class StateSpace(object):
         self._down_sizes = leq.sum(axis=0)
         self.bottom = int(np.flatnonzero(leq.sum(axis=1) == self.n)[0])
         strict = leq & ~np.eye(self.n, dtype=bool)
-        self._cover_mat = strict & ~(strict @ strict)
-        self._cover_mat.setflags(write=False)
+        self.cover_matrix = strict & ~(strict @ strict)
+        self.cover_matrix.setflags(write=False)
         self.maximals = tuple(int(i) for i in np.flatnonzero(strict.sum(axis=1) == 0))
         self._meet_table = self._build_meet_table()
 
@@ -206,20 +207,11 @@ class StateSpace(object):
     def join(self, i, j):
         return self.sup((i, j))
 
-    def down_mask(self, i):
-        return self.leq[:, i]
-
-    def up_mask(self, i):
-        return self.leq[i]
-
     def upper_covers(self, i):
-        return [int(j) for j in np.flatnonzero(self._cover_mat[i])]
-
-    def lower_covers(self, i):
-        return [int(j) for j in np.flatnonzero(self._cover_mat[:, i])]
+        return [int(j) for j in np.flatnonzero(self.cover_matrix[i])]
 
     def covered_by(self, i, j):
-        return bool(self._cover_mat[i, j])
+        return bool(self.cover_matrix[i, j])
 
     def pures(self):
         """Maximal elements; in every space here these are exactly the
@@ -232,36 +224,6 @@ class StateSpace(object):
     def generated_by_pures(self):
         return all(self.meet_all(self.pures_above(i)) == i
                    for i in range(self.n) if self.pures_above(i))
-
-    def is_distributive(self):
-        """Every element above a meet splits as a meet of elements above
-        the two arguments."""
-        for s1 in range(self.n):
-            up1 = np.flatnonzero(self.leq[s1])
-            for s2 in range(self.n):
-                up2 = np.flatnonzero(self.leq[s2])
-                reachable = np.zeros(self.n, dtype=bool)
-                reachable[self._meet_table[np.ix_(up1, up2)].ravel()] = True
-                need = self.leq[self.meet(s1, s2)].copy()
-                need[s1] = need[s2] = False
-                if (need & ~reachable).any():
-                    return False
-        return True
-
-    def has_finite_rank(self):
-        """Each bounded family contains a finite subfamily with the same
-        least upper bound; automatic in a finite space, checked on pairs."""
-        return all(self.sup((i,)) == i for i in range(self.n))
-
-    def structure_report(self):
-        return {
-            "elements": self.n,
-            "bottom": self.names[self.bottom],
-            "pures": [self.names[i] for i in self.maximals],
-            "generated_by_pures": self.generated_by_pures(),
-            "distributive": self.is_distributive(),
-            "finite_rank": self.has_finite_rank(),
-        }
 
     # -- construction ----------------------------------------------------
 
@@ -294,7 +256,7 @@ class StateSpace(object):
 
     def to_json_dict(self):
         pairs = [[self.names[int(i)], self.names[int(j)]]
-                 for i, j in np.argwhere(self._cover_mat)]
+                 for i, j in np.argwhere(self.cover_matrix)]
         pairs.sort()
         return {"elements": list(self.names),
                 "leq": pairs,
@@ -307,7 +269,7 @@ class StateSpace(object):
         lines = ["digraph %s {" % graph_name, "  rankdir=BT;"]
         for name in self.names:
             lines.append('  "%s";' % name)
-        for i, j in sorted(map(tuple, np.argwhere(self._cover_mat))):
+        for i, j in sorted(map(tuple, np.argwhere(self.cover_matrix))):
             lines.append('  "%s" -> "%s";' % (self.names[int(i)], self.names[int(j)]))
         lines.append("}")
         return "\n".join(lines) + "\n"

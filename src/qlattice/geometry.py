@@ -1,4 +1,4 @@
-"""Projective and orthogonal geometry over a completed tensor of spin
+r"""Projective and orthogonal geometry over a completed tensor of spin
 factors.
 
 Points are the pure product states together with two families of hidden
@@ -17,20 +17,8 @@ import random
 
 import numpy as np
 
-from .core_order import InputError, CapExceeded
+from .core_order import InputError
 from .realspaces import ortho_matrix
-from .tensor import build_tensor
-
-
-def tensor_chain(factors, cap=10 ** 5):
-    """Iterated pairwise tensor of the factor list, keeping every stage so
-    that pure product states can be unfolded into flat coordinate tuples."""
-    if len(factors) < 2:
-        raise InputError("a tensor chain needs at least two factors")
-    chain = [build_tensor(factors[0], factors[1], cap=cap)]
-    for f in factors[2:]:
-        chain.append(build_tensor(chain[-1].real_space, f, cap=cap))
-    return chain
 
 
 def flat_coordinates(chain):
@@ -54,8 +42,8 @@ class GeometrySet(object):
     geometry can consult the narrow subfamily.
     """
 
-    def __init__(self, completion, chain, variant="widecheck"):
-        if variant not in ("check", "widecheck"):
+    def __init__(self, completion, chain, variant="narrow"):
+        if variant not in ("wide", "narrow"):
             raise InputError("unknown geometry variant %r" % (variant,))
         if not isinstance(chain, (list, tuple)):
             chain = [chain]
@@ -71,20 +59,19 @@ class GeometrySet(object):
 
         base = completion.base.space
         hat = completion.space
-        self._cov_real = _covering_matrix(base.leq)
-        self._cov_hat = _covering_matrix(hat.leq)
+        self._cov_real = base.cover_matrix
+        self._cov_hat = hat.cover_matrix
         self.perp = ortho_matrix(completion.embedding)
 
         self.pure_points = tuple(sorted(completion.embed(p)
                                         for p in base.pures()))
-        self.hidden_check, self.hidden_widecheck = self._enumerate_hidden()
-        hidden = self.hidden_check if variant == "check" \
-            else self.hidden_widecheck
+        self.hidden_wide, self.hidden_narrow = self._enumerate_hidden()
+        hidden = self.hidden_wide if variant == "wide" \
+            else self.hidden_narrow
         self.points = tuple(sorted(set(self.pure_points) | hidden))
         self._cons = self._consistency_matrix()
         self._cliques = None
         self._lines = {}
-        self._planes = {}
 
     def _factor_list(self):
         out = [self.chain[0].left]
@@ -97,7 +84,7 @@ class GeometrySet(object):
         comp = self.completion
         base = comp.base
         pures = base.space.pures()
-        check, widecheck = set(), set()
+        wide, narrow = set(), set()
         for nu, phi in combinations(pures, 2):
             gamma = base.space.meet(nu, phi)
             if not (self._cov_real[gamma, nu] and self._cov_real[gamma, phi]):
@@ -108,10 +95,10 @@ class GeometrySet(object):
                 chi = comp.sharpening([base.star_of(mu), gamma])
                 if chi is None or not comp.is_hidden(chi):
                     continue
-                check.add(chi)
+                wide.add(chi)
                 if mu == nu or mu == phi:
-                    widecheck.add(chi)
-        return frozenset(check), frozenset(widecheck)
+                    narrow.add(chi)
+        return frozenset(wide), frozenset(narrow)
 
     def _consistency_matrix(self):
         pts = self.points
@@ -140,10 +127,6 @@ class GeometrySet(object):
 
     def is_hidden(self, x):
         return self.completion.is_hidden(x)
-
-    def theta(self, x):
-        """Component reals of a point, as base-space ids."""
-        return self.completion.components(x)
 
     def wr(self, x, y):
         """Pure points whose coordinates differ in at most two factors."""
@@ -186,7 +169,7 @@ class GeometrySet(object):
                                    for c in raw)
         return self._cliques
 
-    # -- lines, planes, starred planes ----------------------------------------
+    # -- lines and starred partners --------------------------------------------
 
     def line(self, a, b):
         key = (a, b) if a <= b else (b, a)
@@ -197,45 +180,6 @@ class GeometrySet(object):
                 | {a, b}
             self._lines[key] = hit
         return hit
-
-    def plane(self, a, b, c):
-        """All points joined to the spanning triple through a common line."""
-        key = tuple(sorted((a, b, c)))
-        hit = self._planes.get(key)
-        if hit is not None:
-            return hit
-        sides = [(a, self.line(b, c)), (b, self.line(a, c)),
-                 (c, self.line(a, b))]
-        out = {a, b, c}
-        for d in self.points:
-            for corner, side in sides:
-                if any(lam in side for lam in self.line(corner, d)):
-                    out.add(d)
-                    break
-        hit = frozenset(out)
-        self._planes[key] = hit
-        return hit
-
-    def starred_triples(self):
-        """Pure triples (s, s with one factor starred, s with another factor
-        starred) sharing all remaining coordinates."""
-        comp = self.completion
-        by_coords = {self.coords[comp.real_id(p)]: p for p in self.pure_points}
-        out = []
-        for p in self.pure_points:
-            t = self.coords[comp.real_id(p)]
-            for j, k in combinations(range(self.n_factors), 2):
-                tj = list(t)
-                tj[j] = self.factors[j].star_of(t[j])
-                tk = list(t)
-                tk[k] = self.factors[k].star_of(t[k])
-                q, r = by_coords.get(tuple(tj)), by_coords.get(tuple(tk))
-                if q is not None and r is not None:
-                    out.append((p, q, r))
-        return out
-
-    def starred_planes(self):
-        return frozenset(self.plane(*t) for t in self.starred_triples())
 
     def starred_partners(self, x):
         """Pure points obtained from x by starring exactly one factor
@@ -315,16 +259,11 @@ class GeometrySet(object):
         return len(self.points)
 
 
-def build_geometry(completion, chain, variant="widecheck"):
+def build_geometry(completion, chain, variant="narrow"):
     return GeometrySet(completion, chain, variant=variant)
 
 
 # -- shared machinery ---------------------------------------------------------
-
-def _covering_matrix(leq):
-    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    return strict & ~(strict @ strict)
-
 
 def _bron_kerbosch(adj):
     """Maximal cliques with deterministic max-degree pivoting."""
@@ -501,8 +440,7 @@ def verify_projective(G):
 
 
 def _verify_quadrangle_axiom(G, configs):
-    narrow = frozenset(G.pure_points) | G.hidden_widecheck
-    hidden_narrow = sorted(G.hidden_widecheck & set(G.points))
+    narrow = frozenset(G.pure_points) | G.hidden_narrow
     general_bad, restricted_bad = [], []
     n_general = n_restricted = n_starred = 0
     general_hits = restricted_hits = 0
@@ -593,7 +531,7 @@ def verify_ortho(G, wide=None):
     """Orthogonality-axiom report on the narrow point family; when the wide
     geometry is supplied, also checks that its extra hidden points never sit
     inside an orthogonally complete maximal chart of mixed pure traces."""
-    if G.variant != "widecheck":
+    if G.variant != "narrow":
         raise InputError("orthogonality verification needs the narrow variant")
     report = {}
     pts = G.points
@@ -679,7 +617,7 @@ def _check_type2_structure(G):
     components, with the stated orthogonality pattern."""
     bad = []
     idx = {p: i for i, p in enumerate(G.points)}
-    for chi in sorted(G.hidden_widecheck):
+    for chi in sorted(G.hidden_narrow):
         profile = G.hidden_profile(chi)
         if profile is None:
             bad.append((chi, "no canonical decomposition"))
@@ -715,7 +653,7 @@ def _check_type2_structure(G):
         if extendable:
             bad.append((chi, "chart not maximal", extendable))
     return {"pass": not bad, "failures": bad,
-            "hidden_points": len(G.hidden_widecheck)}
+            "hidden_points": len(G.hidden_narrow)}
 
 
 def _check_type1_structure(G):
@@ -726,7 +664,7 @@ def _check_type1_structure(G):
     base = comp.base
     bad = []
     idx = {p: i for i, p in enumerate(G.points)}
-    for chi in sorted(G.hidden_widecheck):
+    for chi in sorted(G.hidden_narrow):
         profile = G.hidden_profile(chi)
         if profile is None:
             bad.append((chi, "no canonical decomposition"))
@@ -741,7 +679,7 @@ def _check_type1_structure(G):
                 partner = comp.sharpening([delta, base.star_of(gamma)])
                 expect = (True, False, False, False, False, True)
             if partner is None or not comp.is_hidden(partner) \
-                    or partner not in G.hidden_widecheck:
+                    or partner not in G.hidden_narrow:
                 bad.append((chi, delta, "partner missing"))
                 continue
             p, q = comp.embed(phi_d), comp.embed(psi_d)
@@ -766,7 +704,7 @@ def _check_wide_exclusion(G, wide):
     """Maximal charts of the wide geometry holding a hidden point outside
     the narrow family with two distinct pure traces must fail orthogonal
     completeness."""
-    extra = wide.hidden_check - wide.hidden_widecheck
+    extra = wide.hidden_wide - wide.hidden_narrow
     bad = []
     checked = 0
     for U in wide.consistency_cover():
@@ -774,7 +712,7 @@ def _check_wide_exclusion(G, wide):
         if not hiddens:
             continue
         for chi in hiddens:
-            comps = set(wide.theta(chi))
+            comps = set(wide.completion.components(chi))
             traces = set()
             for s in U:
                 if wide.completion.real_id(s) is None or s == chi:
@@ -881,7 +819,7 @@ def _check_component_pattern(G, samples, seed):
 
 
 def _component_pattern(G, mu, nu, phi, j, k):
-    """The three components of mu |_| (nu /\ phi) predicted from the factor
+    r"""The three components of mu |_| (nu /\ phi) predicted from the factor
     coordinates on the two active positions."""
     base = G.completion.base
     a, b_ = G.coords[mu][j], G.coords[mu][k]
@@ -918,7 +856,7 @@ def covering_preservation_report(rs):
     are covered by each, and when a pure covers two distinct pair meets the
     total meet is covered by both pair meets."""
     space = rs.space
-    cov = _covering_matrix(space.leq)
+    cov = space.cover_matrix
     pures = space.pures()
     first_bad = []
     for a, b in combinations(pures, 2):

@@ -19,12 +19,6 @@ class LiftError(InputError):
     """A morphism image fails admissibility and cannot be lifted."""
 
 
-def _max_subset(space, ids):
-    ids = sorted(set(ids))
-    return tuple(a for a in ids
-                 if not any(b != a and space.leq[a, b] for b in ids))
-
-
 def closure_step(space, members):
     """One application of the pre-closure: maximal elements z that are the
     least upper bound of their own trace below the input set."""
@@ -46,8 +40,8 @@ def closure_step(space, members):
     return tuple(int(z) for z in fixed[keep])
 
 
-def closure(space, members, mode="full"):
-    """Pre-closure (mode "pre") or its iterated fixed point (mode "full")."""
+def closure(space, members):
+    """The iterated pre-closure, up to its fixed point."""
     members = sorted(set(int(m) for m in members))
     if not members:
         raise InputError("closure of an empty set")
@@ -55,10 +49,6 @@ def closure(space, members, mode="full"):
         raise InputError("bottom element inside a closure argument")
     if members == [space.bottom]:
         return (space.bottom,)
-    if mode == "pre":
-        return closure_step(space, members)
-    if mode != "full":
-        raise InputError("unknown closure mode %r" % (mode,))
     current = tuple(members)
     for _ in range(space.n + 1):
         nxt = closure_step(space, current)
@@ -174,14 +164,12 @@ class OnticCompletion(object):
         merged = tuple(m for m in merged if m != real.bottom)
         if not merged:
             return (real.bottom,)
-        cache = getattr(self, "_join_cache", None)
-        if cache is not None and merged in cache:
-            return cache[merged]
+        if merged in self._join_cache:
+            return self._join_cache[merged]
         out = closure(real, merged)
         if not is_star_free(self.base, out):
             out = None
-        if cache is not None:
-            cache[merged] = out
+        self._join_cache[merged] = out
         return out
 
     # -- queries -----------------------------------------------------------
@@ -195,23 +183,10 @@ class OnticCompletion(object):
         """The canonical antichain of maximal reals below an element."""
         return self.elements[idx]
 
-    def element_of(self, members):
-        """Completion element for a canonical antichain of real ids."""
-        key = tuple(sorted(set(int(m) for m in members)))
-        try:
-            return self._elem_index[key]
-        except KeyError:
-            raise InputError("no completion element with components %r" % (key,))
-
     def sharpening(self, members):
         """Least element dominating a set of reals, or None if inadmissible."""
-        merged = [m for m in members if m != self.base.space.bottom]
-        if not merged:
-            return self._elem_index[(self.base.space.bottom,)]
-        out = closure(self.base.space, sorted(set(merged)))
-        if not is_star_free(self.base, out):
-            return None
-        return self._elem_index[out]
+        u = self._join_antichains(tuple(members), ())
+        return None if u is None else self._elem_index[u]
 
     def real_id(self, idx):
         """The base element for a real completion element, else None."""

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core_order import BOT, NO, YES, InputError, StateSpace
+from .core_order import BOT, InputError, StateSpace, bool_space
 from . import chu
 
 
@@ -60,16 +60,15 @@ class RealSpace(object):
 class RealStructureEmbedding(object):
     """A real subset with star, sitting inside an ambient state space."""
 
-    def __init__(self, ambient, real, star, validate=True):
+    def __init__(self, ambient, real, star):
         self.ambient = ambient
         self.real = tuple(sorted(int(r) for r in real))
         self.real_mask = np.zeros(ambient.n, dtype=bool)
         self.real_mask[list(self.real)] = True
         self.star = {int(k): int(v) for k, v in star.items()}
-        if validate:
-            problems = validate_embedding(self)
-            if problems:
-                raise InputError("invalid real embedding: %s" % problems[0])
+        problems = validate_embedding(self)
+        if problems:
+            raise InputError("invalid real embedding: %s" % problems[0])
 
     def star_of(self, i):
         try:
@@ -85,31 +84,24 @@ class RealStructureEmbedding(object):
         strict = sub & ~np.eye(len(self.real), dtype=bool)
         return [self.real[k] for k in np.flatnonzero(strict.sum(axis=1) == 0)]
 
-    def theta(self, i):
-        """Maximal real elements below an ambient element."""
-        below = np.flatnonzero(self.ambient.leq[:, i] & self.real_mask)
-        out = []
-        for a in below:
-            if not any(b != a and self.ambient.leq[a, b] for b in below):
-                out.append(int(a))
-        return out
 
-
-def validate_real(rs):
-    """All star-structure axioms for a standalone real space; returns a list
-    of human-readable violations, empty when valid."""
-    space, star = rs.space, rs.star
-    problems = []
+def _star_problems(space, star, nonbottom, standalone):
+    """The star axioms shared by real spaces and real embeddings: star is
+    defined on every non-bottom element, involutive, order-reversing, and
+    never has a common upper bound with its argument.  A standalone real
+    space also needs the star to map the non-bottom elements to themselves
+    and to leave the bottom alone.  Returns (violations, stopped): stopped
+    is set when a missing or stray image makes further checks meaningless."""
     names = space.names
-    nonbottom = [i for i in range(space.n) if i != space.bottom]
+    problems = []
     for i in nonbottom:
         if i not in star:
-            problems.append("star undefined at %r" % names[i])
-            return problems
-        if star[i] == space.bottom or star[i] < 0 or star[i] >= space.n:
-            problems.append("star of %r leaves the non-bottom elements" % names[i])
-            return problems
-    if space.bottom in star:
+            return ["star undefined at %r" % names[i]], True
+        if standalone and (star[i] == space.bottom or star[i] < 0
+                           or star[i] >= space.n):
+            return ["star of %r leaves the non-bottom elements"
+                    % names[i]], True
+    if standalone and space.bottom in star:
         problems.append("star defined at the bottom element")
     for i in nonbottom:
         if star[star[i]] != i:
@@ -129,7 +121,16 @@ def validate_real(rs):
             problems.append("no-common-upper-bound fails at (%r, %r)"
                             % (names[i], names[star[i]]))
             break
-    if not space.generated_by_pures():
+    return problems, False
+
+
+def validate_real(rs):
+    """All star-structure axioms for a standalone real space; returns a list
+    of human-readable violations, empty when valid."""
+    space = rs.space
+    nonbottom = [i for i in range(space.n) if i != space.bottom]
+    problems, stopped = _star_problems(space, rs.star, nonbottom, True)
+    if not stopped and not space.generated_by_pures():
         problems.append("space not generated by its maximal elements")
     return problems
 
@@ -155,28 +156,10 @@ def validate_embedding(emb):
                             "elements at %r" % names[a])
             break
     nonbottom = [a for a in real if a != amb.bottom]
-    for a in nonbottom:
-        if a not in emb.star:
-            problems.append("star undefined at %r" % names[a])
-            return problems
-    for a in nonbottom:
-        if emb.star[emb.star[a]] != a:
-            problems.append("star not involutive at %r" % names[a])
-            break
-    for a in nonbottom:
-        for b in nonbottom:
-            if amb.leq[a, b] and not amb.leq[emb.star[b], emb.star[a]]:
-                problems.append("star not order-reversing at (%r, %r)"
-                                % (names[a], names[b]))
-                break
-        else:
-            continue
-        break
-    for a in nonbottom:
-        if amb.bounded((a, emb.star[a])):
-            problems.append("no-common-upper-bound fails at (%r, %r)"
-                            % (names[a], names[emb.star[a]]))
-            break
+    star_problems, stopped = _star_problems(amb, emb.star, nonbottom, False)
+    problems.extend(star_problems)
+    if stopped:
+        return problems
     effects = real_effects_of(amb, real, emb.star)
     profiles = {}
     for s in range(amb.n):
@@ -216,8 +199,8 @@ def real_effects(rs):
 # -- standard constructors -------------------------------------------------
 
 def bool_real_space():
-    space = StateSpace.from_relation([YES, NO, BOT], [(BOT, YES), (BOT, NO)])
-    return RealSpace(space, {0: 1, 1: 0})
+    """The three-outcome domain with Y and N starred onto each other."""
+    return RealSpace(bool_space(), {0: 1, 1: 0})
 
 
 def simplex_space(n):

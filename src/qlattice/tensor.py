@@ -87,11 +87,6 @@ class TensorSpace(object):
             ok &= (l_ok[:-1] | r_ok[:-1][::-1]).all(axis=0)
         return ok
 
-    def dominates(self, gens, target_pair):
-        gens = _reduce_generators(self.left.space, self.right.space, gens)
-        k = self._pair_index[tuple(target_pair)]
-        return bool(self._dominated_targets(gens)[k])
-
     # -- enumeration -------------------------------------------------------
 
     def _enumerate_simplex(self, cap):
@@ -289,16 +284,6 @@ def congruence_oracle(ts, gens1, gens2, effect_cap=4096):
     return True
 
 
-def tensor_map(src, dst, f, g):
-    """Componentwise image map between tensor spaces: the meet of the pairs
-    (f(a), g(b)) over any generator list; f, g are real-element maps."""
-    def apply(idx):
-        gens = [(f(a), g(b))
-                for a, b in (src.pure_pairs[k] for k in src.cover_set(idx))]
-        return dst.index_of(gens)
-    return apply
-
-
 class SimplexPower(object):
     """n-fold tensor power of simplex factors, as bitmasks over pure tuples.
 
@@ -352,31 +337,6 @@ class SimplexPower(object):
             if mask >> k & 1:
                 out |= sub.pure_mask(tuple(t[i] for i in coords))
         return out
-
-    def closure(self, masks):
-        """Canonical antichain: close under bounded joins, keep maxima."""
-        current = set(masks)
-        while True:
-            extra = set()
-            for x in current:
-                for y in current:
-                    z = x & y
-                    if z and z not in current:
-                        extra.add(z)
-            if not extra:
-                break
-            current |= extra
-        out = [x for x in current
-               if not any(y != x and self.leq(x, y) for y in current)]
-        return sorted(out)
-
-    def is_admissible(self, masks):
-        closed = self.closure(masks)
-        for x in closed:
-            for y in closed:
-                if x != self.full and self.leq(y, self.full ^ x):
-                    return False
-        return True
 
     def name(self, mask):
         parts = []

@@ -11,7 +11,6 @@ from itertools import combinations, product
 
 from .core_order import (YES, NO, BOT, BOOL_VALUES, InputError, StateSpace,
                          bool_space, bool_meet, bool_bullet, bool_bar)
-from . import chu
 from .realspaces import (bool_real_space, simplex_space, spin_space,
                          ortho_matrix, ortho_complement, orthoclosed_sets)
 from .ontic import (closure, closure_step, is_admissible,
@@ -69,7 +68,7 @@ def counterexample_lattice():
 def check_preclosure_counterexample():
     space = counterexample_lattice()
     u = [space.index(n) for n in ("u1", "u2", "u3")]
-    once = closure(space, u, mode="pre")
+    once = closure_step(space, u)
     twice = closure_step(space, once)
     got_once = sorted(space.names[i] for i in once)
     got_twice = sorted(space.names[i] for i in twice)
@@ -321,8 +320,8 @@ def check_orthoclosure():
 def check_geometry():
     z2 = spin_space(2)
     ts, comp = indeterministic_tensor(z2, z2)
-    wide = build_geometry(comp, ts, variant="check")
-    narrow = build_geometry(comp, ts, variant="widecheck")
+    wide = build_geometry(comp, ts, variant="wide")
+    narrow = build_geometry(comp, ts, variant="narrow")
     inv = verify_invariants(wide, samples=400, seed=7)
     proj = verify_projective(wide)
     orth = verify_ortho(narrow, wide=wide)

@@ -25,13 +25,13 @@ def two_qubit(z2):
 @pytest.fixture(scope="session")
 def geo_wide(two_qubit):
     ts, comp = two_qubit
-    return build_geometry(comp, ts, variant="check")
+    return build_geometry(comp, ts, variant="wide")
 
 
 @pytest.fixture(scope="session")
 def geo_narrow(two_qubit):
     ts, comp = two_qubit
-    return build_geometry(comp, ts, variant="widecheck")
+    return build_geometry(comp, ts, variant="narrow")
 
 
 @pytest.fixture(scope="session")

@@ -106,3 +106,16 @@ def test_bell_command_reports_nonlocal():
     payload = json.loads(out.stdout)
     assert payload["nonlocal"] is True
     assert payload["lambda"] is None
+
+
+# an empty QLATTICE_CAP_OVERRIDE counts as unset
+@pytest.mark.parametrize("factors, override", [
+    ("bool,bool", "abc"),
+    ("zprime:two,bool", ""),
+])
+def test_non_integer_numbers_exit_2(factors, override):
+    env = dict(ENV, QLATTICE_CAP_OVERRIDE=override)
+    out = run_cli("tensor", "--factors", factors, env=env)
+    assert out.returncode == 2
+    assert "input error:" in out.stderr
+    assert "Traceback" not in out.stderr

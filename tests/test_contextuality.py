@@ -2,7 +2,8 @@ from qlattice import chu
 from qlattice.realspaces import simplex_space, spin_space
 from qlattice.ontic import build_completion
 from qlattice.contextuality import (find_joint_morphism, maximal_contexts,
-                                    coherent_descriptions, verify_model_iso)
+                                    coherent_descriptions, verify_model_iso,
+                                    evaluate_on_completion)
 
 
 def test_model_iso_on_completed_spin_pair(z2_completion):
@@ -56,3 +57,18 @@ def test_joint_morphism_exists_on_a_simplex():
 def test_coherent_descriptions_count(z2_completion):
     cover, descs = coherent_descriptions(z2_completion)
     assert len(descs) == 9
+
+
+def test_joint_morphism_for_one_sharp_effect(z2, z2_completion):
+    comp = z2_completion
+    space = comp.space
+    a = z2.space.index("a")
+    la = chu.make_effect(z2.space, a, z2.star_of(a))
+    psi = find_joint_morphism(comp, [la])
+    assert psi is not None
+    # brute-force oracle: meets go to unions of the image masks, and the
+    # single coordinate reproduces the effect on every completed state
+    for x in range(space.n):
+        for y in range(space.n):
+            assert psi.apply(space.meet(x, y)) == psi.apply(x) | psi.apply(y)
+        assert psi.marginal(0, x) == evaluate_on_completion(comp, la, x)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,3 +156,22 @@ def test_sup_is_least_upper_bound(ids):
     for c in range(_SPACE.n):
         if all(_SPACE.leq[i, c] for i in ids):
             assert _SPACE.leq[s, c]
+
+
+def _brute_covers(space):
+    """j covers i: i < j with no element strictly between them."""
+    n = space.n
+    strict = space.leq & ~np.eye(n, dtype=bool)
+    out = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if strict[i, j]:
+                out[i, j] = not (strict[i] & strict[:, j]).any()
+    return out
+
+
+def test_cover_matrix_against_brute_force(z2, two_qubit):
+    ts, comp = two_qubit
+    for space in (z2.space, simplex_space(3).space, ts.space, comp.space):
+        assert np.array_equal(space.cover_matrix, _brute_covers(space))
+        assert not space.cover_matrix.flags.writeable

@@ -14,9 +14,9 @@ def test_point_counts(geo_wide, geo_narrow):
     assert len(geo_wide.points) == 112
     assert len(geo_narrow.points) == 80
     assert len(geo_wide.pure_points) == 16
-    assert len(geo_wide.hidden_check) == 96
-    assert len(geo_wide.hidden_widecheck) == 64
-    assert geo_wide.hidden_widecheck <= geo_wide.hidden_check
+    assert len(geo_wide.hidden_wide) == 96
+    assert len(geo_wide.hidden_narrow) == 64
+    assert geo_wide.hidden_narrow <= geo_wide.hidden_wide
 
 
 def test_consistency_cover_counts(geo_wide, geo_narrow):
@@ -131,7 +131,7 @@ def test_covering_preservation(two_qubit):
 
 def test_incidence_export_shape(geo_narrow):
     data = export_incidence(geo_narrow)
-    assert data["variant"] == "widecheck"
+    assert data["variant"] == "narrow"
     assert len(data["points"]) == 80
     assert len(data["hidden"]) == 64
     assert data["lines"]

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from qlattice.verify import counterexample_lattice
 def test_preclosure_counterexample_sets():
     space = counterexample_lattice()
     u = tuple(space.index(n) for n in ("u1", "u2", "u3"))
-    once = closure(space, u, mode="pre")
+    once = closure_step(space, u)
     assert sorted(space.names[i] for i in once) == ["w", "y", "z"]
     twice = closure_step(space, once)
     assert sorted(space.names[i] for i in twice) == ["w", "x", "y", "z"]
@@ -149,3 +150,22 @@ def test_closure_idempotent_property(ids):
     # extensivity up to domination by the closure antichain
     for i in ids:
         assert any(_SPACE.leq[i, m] for m in first)
+
+
+def _least_upper_bound(space, ids):
+    """Least common upper bound read off the order matrix, or None."""
+    upper = [k for k in range(space.n) if all(space.leq[i, k] for i in ids)]
+    least = [k for k in upper if all(space.leq[k, m] for m in upper)]
+    return least[0] if least else None
+
+
+def test_sharpening_is_the_least_upper_bound(z2):
+    comp = build_completion(z2)
+    reals = range(z2.space.n)
+    for r in range(len(reals) + 1):
+        for sub in combinations(reals, r):
+            want = _least_upper_bound(comp.space,
+                                      [comp.embed(i) for i in sub])
+            assert comp.sharpening(sub) == want
+            # the second call is answered from the join memo
+            assert comp.sharpening([np.int64(i) for i in sub]) == want
