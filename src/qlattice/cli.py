@@ -15,7 +15,7 @@ from .realspaces import make_space, classify
 from .ontic import build_completion
 from .tensor import nfold_tensor, indeterministic_tensor
 from .contextuality import maximal_contexts
-from .geometry import build_geometry, incidence_json, consistency_dot
+from .geometry import build_geometry, export_incidence, consistency_dot
 from . import quantum
 from . import verify as verify_mod
 
@@ -166,7 +166,7 @@ def geometry(na, nb, variant, cap_elements, out, fmt):
     if fmt == "dot":
         _emit(consistency_dot(geo), out, fmt="dot")
     else:
-        _emit(incidence_json(geo), out)
+        _emit(export_incidence(geo), out)
 
 
 @cli.command()

@@ -6,8 +6,9 @@ order it carries a commutative "and"-like product (Y is the unit, N is
 absorbing) and an involution swapping Y and N.
 
 `StateSpace` is a finite meet-semilattice with a bottom element, stored as a
-dense boolean order matrix.  Everything downstream (real structures, ontic
-completions, tensors) is built out of these.
+dense boolean order matrix and, beside it, as int bitmasks of up-sets and
+down-sets.  Everything downstream (real structures, ontic completions,
+tensors) is built out of these.
 """
 
 import json
@@ -82,6 +83,12 @@ def bool_bullet_all(values):
     return out
 
 
+def _row_masks(mat):
+    """Each row of a boolean matrix as an int, bit j for column j."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _closure(mat):
     """Reflexive-transitive closure of a boolean relation matrix."""
     n = mat.shape[0]
@@ -98,10 +105,12 @@ class StateSpace(object):
 
     The order matrix `leq` is indexed so that leq[i, j] means element i lies
     below element j, and the read-only covering matrix `cover_matrix[i, j]`
-    that j covers i.  Validation is eager: antisymmetry, a unique bottom and
-    the existence of a unique greatest common lower bound for every pair are
-    all checked at construction time, and the first offending pair (in id
-    order) is named in the error.
+    that j covers i.  The same order is kept as int bitmasks: bit j of
+    `up[i]` and bit i of `down[j]` are set when i lies below j.  Validation
+    is eager: antisymmetry, a unique bottom and the existence of a unique
+    greatest common lower bound for every pair are all checked at
+    construction time, and the first offending pair (in id order) is named
+    in the error.
     """
 
     def __init__(self, names, leq):
@@ -119,11 +128,24 @@ class StateSpace(object):
         self.leq.setflags(write=False)
         self._index = {name: i for i, name in enumerate(names)}
         self._validate()
-        self._down_sizes = leq.sum(axis=0)
         self.bottom = int(np.flatnonzero(leq.sum(axis=1) == self.n)[0])
         strict = leq & ~np.eye(self.n, dtype=bool)
         self.cover_matrix = strict & ~(strict @ strict)
         self.cover_matrix.setflags(write=False)
+        self.up = _row_masks(leq)
+        self.down = _row_masks(leq.T)
+        # for ontic.closure_step: per element z, one mask for each element c
+        # that z covers, of the elements below z and not below c; the
+        # elements from the top down (by down-set size, so every element
+        # comes after all elements above it); and the step results by input
+        # down-set
+        self._cover_gaps = [
+            [self.down[z] & ~self.down[int(c)]
+             for c in np.flatnonzero(self.cover_matrix[:, z])]
+            for z in range(self.n)]
+        self._top_down = sorted(range(self.n),
+                                key=lambda z: -self.down[z].bit_count())
+        self._steps = {}
         self.maximals = tuple(int(i) for i in np.flatnonzero(strict.sum(axis=1) == 0))
         self._meet_table = self._build_meet_table()
 

@@ -12,7 +12,6 @@ orthogonal completeness to the narrow family.
 """
 
 from itertools import combinations, permutations
-import json
 import random
 
 import numpy as np
@@ -906,10 +905,6 @@ def export_incidence(G):
         "lines": [list(l) for l in lines],
         "consistency": [list(e) for e in edges],
     }
-
-
-def incidence_json(G):
-    return json.dumps(export_incidence(G), indent=2, ensure_ascii=False)
 
 
 def consistency_dot(G, graph_name="consistency"):

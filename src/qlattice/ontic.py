@@ -21,23 +21,32 @@ class LiftError(InputError):
 
 def closure_step(space, members):
     """One application of the pre-closure: maximal elements z that are the
-    least upper bound of their own trace below the input set."""
-    leq = space.leq
-    n = space.n
-    down = np.zeros(n, dtype=bool)
+    least upper bound of their own trace below the input set.
+
+    Every bounded set has a unique least upper bound (meets exist), so z is
+    the least upper bound of its trace exactly when no element that z covers
+    is above the whole trace, that is when the trace meets every cover gap
+    of z.  Elements are tried from the top down, and those below a fixed
+    point already found are skipped, as they cannot be maximal.  Steps are
+    memoized on the input's down-set."""
+    below = 0
     for u in members:
-        down |= leq[:, u]
-    idx = np.flatnonzero(down)
-    inside = leq[idx, :].astype(np.float32)
-    outside = (~leq[idx, :]).astype(np.float32)
-    misses = inside.T @ outside          # misses[z, c] = |{x in trace(z), x not below c}|
-    ub = misses == 0
-    score = np.where(ub, space._down_sizes[None, :], n + 1)
-    least = score.argmin(axis=1)
-    fixed = np.flatnonzero(least == np.arange(n))
-    sub = leq[np.ix_(fixed, fixed)] & ~np.eye(len(fixed), dtype=bool)
-    keep = sub.sum(axis=1) == 0
-    return tuple(int(z) for z in fixed[keep])
+        below |= space.down[u]
+    out = space._steps.get(below)
+    if out is not None:
+        return out
+    gaps = space._cover_gaps
+    covered = 0
+    found = []
+    for z in space._top_down:
+        if covered >> z & 1:
+            continue
+        if all(map(below.__and__, gaps[z])):
+            found.append(z)
+            covered |= space.down[z]
+    out = tuple(sorted(found))
+    space._steps[below] = out
+    return out
 
 
 def closure(space, members):
@@ -112,8 +121,11 @@ class OnticCompletion(object):
             for u in frontier:
                 if u == (real.bottom,):
                     continue
+                u_mask = 0
+                for x in u:
+                    u_mask |= 1 << x
                 for s in singles:
-                    if any(real.leq[s[0], x] for x in u):
+                    if real.up[s[0]] & u_mask:
                         continue
                     candidates += 1
                     if candidates > cap:
@@ -129,11 +141,16 @@ class OnticCompletion(object):
         self.elements = order
         self._elem_index = {u: k for k, u in enumerate(order)}
         names = [self._name(u) for u in order]
-        n = len(order)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, u in enumerate(order):
-            for j, v in enumerate(order):
-                leq[i, j] = self._below(u, v)
+        # u <= v when every member of u lies below some member of v, that is
+        # when the down-set of u is inside the down-set of v
+        downs = []
+        for u in order:
+            d = 0
+            for x in u:
+                d |= real.down[x]
+            downs.append(d)
+        leq = np.array([[d & ~e == 0 for e in downs] for d in downs],
+                       dtype=bool)
         self.space = StateSpace(names, leq)
         real_ids = [self._elem_index[(i,)] for i in range(real.n)
                     if i != real.bottom]
@@ -150,12 +167,6 @@ class OnticCompletion(object):
         if len(u) == 1:
             return real.names[u[0]]
         return "{" + ",".join(real.names[i] for i in u) + "}"
-
-    def _below(self, u, v):
-        real = self.base.space
-        if u == (real.bottom,):
-            return True
-        return all(any(real.leq[x, y] for y in v) for x in u)
 
     def _join_antichains(self, u, v):
         """Canonical join, or None when the union is inadmissible."""

@@ -14,6 +14,8 @@ scans the whole fourfold boolean simplex power for a global state matching
 all four at once.  Absence of such a state is Bell non-locality.
 """
 
+import functools
+
 import numpy as np
 
 from .core_order import YES, NO, BOT, InputError
@@ -210,37 +212,45 @@ def _pair_mask(bb, idx, sub_power):
     return mask
 
 
+# the four pair marginals 13, 14, 23, 24 as coordinates of the fourfold power
+_MARGINAL_COORDS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
+@functools.cache
+def _scan_table():
+    """The 2-factor boolean simplex power, and the scan keys: entry m - 1
+    holds the four pair marginals of state mask m of the fourfold power,
+    for every m, each a 4-bit mask of the 2-factor power, packed low to
+    high in the order of _MARGINAL_COORDS.  Built on the first scan of a
+    process (65,535 uint16 keys, 128 KB)."""
+    brs = bool_real_space()
+    power = SimplexPower([brs] * 4)
+    sub = SimplexPower([brs, brs])
+    masks = np.arange(1, power.full + 1, dtype=np.uint32)
+    keys = np.zeros(len(masks), dtype=np.uint16)
+    for slot, coords in enumerate(_MARGINAL_COORDS):
+        for k, t in enumerate(power.tuples):
+            bit = sub.pure_mask(tuple(t[i] for i in coords)) << (4 * slot)
+            keys |= np.where((masks >> k) & 1 == 1, np.uint16(bit),
+                             np.uint16(0))
+    keys.setflags(write=False)
+    return sub, keys
+
+
 def lambda_search(phi13, phi14, phi23, phi24, bb=None):
     """Exhaustive scan of the fourfold boolean simplex power for a state
     whose four pairwise traces match the given marginals.  Returns the
     smallest matching mask, or None."""
-    brs = bool_real_space()
     if bb is None:
-        bb = build_tensor(brs, brs)
-    power = SimplexPower([brs] * 4)
-    sub = SimplexPower([brs, brs])
-    targets = {
-        (0, 2): _pair_mask(bb, phi13, sub),
-        (0, 3): _pair_mask(bb, phi14, sub),
-        (1, 2): _pair_mask(bb, phi23, sub),
-        (1, 3): _pair_mask(bb, phi24, sub),
-    }
-    count = power.count
-    masks = np.arange(1, power.full + 1, dtype=np.uint32)
-    bits = (masks[:, None] >> np.arange(count)[None, :]) & 1
-    ok = np.ones(len(masks), dtype=bool)
-    for coords, want in targets.items():
-        table = [sub.pure_mask(tuple(t[i] for i in coords))
-                 for t in power.tuples]
-        proj = np.zeros(len(masks), dtype=np.uint32)
-        for k in range(count):
-            proj |= np.where(bits[:, k] == 1, np.uint32(table[k]),
-                             np.uint32(0))
-        ok &= proj == want
-    hits = np.flatnonzero(ok)
+        bb = build_tensor(bool_real_space(), bool_real_space())
+    sub, keys = _scan_table()
+    want = 0
+    for slot, phi in enumerate((phi13, phi14, phi23, phi24)):
+        want |= _pair_mask(bb, phi, sub) << (4 * slot)
+    hits = np.flatnonzero(keys == want)
     if len(hits) == 0:
         return None
-    return int(masks[hits[0]])
+    return int(hits[0]) + 1
 
 
 def constructive_lambda(scenario, xi, power=None):

@@ -15,13 +15,35 @@ from .realspaces import (bool_real_space, simplex_space, spin_space,
                          ortho_matrix, ortho_complement, orthoclosed_sets)
 from .ontic import (closure, closure_step, is_admissible,
                     is_unbounded_star_free, build_completion)
-from .tensor import build_tensor, indeterministic_tensor, congruence_oracle
+from .tensor import build_tensor, congruence_oracle
 from .contextuality import verify_model_iso
 from .geometry import (build_geometry, verify_projective, verify_ortho,
                        verify_invariants, covering_preservation_report)
 from . import quantum
 
 SCHEMA_VERSION = 1
+
+
+# -- inputs shared by several checks --------------------------------------------
+
+# Built on first use; run_suite empties it when it returns.
+_shared = {}
+
+
+def _two_qubit_tensor():
+    """The Z2 spin space and its minimal self-tensor (113 elements)."""
+    if "tensor" not in _shared:
+        z2 = spin_space(2)
+        _shared["tensor"] = z2, build_tensor(z2, z2)
+    return _shared["tensor"]
+
+
+def _two_qubit_completion():
+    """The ontic completion of the Z2 self-tensor (217 elements)."""
+    if "completion" not in _shared:
+        _shared["completion"] = build_completion(
+            _two_qubit_tensor()[1].real_space)
+    return _shared["completion"]
 
 
 # -- 1. boolean domain tables ------------------------------------------------
@@ -89,10 +111,9 @@ def check_closure_idempotency(samples=1000, seed=20240901):
               ("simplex3", simplex_space(3).space),
               ("zprime2", spin_space(2).space),
               ("zprime3", spin_space(3).space)]
-    z2 = spin_space(2)
+    z2, ts = _two_qubit_tensor()
     comp = build_completion(z2)
     spaces.append(("zprime2-completion", comp.space))
-    ts = build_tensor(z2, z2)
     big = ts.space
     bad = []
     checked = 0
@@ -192,8 +213,7 @@ def check_completion_z2():
 # -- 6. tensor order oracle ------------------------------------------------------
 
 def check_tensor_congruence(max_size=3):
-    z2 = spin_space(2)
-    ts = build_tensor(z2, z2)
+    ts = _two_qubit_tensor()[1]
     gen_sets = []
     for r in range(1, max_size + 1):
         gen_sets.extend(combinations(ts.pure_pairs, r))
@@ -221,7 +241,10 @@ def check_tensor_congruence(max_size=3):
 # -- 7. Bell pipeline --------------------------------------------------------------
 
 def check_bell():
-    scenario = quantum.bell_scenario(2, 2)
+    z2, ts = _two_qubit_tensor()
+    a, b = z2.space.index("a"), z2.space.index("b")
+    scenario = quantum.BellScenario(z2, z2, a, b, a, b, ts=ts,
+                                    completion=_two_qubit_completion())
     bb = build_tensor(bool_real_space(), bool_real_space())
     y, n, bot = 0, 1, 2
     want = {
@@ -318,8 +341,8 @@ def check_orthoclosure():
 # -- 11/12. geometry and covering preservation ---------------------------------------
 
 def check_geometry():
-    z2 = spin_space(2)
-    ts, comp = indeterministic_tensor(z2, z2)
+    ts = _two_qubit_tensor()[1]
+    comp = _two_qubit_completion()
     wide = build_geometry(comp, ts, variant="wide")
     narrow = build_geometry(comp, ts, variant="narrow")
     inv = verify_invariants(wide, samples=400, seed=7)
@@ -331,17 +354,14 @@ def check_geometry():
 
 
 def check_covering_preservation():
-    z2 = spin_space(2)
-    ts = build_tensor(z2, z2)
+    ts = _two_qubit_tensor()[1]
     return covering_preservation_report(ts.real_space)
 
 
 # -- 13. non-completeness --------------------------------------------------------------
 
 def check_non_completeness():
-    z2 = spin_space(2)
-    ts = build_tensor(z2, z2)
-    rs = ts.real_space
+    rs = _two_qubit_tensor()[1].real_space
     space = rs.space
     pures = sorted(space.pures())
     for p, q in combinations(pures, 2):
@@ -412,10 +432,13 @@ def run_suite(names=None):
     if unknown:
         raise InputError("unknown checks: %s" % ", ".join(unknown))
     out = {"version": SCHEMA_VERSION, "checks": {}}
-    for slug in names:
-        anchor, fn = by_slug[slug]
-        report = fn()
-        report["anchor"] = anchor
-        out["checks"][slug] = report
+    try:
+        for slug in names:
+            anchor, fn = by_slug[slug]
+            report = fn()
+            report["anchor"] = anchor
+            out["checks"][slug] = report
+    finally:
+        _shared.clear()
     out["pass"] = all(c["pass"] for c in out["checks"].values())
     return out

@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-ENV = dict(os.environ, PYTHONIOENCODING="utf-8")
+import qlattice
+from qlattice.geometry import export_incidence
+
+# the CLI runs the same qlattice package that the tests import
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(qlattice.__file__))
+ENV = dict(os.environ, PYTHONIOENCODING="utf-8",
+           PYTHONPATH=os.pathsep.join(
+               p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))
+               if p))
 
 
 def run_cli(*args, env=None):
@@ -119,3 +127,11 @@ def test_non_integer_numbers_exit_2(factors, override):
     assert out.returncode == 2
     assert "input error:" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_geometry_json_is_the_incidence_object(geo_narrow):
+    out = run_cli("geometry")
+    assert out.returncode == 0
+    payload = json.loads(out.stdout)
+    assert isinstance(payload, dict)
+    assert payload == json.loads(json.dumps(export_incidence(geo_narrow)))

@@ -175,3 +175,14 @@ def test_cover_matrix_against_brute_force(z2, two_qubit):
     for space in (z2.space, simplex_space(3).space, ts.space, comp.space):
         assert np.array_equal(space.cover_matrix, _brute_covers(space))
         assert not space.cover_matrix.flags.writeable
+
+
+def test_order_masks_match_leq(z2, two_qubit):
+    ts, comp = two_qubit
+    for space in (z2.space, simplex_space(3).space, ts.space, comp.space):
+        n = space.n
+        for i in range(n):
+            assert space.up[i] == sum(1 << j for j in range(n)
+                                      if space.leq[i, j])
+            assert space.down[i] == sum(1 << j for j in range(n)
+                                        if space.leq[j, i])

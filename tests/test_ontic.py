@@ -3,8 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from qlattice.core_order import StateSpace
 from qlattice.realspaces import spin_space, simplex_space
 from qlattice.ontic import (closure, closure_step, is_star_free,
                             is_unbounded_star_free, is_admissible,
@@ -169,3 +170,99 @@ def test_sharpening_is_the_least_upper_bound(z2):
             assert comp.sharpening(sub) == want
             # the second call is answered from the join memo
             assert comp.sharpening([np.int64(i) for i in sub]) == want
+
+
+# -- differential tests of the bitset order core against leq-only oracles ---
+
+def _oracle_step(space, members):
+    """One pre-closure step read off the order matrix: the maximal z that
+    are the least upper bound of their trace (the elements below z and
+    below some member)."""
+    leq = space.leq
+    below = leq[:, list(members)].any(axis=1)
+    fixed = []
+    for z in range(space.n):
+        upper = leq[below & leq[:, z]].all(axis=0)
+        if leq[z, upper].all():
+            fixed.append(z)
+    return tuple(z for z in fixed
+                 if not any(leq[z, w] for w in fixed if w != z))
+
+
+def _oracle_closure(space, members):
+    current = tuple(sorted(set(members)))
+    for _ in range(space.n + 1):
+        nxt = _oracle_step(space, current)
+        if nxt == current:
+            return current
+        current = nxt
+    raise AssertionError("oracle closure did not stabilize")
+
+
+def _inclusion_space(family):
+    """Subsets of {0..4} as 5-bit ints, closed under intersection and
+    ordered by inclusion: a finite meet-semilattice with bottom."""
+    closed = set(family)
+    while True:
+        more = {a & b for a in closed for b in closed} - closed
+        if not more:
+            break
+        closed |= more
+    elems = sorted(closed)
+    leq = np.array([[a & ~b == 0 for b in elems] for a in elems])
+    return StateSpace(["s%d" % a for a in elems], leq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 31), min_size=1, max_size=7, unique=True),
+       st.data())
+def test_closure_step_matches_oracle_on_intersection_families(family, data):
+    space = _inclusion_space(family)
+    others = [i for i in range(space.n) if i != space.bottom]
+    assume(others)
+    members = data.draw(st.lists(st.sampled_from(others), min_size=1,
+                                 max_size=4, unique=True))
+    assert closure_step(space, members) == _oracle_step(space, members)
+    assert closure(space, members) == _oracle_closure(space, members)
+
+
+def test_closure_step_matches_oracle_on_every_counterexample_subset():
+    space = counterexample_lattice()
+    others = [i for i in range(space.n) if i != space.bottom]
+    for r in range(1, len(others) + 1):
+        for sub in combinations(others, r):
+            assert closure_step(space, sub) == _oracle_step(space, sub)
+
+
+def test_closure_step_matches_oracle_on_tensor_subsets(two_qubit):
+    ts, _ = two_qubit
+    space = ts.space
+    others = [i for i in range(space.n) if i != space.bottom]
+    rng = random.Random(20)
+    for _ in range(500):
+        sub = rng.sample(others, rng.randint(1, 6))
+        assert closure_step(space, sub) == _oracle_step(space, sub)
+
+
+@pytest.mark.parametrize("rs", [spin_space(2), spin_space(3),
+                                simplex_space(3)], ids=["spin2", "spin3",
+                                                        "simplex3"])
+def test_completion_matches_brute_force_antichains(rs):
+    space = rs.space
+    leq = space.leq
+    others = [i for i in range(space.n) if i != space.bottom]
+    want = {(space.bottom,)}
+    for r in range(1, len(others) + 1):
+        for sub in combinations(others, r):
+            if any(leq[x, y] for x in sub for y in sub if x != y):
+                continue
+            if any(leq[rs.star_of(x), y] for x in sub for y in sub):
+                continue
+            if _oracle_closure(space, sub) == sub:
+                want.add(sub)
+    comp = build_completion(rs)
+    assert set(comp.elements) == want
+    for i, u in enumerate(comp.elements):
+        for j, v in enumerate(comp.elements):
+            below = all(any(leq[x, y] for y in v) for x in u)
+            assert bool(comp.space.leq[i, j]) == below

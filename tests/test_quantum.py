@@ -106,3 +106,59 @@ def test_scenario_validation(z2, scenario):
     with pytest.raises(InputError):
         quantum.BellScenario(z2, z2, a, z2.star_of(a), a, a,
                              ts=scenario.ts, completion=scenario.completion)
+
+
+def _scan_oracle():
+    """Smallest state mask of the fourfold boolean simplex power for each
+    quadruple of pair marginals (13, 14, 23, 24), from SimplexPower.project:
+    a projection is the union of the projections of the mask's bits."""
+    power = SimplexPower([bool_real_space()] * 4)
+    coords = ((0, 2), (0, 3), (1, 2), (1, 3))
+    single = [[power.project(1 << k, c) for c in coords]
+              for k in range(power.count)]
+    rng = random.Random(3)
+    for mask in rng.sample(range(1, power.full + 1), 200):
+        bits = [k for k in range(power.count) if mask >> k & 1]
+        for slot, c in enumerate(coords):
+            union = 0
+            for k in bits:
+                union |= single[k][slot]
+            assert power.project(mask, c) == union
+    proj = [None] * (power.full + 1)
+    proj[0] = (0, 0, 0, 0)
+    best = {}
+    for mask in range(1, power.full + 1):
+        low = (mask & -mask).bit_length() - 1
+        rest = proj[mask & (mask - 1)]
+        proj[mask] = tuple(r | s for r, s in zip(rest, single[low]))
+        best.setdefault(proj[mask], mask)
+    return best
+
+
+def test_lambda_search_matches_projection_oracle(scenario, bool_square):
+    bb = bool_square
+    sub = SimplexPower([bool_real_space()] * 2)
+    pair_mask = {}
+    for idx in range(len(bb)):
+        mask = 0
+        for k in bb.cover_set(idx):
+            mask |= sub.pure_mask(bb.pure_pairs[k])
+        pair_mask[idx] = mask
+    best = _scan_oracle()
+    bell = quantum.bell_marginals(scenario, bb)
+    quads = [tuple(bell[k] for k in ("13", "14", "23", "24"))]
+    for rid in range(scenario.ts.space.n):
+        xi = scenario.completion.embed(rid)
+        quads.append(tuple(quantum.measurement_image(
+            scenario, scenario.phi[a], scenario.rho[b], xi=xi, bb=bb)
+            for a in (0, 1) for b in (0, 1)))
+    rng = random.Random(17)
+    quads += [tuple(rng.randrange(len(bb)) for _ in range(4))
+              for _ in range(2000)]
+    found = 0
+    for q in quads:
+        want = best.get(tuple(pair_mask[m] for m in q))
+        assert quantum.lambda_search(*q, bb=bb) == want
+        found += want is not None
+    assert best.get(tuple(pair_mask[m] for m in quads[0])) is None
+    assert found >= 113

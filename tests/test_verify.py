@@ -27,3 +27,9 @@ def test_run_suite_report_shape():
     assert report["pass"]
     for check in report["checks"].values():
         assert "pass" in check and "anchor" in check
+
+
+def test_run_suite_drops_shared_inputs():
+    report = verify.run_suite(["covering-preservation", "non-completeness"])
+    assert report["pass"]
+    assert verify._shared == {}
