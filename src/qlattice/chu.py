@@ -12,7 +12,7 @@ determines a unique dual map on effects and vice versa.
 
 from dataclasses import dataclass
 
-from .core_order import BOT, NO, YES, InputError, CapExceeded, bool_space
+from .core_order import BOT, NO, YES, InputError, CapExceeded
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def check_morphism(source, target, forward):
 
 
 class ChuMorphism(object):
-    """A meet-preserving state map together with its derived effect dual."""
+    """A state map between two spaces, checked to preserve meets."""
 
     def __init__(self, source, target, forward):
         forward = tuple(int(f) for f in forward)
@@ -147,27 +147,6 @@ class ChuMorphism(object):
         self.source = source
         self.target = target
         self.forward = forward
-        self._source_profiles = None
 
     def apply(self, i):
         return self.forward[i]
-
-    def dual(self, l):
-        """The unique source effect evaluating like l after the forward map."""
-        if self._source_profiles is None:
-            self._source_profiles = {effect_profile(self.source, m): m
-                                     for m in all_effects(self.source)}
-        wanted = tuple(evaluate(self.target, l, self.forward[s])
-                       for s in range(self.source.n))
-        try:
-            return self._source_profiles[wanted]
-        except KeyError:
-            raise InputError("no dual effect matches profile of %r" % (l,))
-
-
-def measurement(space, l, bool3=None):
-    """The two-outcome observation of an effect, as a morphism into the
-    three-outcome domain."""
-    bool3 = bool_space() if bool3 is None else bool3
-    forward = [bool3.index(evaluate(space, l, s)) for s in range(space.n)]
-    return ChuMorphism(space, bool3, forward)

@@ -11,7 +11,7 @@ real state.
 
 import numpy as np
 
-from .core_order import BOT, NO, YES, InputError, CapExceeded
+from .core_order import BOT, NO, YES, InputError, CapExceeded, bits
 from . import chu
 from .realspaces import real_effects, is_deterministic, bool_real_space
 from .tensor import SimplexPower
@@ -74,45 +74,28 @@ def _coordinate_value(power, mask, i):
 
 
 def _cylinder(power, values):
-    """Tuples compatible with a per-coordinate outcome row (BOT is free)."""
-    out = []
-    for k, t in enumerate(power.tuples):
-        ok = True
-        for i, v in enumerate(values):
-            if v == BOT:
-                continue
-            if power.factors[i].space.names[t[i]] != v:
-                ok = False
-                break
-        if ok:
-            out.append(k)
-    return out
+    """Mask of the tuples compatible with a per-coordinate outcome row
+    (BOT is free)."""
+    return power.embed_factors([
+        set(pures) if v == BOT else {f.space.index(v)}
+        for f, pures, v in zip(power.factors, power.pure_lists, values)])
 
 
 def _masks_with_exact_projection(power, values):
     """All masks whose coordinate projections reproduce the outcome row."""
-    cyl = _cylinder(power, values)
+    cyl = bits(_cylinder(power, values))
     if len(cyl) > 12:
         raise CapExceeded("joint image search over %d free tuples" % len(cyl))
     out = []
-    for bits in range(1, 1 << len(cyl)):
+    for pick in range(1, 1 << len(cyl)):
         mask = 0
         for pos, k in enumerate(cyl):
-            if bits >> pos & 1:
+            if pick >> pos & 1:
                 mask |= 1 << k
-        if all(_coord_ok(power, mask, i, v) for i, v in enumerate(values)):
+        if all(_coordinate_value(power, mask, i) == v
+               for i, v in enumerate(values)):
             out.append(mask)
     return out
-
-
-def _coord_ok(power, mask, i, v):
-    seen = set()
-    for k, t in enumerate(power.tuples):
-        if mask >> k & 1:
-            seen.add(power.factors[i].space.names[t[i]])
-    if v == BOT:
-        return len(seen) == 2
-    return seen == {v}
 
 
 def find_joint_morphism(completion, effects):
@@ -135,12 +118,8 @@ def find_joint_morphism(completion, effects):
     rows = {p: [evaluate_on_completion(completion, l, p) for l in effects]
             for p in pures}
     if is_deterministic(completion.base):
-        masks = {}
-        for p in pures:
-            cyl = _cylinder(power, rows[p])
-            masks[p] = sum(1 << k_ for k_ in cyl)
-        psi = JointMorphism(completion, effects, power, masks)
-        return psi
+        masks = {p: _cylinder(power, rows[p]) for p in pures}
+        return JointMorphism(completion, effects, power, masks)
     choices = {p: _masks_with_exact_projection(power, rows[p]) for p in pures}
     order = sorted(pures)
     assignment = {}

@@ -89,6 +89,25 @@ def _row_masks(mat):
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def bits(mask):
+    """The set bits of an int mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def inclusion_order(masks):
+    """Inclusion order of a family of int masks: [i, j] is set when
+    masks[i] lies inside masks[j]."""
+    out = np.empty((len(masks), len(masks)), dtype=bool)
+    for i, m in enumerate(masks):
+        out[i] = [m & ~o == 0 for o in masks]
+    return out
+
+
 def _closure(mat):
     """Reflexive-transitive closure of a boolean relation matrix."""
     n = mat.shape[0]
@@ -106,9 +125,12 @@ class StateSpace(object):
     The order matrix `leq` is indexed so that leq[i, j] means element i lies
     below element j, and the read-only covering matrix `cover_matrix[i, j]`
     that j covers i.  The same order is kept as int bitmasks: bit j of
-    `up[i]` and bit i of `down[j]` are set when i lies below j.  Validation
-    is eager: antisymmetry, a unique bottom and the existence of a unique
-    greatest common lower bound for every pair are all checked at
+    `up[i]` and bit i of `down[j]` are set when i lies below j.  Meets and
+    least upper bounds are read off these masks: the meet of i and j is the
+    element whose down-set is down[i] & down[j], and the least upper bound
+    of a bounded family the element whose up-set is the AND of theirs.
+    Validation is eager: antisymmetry, a unique bottom and the existence of
+    a unique greatest common lower bound for every pair are all checked at
     construction time, and the first offending pair (in id order) is named
     in the error.
     """
@@ -148,6 +170,7 @@ class StateSpace(object):
         self._steps = {}
         self.maximals = tuple(int(i) for i in np.flatnonzero(strict.sum(axis=1) == 0))
         self._meet_table = self._build_meet_table()
+        self._by_up = {u: k for k, u in enumerate(self.up)}
 
     def _validate(self):
         leq = self.leq
@@ -169,20 +192,14 @@ class StateSpace(object):
             raise InputError("no bottom element")
 
     def _build_meet_table(self):
-        n = self.n
-        leq = self.leq
-        sizes = leq.sum(axis=0)
-        table = np.empty((n, n), dtype=np.int32)
-        neg = np.int64(-1)
-        for i in range(n):
-            common = leq[:, i:i + 1] & leq            # column j: lower bounds of {i, j}
-            score = np.where(common, sizes[:, None], neg)
-            cand = score.argmax(axis=0)
-            ok = ~(common & ~leq[:, cand]).any(axis=0)
-            if not ok.all():
-                j = int(np.flatnonzero(~ok)[0])
-                raise InputError("no meet for %r, %r" % (self.names[i], self.names[j]))
-            table[i] = cand
+        by_down = {d: k for k, d in enumerate(self.down)}
+        table = np.empty((self.n, self.n), dtype=np.int32)
+        for i, d in enumerate(self.down):
+            row = [by_down.get(d & e, -1) for e in self.down]
+            if -1 in row:
+                raise InputError("no meet for %r, %r"
+                                 % (self.names[i], self.names[row.index(-1)]))
+            table[i] = row
         table.setflags(write=False)
         return table
 
@@ -210,21 +227,19 @@ class StateSpace(object):
             out = self._meet_table[out, k]
         return int(out)
 
-    def upper_bound_mask(self, indices):
-        mask = np.ones(self.n, dtype=bool)
+    def _upper_bounds(self, indices):
+        out = (1 << self.n) - 1
         for i in indices:
-            mask &= self.leq[i]
-        return mask
+            out &= self.up[i]
+        return out
 
     def bounded(self, indices):
-        return bool(self.upper_bound_mask(indices).any())
+        return self._upper_bounds(indices) != 0
 
     def sup(self, indices):
         """Least upper bound, or None when the family has no upper bound."""
-        ubs = np.flatnonzero(self.upper_bound_mask(indices))
-        if ubs.size == 0:
-            return None
-        return self.meet_all(int(k) for k in ubs)
+        ubs = self._upper_bounds(indices)
+        return self._by_up[ubs] if ubs else None
 
     def join(self, i, j):
         return self.sup((i, j))

@@ -9,9 +9,7 @@ consists of exactly the canonical admissible antichains, ordered by
 "every member refines into some member".
 """
 
-import numpy as np
-
-from .core_order import InputError, CapExceeded, StateSpace
+from .core_order import InputError, CapExceeded, StateSpace, inclusion_order
 from .realspaces import RealSpace, RealStructureEmbedding
 
 
@@ -149,9 +147,7 @@ class OnticCompletion(object):
             for x in u:
                 d |= real.down[x]
             downs.append(d)
-        leq = np.array([[d & ~e == 0 for e in downs] for d in downs],
-                       dtype=bool)
-        self.space = StateSpace(names, leq)
+        self.space = StateSpace(names, inclusion_order(downs))
         real_ids = [self._elem_index[(i,)] for i in range(real.n)
                     if i != real.bottom]
         bottom_id = self._elem_index[(real.bottom,)]

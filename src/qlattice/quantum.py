@@ -203,51 +203,41 @@ def bell_marginals(scenario, bb=None):
 
 # -- the global-state scan --------------------------------------------------
 
-def _pair_mask(bb, idx, sub_power):
-    """A boolean tensor element as a pure-pair bitmask of the 2-factor
-    simplex power."""
-    mask = 0
-    for k in bb.cover_set(idx):
-        mask |= sub_power.pure_mask(bb.pure_pairs[k])
-    return mask
-
-
 # the four pair marginals 13, 14, 23, 24 as coordinates of the fourfold power
 _MARGINAL_COORDS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 @functools.cache
 def _scan_table():
-    """The 2-factor boolean simplex power, and the scan keys: entry m - 1
-    holds the four pair marginals of state mask m of the fourfold power,
-    for every m, each a 4-bit mask of the 2-factor power, packed low to
-    high in the order of _MARGINAL_COORDS.  Built on the first scan of a
-    process (65,535 uint16 keys, 128 KB)."""
-    brs = bool_real_space()
-    power = SimplexPower([brs] * 4)
-    sub = SimplexPower([brs, brs])
+    """The scan keys: entry m - 1 holds the four pair marginals of state
+    mask m of the fourfold boolean power, for every m, each a 4-bit mask of
+    the 2-factor power, packed low to high in the order of
+    _MARGINAL_COORDS.  Built on the first scan of a process (65,535 uint16
+    keys, 128 KB)."""
+    power = SimplexPower([bool_real_space()] * 4)
     masks = np.arange(1, power.full + 1, dtype=np.uint32)
     keys = np.zeros(len(masks), dtype=np.uint16)
     for slot, coords in enumerate(_MARGINAL_COORDS):
-        for k, t in enumerate(power.tuples):
-            bit = sub.pure_mask(tuple(t[i] for i in coords)) << (4 * slot)
+        for k in range(power.count):
+            bit = power.project(1 << k, coords) << (4 * slot)
             keys |= np.where((masks >> k) & 1 == 1, np.uint16(bit),
                              np.uint16(0))
     keys.setflags(write=False)
-    return sub, keys
+    return keys
 
 
 def lambda_search(phi13, phi14, phi23, phi24, bb=None):
     """Exhaustive scan of the fourfold boolean simplex power for a state
     whose four pairwise traces match the given marginals.  Returns the
-    smallest matching mask, or None."""
+    smallest matching mask, or None.  A cover mask of the boolean tensor
+    square is the element's mask in the 2-factor power, so the marginals
+    are packed as they are."""
     if bb is None:
         bb = build_tensor(bool_real_space(), bool_real_space())
-    sub, keys = _scan_table()
     want = 0
     for slot, phi in enumerate((phi13, phi14, phi23, phi24)):
-        want |= _pair_mask(bb, phi, sub) << (4 * slot)
-    hits = np.flatnonzero(keys == want)
+        want |= bb.cover_mask(phi) << (4 * slot)
+    hits = np.flatnonzero(_scan_table() == want)
     if len(hits) == 0:
         return None
     return int(hits[0]) + 1

@@ -1,22 +1,27 @@
 """Minimal tensor product of two real spaces.
 
 An element of the product is canonically represented by its cover set: the
-set of pure tensors lying above it.  Order is reverse inclusion of cover
-sets.  Whether a list of generating pairs sits below a given pure tensor is
-decided by the expansion formula: the full left meet must refine the left
-target, the full right meet the right target, and for every proper split of
-the index set one of the two sides must already refine its target.
+set of pure tensors lying above it, held as an int mask with bit k for pure
+pair k.  Order is reverse inclusion of cover sets.  Whether a list of
+generating pairs sits below a given pure tensor is decided by the expansion
+formula: the full left meet must refine the left target, the full right
+meet the right target, and for every proper split of the index set one of
+the two sides must already refine its target.
 
 A pair of simplex factors takes a fast path where every nonempty set of pure
 tensors is an element; `SimplexPower` extends that to n-fold powers as plain
-bitmasks without ever materializing a dense order matrix.
+bitmasks without ever materializing a dense order matrix.  Pure pairs are
+listed as the product of the sorted pures of the two factors, exactly as
+`SimplexPower` lists its pure tuples, so a cover mask of a tensor of two
+simplex factors is also the element's mask in the 2-factor power.
 """
 
 from itertools import product
 
 import numpy as np
 
-from .core_order import InputError, CapExceeded, StateSpace, bool_meet_all, bool_bullet
+from .core_order import (InputError, CapExceeded, StateSpace, bits,
+                         inclusion_order, bool_meet_all, bool_bullet)
 from . import chu
 from .realspaces import RealSpace, is_deterministic, real_effects
 
@@ -53,14 +58,15 @@ class TensorSpace(object):
     # -- the expansion-formula order test ---------------------------------
 
     def normalize(self, gens):
-        """Cover set (as a frozenset of pure-pair indices) of the meet of
-        the given generating pairs."""
+        """Cover mask (bit k for pure pair k) of the meet of the given
+        generating pairs."""
         gens = _reduce_generators(self.left.space, self.right.space, gens)
         key = tuple(gens)
         hit = self._norm_cache.get(key)
         if hit is not None:
             return hit
-        out = frozenset(int(k) for k in np.flatnonzero(self._dominated_targets(gens)))
+        ok = np.packbits(self._dominated_targets(gens), bitorder="little")
+        out = int.from_bytes(ok.tobytes(), "little")
         self._norm_cache[key] = out
         return out
 
@@ -94,15 +100,13 @@ class TensorSpace(object):
         if count > cap:
             raise CapExceeded("simplex tensor needs %d elements (cap %d)"
                               % (count, cap))
-        p = len(self.pure_pairs)
-        self._covers = [frozenset(k for k in range(p) if mask >> k & 1)
-                        for mask in range(1, count + 1)]
+        self._covers = list(range(1, count + 1))
 
     def _enumerate_meets(self, cap):
         gens_of = {}
         queue = []
         for k, pp in enumerate(self.pure_pairs):
-            u = frozenset([k])
+            u = 1 << k
             gens_of[u] = [pp]
             queue.append(u)
         seen_pairs = set()
@@ -112,7 +116,7 @@ class TensorSpace(object):
             for v in known:
                 if u == v:
                     continue
-                pair_key = frozenset((u, v))
+                pair_key = (u, v) if u < v else (v, u)
                 if pair_key in seen_pairs:
                     continue
                 seen_pairs.add(pair_key)
@@ -125,44 +129,37 @@ class TensorSpace(object):
                         self.left.space, self.right.space,
                         gens_of[u] + gens_of[v])
                     queue.append(w)
-        self._covers = sorted(gens_of.keys(), key=lambda s: (len(s), sorted(s)))
+        self._covers = sorted(gens_of.keys(),
+                              key=lambda u: (u.bit_count(), bits(u)))
 
     def _install_space(self):
         covers = self._covers
         self._cover_index = {u: i for i, u in enumerate(covers)}
-        n = len(covers)
-        p = len(self.pure_pairs)
-        masks = np.zeros((n, p), dtype=bool)
-        for i, u in enumerate(covers):
-            masks[i, list(u)] = True
-        # reverse inclusion of cover sets
-        leq = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            leq[i] = (~masks[i] & masks).sum(axis=1) == 0
+        full = (1 << len(self.pure_pairs)) - 1
         names = [self._label(u) for u in covers]
-        space = StateSpace(names, leq)
+        # reverse inclusion of cover sets
+        space = StateSpace(names, inclusion_order(covers).T)
         star = {}
-        bottom = self._cover_index[frozenset(range(p))]
-        star_cover = [self._pure_pair_star_cover(k) for k in range(p)]
+        bottom = self._cover_index[full]
+        star_cover = [self._pure_pair_star_cover(k)
+                      for k in range(len(self.pure_pairs))]
         for i, u in enumerate(covers):
             if i == bottom:
                 continue
-            s = frozenset.intersection(*[star_cover[k] for k in u])
+            s = full
+            for k in bits(u):
+                s &= star_cover[k]
             star[i] = self._cover_index[s]
         self.space = space
         self.real_space = RealSpace(space, star)
-        self._masks = masks
 
     def _pure_pair_star_cover(self, k):
         pa, pb = self.pure_pairs[k]
         sa = self.left.star_of(pa)
         sb = self.right.star_of(pb)
         la, lb = self.left.space, self.right.space
-        out = set()
-        for j, (qa, qb) in enumerate(self.pure_pairs):
-            if la.leq[sa, qa] or lb.leq[sb, qb]:
-                out.add(j)
-        return frozenset(out)
+        return sum(1 << j for j, (qa, qb) in enumerate(self.pure_pairs)
+                   if la.leq[sa, qa] or lb.leq[sb, qb])
 
     # -- labels ------------------------------------------------------------
 
@@ -175,15 +172,13 @@ class TensorSpace(object):
             ax = [p for p in self._pure_a if la.leq[x, p]]
             for y in range(lb.n):
                 by = [q for q in self._pure_b if lb.leq[y, q]]
-                rect = frozenset(self._pair_index[(p, q)]
-                                 for p in ax for q in by)
-                if rect and rect <= u:
+                rect = sum(1 << self._pair_index[(p, q)]
+                           for p in ax for q in by)
+                if rect and rect & ~u == 0:
                     rects.append(((x, y), rect))
-        out = []
-        for (xy, rect) in rects:
-            if not any(rect < other for _, other in rects):
-                out.append((xy, rect))
-        return out
+        return [(xy, rect) for xy, rect in rects
+                if not any(other != rect and rect & ~other == 0
+                           for _, other in rects)]
 
     def _label(self, u):
         la, lb = self.left.space, self.right.space
@@ -198,34 +193,30 @@ class TensorSpace(object):
         u = self.normalize(gens)
         return self._cover_index[u]
 
-    def cover_set(self, idx):
+    def cover_mask(self, idx):
         return self._covers[idx]
 
+    def cover_set(self, idx):
+        return frozenset(bits(self._covers[idx]))
+
     def pure_tensor(self, pa, pb):
-        return self._cover_index[frozenset([self._pair_index[(pa, pb)]])]
+        return self._cover_index[1 << self._pair_index[(pa, pb)]]
 
     def pure_pair_of(self, idx):
         u = self._covers[idx]
-        if len(u) == 1:
-            return self.pure_pairs[next(iter(u))]
+        if u & (u - 1) == 0:
+            return self.pure_pairs[u.bit_length() - 1]
         return None
 
     def meet(self, i, j):
         return self.space.meet(i, j)
 
-    def join(self, i, j):
-        """Meet of the shared cover pures, absent when none are shared."""
-        u = self._covers[i] & self._covers[j]
-        if not u:
-            return None
-        return self.index_of([self.pure_pairs[k] for k in u])
-
     def partial_trace(self, idx, side):
         if side not in (1, 2):
             raise InputError("trace side must be 1 or 2")
-        u = self._covers[idx]
         factor = self.left.space if side == 1 else self.right.space
-        return factor.meet_all(self.pure_pairs[k][side - 1] for k in u)
+        return factor.meet_all(self.pure_pairs[k][side - 1]
+                               for k in bits(self._covers[idx]))
 
     def star(self, idx):
         return self.real_space.star_of(idx)
@@ -234,7 +225,7 @@ class TensorSpace(object):
         la, lb = self.left.space, self.right.space
         return sorted([la.names[self.pure_pairs[k][0]],
                        lb.names[self.pure_pairs[k][1]]]
-                      for k in self._covers[idx])
+                      for k in bits(self._covers[idx]))
 
     def __len__(self):
         return len(self._covers)
@@ -261,27 +252,25 @@ def indeterministic_tensor(rs_a, rs_b, cap=10 ** 6):
     return ts, OnticCompletion(ts.real_space, cap=cap)
 
 
-def congruence_oracle(ts, gens1, gens2, effect_cap=4096):
-    """Brute-force check that two generator sets define the same element:
-    equality of the bullet-meet evaluation against every real effect pair."""
+def congruence_profile(ts, gens, effect_cap=4096):
+    """The bullet-meet evaluation of a generator set against every real
+    effect pair, as a tuple in effect-pair order."""
     effects_a = real_effects(ts.left)
     effects_b = real_effects(ts.right)
     if len(effects_a) * len(effects_b) > effect_cap:
         raise CapExceeded("congruence oracle over %d effect pairs"
                           % (len(effects_a) * len(effects_b)))
-    for la in effects_a:
-        for lb in effects_b:
-            v1 = bool_meet_all(
-                bool_bullet(chu.evaluate(ts.left.space, la, a),
-                            chu.evaluate(ts.right.space, lb, b))
-                for a, b in gens1)
-            v2 = bool_meet_all(
-                bool_bullet(chu.evaluate(ts.left.space, la, a),
-                            chu.evaluate(ts.right.space, lb, b))
-                for a, b in gens2)
-            if v1 != v2:
-                return False
-    return True
+    return tuple(bool_meet_all(bool_bullet(chu.evaluate(ts.left.space, la, a),
+                                           chu.evaluate(ts.right.space, lb, b))
+                               for a, b in gens)
+                 for la in effects_a for lb in effects_b)
+
+
+def congruence_oracle(ts, gens1, gens2, effect_cap=4096):
+    """Brute-force check that two generator sets define the same element:
+    equality of their congruence profiles."""
+    return (congruence_profile(ts, gens1, effect_cap)
+            == congruence_profile(ts, gens2, effect_cap))
 
 
 class SimplexPower(object):

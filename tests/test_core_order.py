@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
                                  StateSpace, bool_space, bool_meet, bool_join,
                                  bool_bullet, bool_bar, bool_leq,
-                                 bool_meet_all, bool_bullet_all)
+                                 bool_meet_all, bool_bullet_all, bits,
+                                 inclusion_order)
 from qlattice.realspaces import spin_space, simplex_space
+
+from test_ontic import _inclusion_space
 
 
 def test_meet_table():
@@ -85,7 +90,7 @@ def test_from_relation_rejects_missing_meet():
     names = ["bot", "x", "y", "a", "b"]
     pairs = [("bot", "x"), ("bot", "y"),
              ("x", "a"), ("x", "b"), ("y", "a"), ("y", "b")]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="no meet for 'a', 'b'"):
         StateSpace.from_relation(names, pairs)
 
 
@@ -186,3 +191,69 @@ def test_order_masks_match_leq(z2, two_qubit):
                                       if space.leq[i, j])
             assert space.down[i] == sum(1 << j for j in range(n)
                                         if space.leq[j, i])
+
+
+# -- differential tests of the mask-read meets and sups against leq-only
+# oracles --------------------------------------------------------------------
+
+def test_bits_and_inclusion_order():
+    assert bits(0) == []
+    assert bits(0b10110) == [1, 2, 4]
+    assert bits(1 << 70 | 1) == [0, 70]
+    masks = [0b011, 0b001, 0b111, 0b100]
+    want = [[set(bits(a)) <= set(bits(b)) for b in masks] for a in masks]
+    assert inclusion_order(masks).tolist() == want
+
+
+def _oracle_meet_table(space):
+    """For each pair, the common lower bound above every common lower
+    bound, read off leq."""
+    leq = space.leq
+    table = np.empty((space.n, space.n), dtype=np.int64)
+    for i in range(space.n):
+        for j in range(space.n):
+            lower = np.flatnonzero(leq[:, i] & leq[:, j])
+            best = lower[leq[np.ix_(lower, lower)].all(axis=0)]
+            assert len(best) == 1
+            table[i, j] = best[0]
+    return table
+
+
+def _oracle_sup(space, ids):
+    """The upper bound below every upper bound, read off leq, or None."""
+    leq = space.leq
+    upper = np.flatnonzero(leq[list(ids)].all(axis=0))
+    least = upper[leq[np.ix_(upper, upper)].all(axis=1)]
+    return int(least[0]) if len(least) else None
+
+
+def _check_mask_queries(space, families):
+    assert np.array_equal(space._meet_table, _oracle_meet_table(space))
+    verdicts = set()
+    for ids in families:
+        want = _oracle_sup(space, ids)
+        assert space.bounded(ids) == (want is not None)
+        assert space.sup(ids) == want
+        verdicts.add(want is not None)
+    return verdicts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 31), min_size=1, max_size=7, unique=True),
+       st.data())
+def test_mask_queries_match_oracle_on_intersection_families(family, data):
+    space = _inclusion_space(family)
+    families = data.draw(st.lists(
+        st.lists(st.integers(0, space.n - 1), min_size=1, max_size=4),
+        min_size=1, max_size=10))
+    _check_mask_queries(space, families)
+
+
+def test_mask_queries_match_oracle_on_two_qubit_tensor(two_qubit):
+    ts, comp = two_qubit
+    rng = random.Random(31)
+    for space in (ts.space, comp.space):
+        families = [rng.sample(range(space.n), rng.randint(1, 4))
+                    for _ in range(400)]
+        # both verdicts of bounded occur on each space
+        assert _check_mask_queries(space, families) == {True, False}

@@ -89,10 +89,9 @@ def test_real_states_admit_global_states(scenario, bool_square):
         assert lam is not None
         built = quantum.constructive_lambda(scenario, xi, power)
         # the constructive witness reproduces all four marginals too
-        sub = SimplexPower([bool_real_space()] * 2)
         for coords, key in (((0, 2), "13"), ((0, 3), "14"),
                             ((1, 2), "23"), ((1, 3), "24")):
-            want = quantum._pair_mask(bb, phi[key], sub)
+            want = bb.cover_mask(phi[key])
             assert power.project(built, coords) == want
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlattice.core_order import CapExceeded
+from qlattice.core_order import CapExceeded, bits
 from qlattice.realspaces import bool_real_space, simplex_space, spin_space
 from qlattice.tensor import (build_tensor, nfold_tensor, SimplexPower,
                              congruence_oracle)
@@ -170,3 +170,13 @@ def test_power_pure_masks_are_singleton_bits():
     for t in _POWER.tuples:
         mask = _POWER.pure_mask(t)
         assert mask and mask & (mask - 1) == 0
+
+
+def test_cover_mask_bits_are_the_pure_tensors_above(two_qubit):
+    ts, _ = two_qubit
+    pures = [ts.pure_tensor(*pp) for pp in ts.pure_pairs]
+    for i in range(len(ts)):
+        mask = ts.cover_mask(i)
+        for k, p in enumerate(pures):
+            assert bool(mask >> k & 1) == bool(ts.space.leq[i, p])
+        assert ts.cover_set(i) == frozenset(bits(mask))
