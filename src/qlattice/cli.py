@@ -53,8 +53,12 @@ def _emit(payload, out, fmt="json"):
     else:
         text = payload
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError("cannot write --out %s: %s"
+                             % (out, exc.strerror or exc))
     else:
         click.echo(text, nl=False)
 

@@ -7,6 +7,12 @@ yields the canonical antichain.  An antichain is admissible when its closure
 never puts a starred element below another member; the completed space
 consists of exactly the canonical admissible antichains, ordered by
 "every member refines into some member".
+
+Admissibility is only lost as a union grows: the closure is monotone, and a
+closed set holding both x and x* holds them in every larger one.  So once a
+pair of reals has an inadmissible join, every union that contains the pair
+(or two reals above it) is inadmissible too, and the completion answers it
+without a closure.
 """
 
 from .core_order import InputError, CapExceeded, StateSpace, inclusion_order
@@ -112,6 +118,10 @@ class OnticCompletion(object):
         elements = {(real.bottom,)}
         elements.update(singles)
         self._join_cache = {}
+        # bit y of _bad_pairs[x]: the join of x and y is inadmissible; the
+        # first level of the search tries every pair, so the table is
+        # complete before any union of three or more reals
+        self._bad_pairs = [0] * real.n
         frontier = list(elements)
         candidates = 0
         while frontier:
@@ -173,9 +183,25 @@ class OnticCompletion(object):
             return (real.bottom,)
         if merged in self._join_cache:
             return self._join_cache[merged]
-        out = closure(real, merged)
-        if not is_star_free(self.base, out):
+        below = 0
+        for m in merged:
+            below |= real.down[m]
+        bad = self._bad_pairs
+        # a known inadmissible pair below the union decides it.  Once the
+        # table is complete the members are enough to look at: such a pair
+        # lies below two distinct members (x and x* have no common upper
+        # bound, so a single real is admissible), and their join is
+        # inadmissible as well
+        if any(bad[m] & below for m in merged):
             out = None
+        else:
+            out = closure(real, merged)
+            if not is_star_free(self.base, out):
+                out = None
+        if out is None and len(merged) == 2:
+            a, b = int(merged[0]), int(merged[1])
+            bad[a] |= 1 << b
+            bad[b] |= 1 << a
         self._join_cache[merged] = out
         return out
 

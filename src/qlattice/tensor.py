@@ -49,6 +49,9 @@ class TensorSpace(object):
         self._ta = np.array([pp[0] for pp in self.pure_pairs])
         self._tb = np.array([pp[1] for pp in self.pure_pairs])
         self._norm_cache = {}
+        # real effects of both factors and generator columns, built by the
+        # first congruence_profile call
+        self._congruence = None
         if is_deterministic(left) and is_deterministic(right):
             self._enumerate_simplex(cap)
         else:
@@ -254,16 +257,29 @@ def indeterministic_tensor(rs_a, rs_b, cap=10 ** 6):
 
 def congruence_profile(ts, gens, effect_cap=4096):
     """The bullet-meet evaluation of a generator set against every real
-    effect pair, as a tuple in effect-pair order."""
-    effects_a = real_effects(ts.left)
-    effects_b = real_effects(ts.right)
+    effect pair, as a tuple in effect-pair order.
+
+    It is the elementwise meet of the generators' columns, a column being
+    the bullet evaluation of one generating pair against every effect
+    pair; the effects and the columns are built once per tensor."""
+    if ts._congruence is None:
+        ts._congruence = (real_effects(ts.left), real_effects(ts.right), {})
+    effects_a, effects_b, columns = ts._congruence
     if len(effects_a) * len(effects_b) > effect_cap:
         raise CapExceeded("congruence oracle over %d effect pairs"
                           % (len(effects_a) * len(effects_b)))
-    return tuple(bool_meet_all(bool_bullet(chu.evaluate(ts.left.space, la, a),
-                                           chu.evaluate(ts.right.space, lb, b))
-                               for a, b in gens)
-                 for la in effects_a for lb in effects_b)
+    cols = []
+    for a, b in gens:
+        col = columns.get((a, b))
+        if col is None:
+            col = columns[(a, b)] = tuple(
+                bool_bullet(chu.evaluate(ts.left.space, la, a),
+                            chu.evaluate(ts.right.space, lb, b))
+                for la in effects_a for lb in effects_b)
+        cols.append(col)
+    if not cols:
+        raise InputError("meet of an empty family of outcomes")
+    return tuple(map(bool_meet_all, zip(*cols)))
 
 
 def congruence_oracle(ts, gens1, gens2, effect_cap=4096):

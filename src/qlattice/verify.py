@@ -331,10 +331,10 @@ def check_orthoclosure():
             bad.append(("overlap", sorted(h)))
     subsets = [frozenset(s) for r in range(n + 1)
                for s in combinations(range(n), r)]
-    for a in subsets:
-        for b in subsets:
-            if a <= b and not (ortho_complement(emb, b, orth)
-                               <= ortho_complement(emb, a, orth)):
+    perps = [ortho_complement(emb, a, orth) for a in subsets]
+    for a, perp_a in zip(subsets, perps):
+        for b, perp_b in zip(subsets, perps):
+            if a <= b and not perp_b <= perp_a:
                 bad.append(("antitone", sorted(a), sorted(b)))
     return {"pass": not bad, "failures": bad[:5],
             "closed_sets": len(family), "subset_pairs": len(subsets) ** 2}

@@ -92,6 +92,15 @@ def test_out_file_matches_stdout(tmp_path):
     assert target.read_text() == direct.stdout
 
 
+def test_unwritable_out_exits_2(tmp_path):
+    target = tmp_path / "missing" / "space.json"
+    out = run_cli("build", "--kind", "bool", "--out", str(target))
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+    assert out.stdout == ""
+
+
 def test_broadcast_command():
     out = run_cli("broadcast", "--kind", "zprime", "--n", "2")
     assert out.returncode == 0

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qlattice.core_order import StateSpace
+from qlattice.core_order import CapExceeded, StateSpace
 from qlattice.realspaces import spin_space, simplex_space
+from qlattice.tensor import build_tensor
 from qlattice.ontic import (closure, closure_step, is_star_free,
                             is_unbounded_star_free, is_admissible,
                             build_completion, lift_morphism)
@@ -266,3 +267,58 @@ def test_completion_matches_brute_force_antichains(rs):
         for j, v in enumerate(comp.elements):
             below = all(any(leq[x, y] for y in v) for x in u)
             assert bool(comp.space.leq[i, j]) == below
+
+
+def _reference_completion(rs):
+    """The completion's breadth-first search with no pair table: every
+    union of an element and a real not below it is closed with the public
+    closure and tested with is_star_free.  Returns the elements in the
+    completion's order and the join memo."""
+    space = rs.space
+    singles = [(i,) for i in range(space.n) if i != space.bottom]
+    elements = {(space.bottom,)} | set(singles)
+    joins = {}
+    frontier = singles
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for s in singles:
+                if any(space.leq[s[0], x] for x in u):
+                    continue
+                merged = tuple(sorted(set(u) | set(s)))
+                if merged not in joins:
+                    out = closure(space, merged)
+                    joins[merged] = out if is_star_free(rs, out) else None
+                j = joins[merged]
+                if j is not None and j not in elements:
+                    elements.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(elements, key=lambda u: (len(u), u)), joins
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spin_space(2), lambda: spin_space(3), lambda: simplex_space(3),
+    lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+], ids=["spin2", "spin3", "simplex3", "z2z2"])
+def test_pair_pruning_matches_unpruned_search(make):
+    rs = make()
+    comp = build_completion(rs)
+    # a second copy of the space, so that no step memo is shared
+    elements, joins = _reference_completion(make())
+    assert comp.elements == elements
+    assert comp._join_cache == joins
+    # u <= v when the down-set of u is inside the down-set of v
+    leq = rs.space.leq
+    down = np.array([leq[:, list(u)].any(axis=1) for u in elements])
+    want = ~(down[:, None, :] & ~down[None, :, :]).any(axis=2)
+    assert np.array_equal(comp.space.leq, want)
+
+
+def test_candidate_cap_counts_pruned_candidates():
+    # spin(2) takes 20 join candidates: the cap counts candidates, those
+    # answered without a closure included
+    rs = spin_space(2)
+    assert len(build_completion(rs, cap=20)) == 9
+    with pytest.raises(CapExceeded):
+        build_completion(rs, cap=19)
