@@ -89,6 +89,21 @@ def _row_masks(mat):
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _unpack_rows(masks, n):
+    """The boolean matrix with n columns whose row i is masks[i]; the
+    inverse of _row_masks."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n,
+                         bitorder="little").astype(bool)
+
+
+def _low_bit(mask):
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def bits(mask):
     """The set bits of an int mask, lowest first."""
     out = []
@@ -129,10 +144,12 @@ class StateSpace(object):
     least upper bounds are read off these masks: the meet of i and j is the
     element whose down-set is down[i] & down[j], and the least upper bound
     of a bounded family the element whose up-set is the AND of theirs.
-    Validation is eager: antisymmetry, a unique bottom and the existence of
-    a unique greatest common lower bound for every pair are all checked at
-    construction time, and the first offending pair (in id order) is named
-    in the error.
+    Validation is eager: reflexivity, antisymmetry, transitivity, a unique
+    bottom and the existence of a unique greatest common lower bound for
+    every pair are all checked at construction time, and the first
+    offending pair (in id order) is named in the error.  The order axioms
+    and the covers are read off the masks with one OR per comparable pair,
+    not with dense n × n matrix products.
     """
 
     def __init__(self, names, leq):
@@ -149,47 +166,59 @@ class StateSpace(object):
         self.leq = leq
         self.leq.setflags(write=False)
         self._index = {name: i for i, name in enumerate(names)}
-        self._validate()
-        self.bottom = int(np.flatnonzero(leq.sum(axis=1) == self.n)[0])
-        strict = leq & ~np.eye(self.n, dtype=bool)
-        self.cover_matrix = strict & ~(strict @ strict)
-        self.cover_matrix.setflags(write=False)
         self.up = _row_masks(leq)
         self.down = _row_masks(leq.T)
+        covers = self._validate()
+        self.bottom = self.up.index((1 << self.n) - 1)
+        self.cover_matrix = _unpack_rows(covers, self.n)
+        self.cover_matrix.setflags(write=False)
+        # bit c of lower[z] is set when z covers c
+        lower = [0] * self.n
+        for c, row in enumerate(covers):
+            for z in bits(row):
+                lower[z] |= 1 << c
         # for ontic.closure_step: per element z, one mask for each element c
         # that z covers, of the elements below z and not below c; the
         # elements from the top down (by down-set size, so every element
         # comes after all elements above it); and the step results by input
         # down-set
-        self._cover_gaps = [
-            [self.down[z] & ~self.down[int(c)]
-             for c in np.flatnonzero(self.cover_matrix[:, z])]
-            for z in range(self.n)]
+        self._cover_gaps = [[self.down[z] & ~self.down[c] for c in bits(low)]
+                            for z, low in enumerate(lower)]
         self._top_down = sorted(range(self.n),
                                 key=lambda z: -self.down[z].bit_count())
         self._steps = {}
-        self.maximals = tuple(int(i) for i in np.flatnonzero(strict.sum(axis=1) == 0))
+        self.maximals = tuple(i for i, row in enumerate(covers) if not row)
         self._meet_table = self._build_meet_table()
         self._by_up = {u: k for k, u in enumerate(self.up)}
 
     def _validate(self):
-        leq = self.leq
-        n = self.n
-        if not leq.diagonal().all():
-            i = int(np.flatnonzero(~leq.diagonal())[0])
-            raise InputError("order not reflexive at %r" % self.names[i])
-        bad = leq & leq.T & ~np.eye(n, dtype=bool)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise InputError("antisymmetry fails for %r, %r"
-                             % (self.names[int(i)], self.names[int(j)]))
-        trans = leq @ leq
-        if (trans & ~leq).any():
-            i, j = np.argwhere(trans & ~leq)[0]
-            raise InputError("transitivity fails for %r, %r"
-                             % (self.names[int(i)], self.names[int(j)]))
-        if not (leq.sum(axis=1) == n).any():
+        """Check the order axioms on the masks, naming the first offending
+        pair in id order, and return each element's row of upper covers:
+        its strict up-set minus everything strictly above a member of it.
+        Transitivity holds when the up-sets of the members of up[i] stay
+        inside up[i]; the work is one OR per comparable pair."""
+        names, up, down = self.names, self.up, self.down
+        for i, row in enumerate(up):
+            if not row >> i & 1:
+                raise InputError("order not reflexive at %r" % names[i])
+        for i, row in enumerate(up):
+            both = row & down[i] & ~(1 << i)
+            if both:
+                raise InputError("antisymmetry fails for %r, %r"
+                                 % (names[i], names[_low_bit(both)]))
+        covers = []
+        for i, row in enumerate(up):
+            strict = row ^ (1 << i)
+            above = 0
+            for k in bits(strict):
+                above |= up[k] ^ (1 << k)
+            if above & ~row:
+                raise InputError("transitivity fails for %r, %r"
+                                 % (names[i], names[_low_bit(above & ~row)]))
+            covers.append(strict & ~above)
+        if (1 << self.n) - 1 not in up:
             raise InputError("no bottom element")
+        return covers
 
     def _build_meet_table(self):
         by_down = {d: k for k, d in enumerate(self.down)}

@@ -213,15 +213,17 @@ def _scan_table():
     mask m of the fourfold boolean power, for every m, each a 4-bit mask of
     the 2-factor power, packed low to high in the order of
     _MARGINAL_COORDS.  Built on the first scan of a process (65,535 uint16
-    keys, 128 KB)."""
+    keys, 128 KB) by doubling: the keys of the masks with top bit k are
+    those of the masks below 1 << k ORed with the marginals of pure tuple k,
+    so no temporary is larger than the table."""
     power = SimplexPower([bool_real_space()] * 4)
-    masks = np.arange(1, power.full + 1, dtype=np.uint32)
-    keys = np.zeros(len(masks), dtype=np.uint16)
-    for slot, coords in enumerate(_MARGINAL_COORDS):
-        for k in range(power.count):
-            bit = power.project(1 << k, coords) << (4 * slot)
-            keys |= np.where((masks >> k) & 1 == 1, np.uint16(bit),
-                             np.uint16(0))
+    keys = np.zeros(1, dtype=np.uint16)
+    for k in range(power.count):
+        bit = 0
+        for slot, coords in enumerate(_MARGINAL_COORDS):
+            bit |= power.project(1 << k, coords) << (4 * slot)
+        keys = np.concatenate((keys, keys | np.uint16(bit)))
+    keys = keys[1:]
     keys.setflags(write=False)
     return keys
 

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core_order import BOT, InputError, StateSpace, bool_space
+from .core_order import BOT, InputError, StateSpace, bits, bool_space
 from . import chu
 
 
@@ -107,15 +107,17 @@ def _star_problems(space, star, nonbottom, standalone):
         if star[star[i]] != i:
             problems.append("star not involutive at %r" % names[i])
             break
+    # order reversal, one test per comparable pair: j above i needs
+    # star[i] above star[j]
+    up = space.up
+    nonbottom_mask = sum(1 << i for i in nonbottom)
     for i in nonbottom:
-        for j in nonbottom:
-            if space.leq[i, j] and not space.leq[star[j], star[i]]:
-                problems.append("star not order-reversing at (%r, %r)"
-                                % (names[i], names[j]))
-                break
-        else:
-            continue
-        break
+        wrong = [j for j in bits(up[i] & nonbottom_mask)
+                 if not up[star[j]] >> star[i] & 1]
+        if wrong:
+            problems.append("star not order-reversing at (%r, %r)"
+                            % (names[i], names[wrong[0]]))
+            break
     for i in nonbottom:
         if space.bounded((i, star[i])):
             problems.append("no-common-upper-bound fails at (%r, %r)"
@@ -140,11 +142,12 @@ def validate_embedding(emb):
     names = amb.names
     problems = []
     real = list(emb.real)
+    real_bits = sum(1 << r for r in real)
     if amb.bottom not in real:
         problems.append("real subset misses the bottom element")
     for a in real:
         for b in real:
-            if amb.meet(a, b) not in emb.real:
+            if not real_bits >> amb.meet(a, b) & 1:
                 problems.append("real subset not meet-closed at (%r, %r)"
                                 % (names[a], names[b]))
                 return problems
@@ -160,15 +163,16 @@ def validate_embedding(emb):
     problems.extend(star_problems)
     if stopped:
         return problems
-    effects = real_effects_of(amb, real, emb.star)
-    profiles = {}
-    for s in range(amb.n):
-        p = tuple(chu.evaluate(amb, l, s) for l in effects)
-        if p in profiles:
+    # A real effect's value at s depends only on the reals below s, and the
+    # one-sided effects Effect(r, None) read that set back, so the real
+    # effects separate two states exactly when their real down-sets differ.
+    first_with = {}
+    for s, down in enumerate(amb.down):
+        seen = first_with.setdefault(down & real_bits, s)
+        if seen != s:
             problems.append("real effects cannot separate %r from %r"
-                            % (names[profiles[p]], names[s]))
+                            % (names[seen], names[s]))
             break
-        profiles[p] = s
     return problems
 
 

@@ -6,7 +6,15 @@ pair k.  Order is reverse inclusion of cover sets.  Whether a list of
 generating pairs sits below a given pure tensor is decided by the expansion
 formula: the full left meet must refine the left target, the full right
 meet the right target, and for every proper split of the index set one of
-the two sides must already refine its target.
+the two sides must already refine its target.  The formula runs on masks:
+with UL[x] the pure pairs whose left pure lies above x and UR[y] the same
+on the right, the cover mask is UL[lm[full]] & UR[rm[full]] ANDed over the
+proper splits S of UL[lm[S]] | UR[rm[full ^ S]], where lm[S] and rm[S] are
+the left and right meets of the generators in S.
+
+Every element is a meet of pure tensors, so the enumeration reaches each
+one from a pure tensor by meeting in one pure pair at a time: one
+`normalize` call per element and pure pair outside its cover set.
 
 A pair of simplex factors takes a fast path where every nonempty set of pure
 tensors is an element; `SimplexPower` extends that to n-fold powers as plain
@@ -18,8 +26,6 @@ simplex factors is also the element's mask in the 2-factor power.
 
 from itertools import product
 
-import numpy as np
-
 from .core_order import (InputError, CapExceeded, StateSpace, bits,
                          inclusion_order, bool_meet_all, bool_bullet)
 from . import chu
@@ -29,10 +35,10 @@ from .realspaces import RealSpace, is_deterministic, real_effects
 def _reduce_generators(space_a, space_b, gens):
     """Drop duplicate pairs and pairs refined componentwise by another."""
     gens = sorted(set((int(a), int(b)) for a, b in gens))
+    up_a, up_b = space_a.up, space_b.up
     return [(a, b) for a, b in gens
-            if not any((x, y) != (a, b)
-                       and space_a.leq[x, a] and space_b.leq[y, b]
-                       for x, y in gens)]
+            if not any((x, y) != (a, b) and up_a[x] >> a & 1
+                       and up_b[y] >> b & 1 for x, y in gens)]
 
 
 class TensorSpace(object):
@@ -44,10 +50,13 @@ class TensorSpace(object):
         la, lb = left.space, right.space
         self.pure_pairs = [(pa, pb) for pa in la.pures() for pb in lb.pures()]
         self._pair_index = {pp: k for k, pp in enumerate(self.pure_pairs)}
-        self._pure_a = sorted(la.pures())
-        self._pure_b = sorted(lb.pures())
-        self._ta = np.array([pp[0] for pp in self.pure_pairs])
-        self._tb = np.array([pp[1] for pp in self.pure_pairs])
+        # bit k of _up_left[x] (_up_right[y]) is set when the left (right)
+        # pure of pure pair k lies above x (y)
+        self._up_left = [sum(1 << k for k, (pa, _) in enumerate(self.pure_pairs)
+                             if up >> pa & 1) for up in la.up]
+        self._up_right = [sum(1 << k for k, (_, pb) in enumerate(self.pure_pairs)
+                              if up >> pb & 1) for up in lb.up]
+        self._meets = (la._meet_table.tolist(), lb._meet_table.tolist())
         self._norm_cache = {}
         # real effects of both factors and generator columns, built by the
         # first congruence_profile call
@@ -63,38 +72,40 @@ class TensorSpace(object):
     def normalize(self, gens):
         """Cover mask (bit k for pure pair k) of the meet of the given
         generating pairs."""
-        gens = _reduce_generators(self.left.space, self.right.space, gens)
-        key = tuple(gens)
+        key = tuple(_reduce_generators(self.left.space, self.right.space,
+                                       gens))
         hit = self._norm_cache.get(key)
-        if hit is not None:
-            return hit
-        ok = np.packbits(self._dominated_targets(gens), bitorder="little")
-        out = int.from_bytes(ok.tobytes(), "little")
-        self._norm_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._norm_cache[key] = self._expand(key)
+        return hit
 
-    def _dominated_targets(self, gens):
-        la, lb = self.left.space, self.right.space
+    def _expand(self, gens):
+        """The expansion formula on masks.  lm[S] and rm[S] are the left
+        and right meets of the generators in the nonempty index set S (slot
+        0 is unused), grown one generator at a time; pure pair k lies above
+        the meet when it lies above both full meets and, for every proper
+        split S, above the left meet of S or the right meet of its
+        complement."""
         n = len(gens)
         if n == 0:
             raise InputError("empty generator list")
         if n > 20:
             raise CapExceeded("expansion formula over %d generators" % n)
-        size = 1 << n
-        lm = np.zeros(size, dtype=np.int64)
-        rm = np.zeros(size, dtype=np.int64)
-        for b in range(n):
-            half = 1 << b
-            lm[half:2 * half] = la._meet_table[lm[:half], gens[b][0]]
-            rm[half:2 * half] = lb._meet_table[rm[:half], gens[b][1]]
-            lm[half] = gens[b][0]
-            rm[half] = gens[b][1]
-        l_ok = la.leq[lm[1:]][:, self._ta]
-        r_ok = lb.leq[rm[1:]][:, self._tb]
-        ok = l_ok[-1] & r_ok[-1]
-        if n > 1:
-            ok &= (l_ok[:-1] | r_ok[:-1][::-1]).all(axis=0)
-        return ok
+        meet_a, meet_b = self._meets
+        lm, rm = [0], [0]
+        for a, b in gens:
+            row_a, row_b = meet_a[a], meet_b[b]
+            lm += [a] + [row_a[x] for x in lm[1:]]
+            rm += [b] + [row_b[y] for y in rm[1:]]
+        ul = [self._up_left[x] for x in lm]
+        ur = [self._up_right[y] for y in rm]
+        full = len(lm) - 1
+        out = ul[full] & ur[full]
+        for s in range(1, full):
+            if not out:
+                break
+            out &= ul[s] | ur[full ^ s]
+        return out
 
     # -- enumeration -------------------------------------------------------
 
@@ -106,31 +117,30 @@ class TensorSpace(object):
         self._covers = list(range(1, count + 1))
 
     def _enumerate_meets(self, cap):
+        # Every element is a meet of pure tensors, so each one is reached
+        # from a pure tensor by meeting in one pure pair at a time.  The
+        # pure pair k added to u lies outside u's cover set, so no generator
+        # of u refines it and it refines none of them: the sorted list is
+        # already the reduced one that normalize keys its cache on.
+        pure_pairs = self.pure_pairs
         gens_of = {}
         queue = []
-        for k, pp in enumerate(self.pure_pairs):
-            u = 1 << k
-            gens_of[u] = [pp]
-            queue.append(u)
-        seen_pairs = set()
+        for k, pp in enumerate(pure_pairs):
+            gens_of[1 << k] = [pp]
+            queue.append(1 << k)
         while queue:
             u = queue.pop()
-            known = list(gens_of.keys())
-            for v in known:
-                if u == v:
+            gens = gens_of[u]
+            for k, pp in enumerate(pure_pairs):
+                if u >> k & 1:
                     continue
-                pair_key = (u, v) if u < v else (v, u)
-                if pair_key in seen_pairs:
-                    continue
-                seen_pairs.add(pair_key)
-                w = self.normalize(gens_of[u] + gens_of[v])
+                extended = sorted(gens + [pp])
+                w = self.normalize(extended)
                 if w not in gens_of:
                     if len(gens_of) + 1 > cap:
                         raise CapExceeded(
                             "tensor enumeration cap %d hit" % cap)
-                    gens_of[w] = _reduce_generators(
-                        self.left.space, self.right.space,
-                        gens_of[u] + gens_of[v])
+                    gens_of[w] = extended
                     queue.append(w)
         self._covers = sorted(gens_of.keys(),
                               key=lambda u: (u.bit_count(), bits(u)))
@@ -139,13 +149,21 @@ class TensorSpace(object):
         covers = self._covers
         self._cover_index = {u: i for i, u in enumerate(covers)}
         full = (1 << len(self.pure_pairs)) - 1
-        names = [self._label(u) for u in covers]
+        # every closed rectangle: the pure pairs above x⊗y, for each pair
+        # of factor elements with a nonempty one
+        rects = [((x, y), ul & ur)
+                 for x, ul in enumerate(self._up_left)
+                 for y, ur in enumerate(self._up_right) if ul & ur]
+        names = [self._label(u, rects) for u in covers]
         # reverse inclusion of cover sets
         space = StateSpace(names, inclusion_order(covers).T)
         star = {}
         bottom = self._cover_index[full]
-        star_cover = [self._pure_pair_star_cover(k)
-                      for k in range(len(self.pure_pairs))]
+        # the star of pure pair (pa, pb) covers the pure pairs above pa* or
+        # above pb*
+        star_cover = [self._up_left[self.left.star_of(pa)]
+                      | self._up_right[self.right.star_of(pb)]
+                      for pa, pb in self.pure_pairs]
         for i, u in enumerate(covers):
             if i == bottom:
                 continue
@@ -156,37 +174,17 @@ class TensorSpace(object):
         self.space = space
         self.real_space = RealSpace(space, star)
 
-    def _pure_pair_star_cover(self, k):
-        pa, pb = self.pure_pairs[k]
-        sa = self.left.star_of(pa)
-        sb = self.right.star_of(pb)
-        la, lb = self.left.space, self.right.space
-        return sum(1 << j for j, (qa, qb) in enumerate(self.pure_pairs)
-                   if la.leq[sa, qa] or lb.leq[sb, qb])
-
     # -- labels ------------------------------------------------------------
 
-    def _rectangles(self, u):
-        """Maximal closed rectangles inside a cover set, as (x, y) pairs of
-        factor elements."""
+    def _label(self, u, rects):
+        """The maximal closed rectangles inside cover set u, as x⊗y terms
+        joined by ⊓; rects lists ((x, y), mask) for every rectangle."""
         la, lb = self.left.space, self.right.space
-        rects = []
-        for x in range(la.n):
-            ax = [p for p in self._pure_a if la.leq[x, p]]
-            for y in range(lb.n):
-                by = [q for q in self._pure_b if lb.leq[y, q]]
-                rect = sum(1 << self._pair_index[(p, q)]
-                           for p in ax for q in by)
-                if rect and rect & ~u == 0:
-                    rects.append(((x, y), rect))
-        return [(xy, rect) for xy, rect in rects
-                if not any(other != rect and rect & ~other == 0
-                           for _, other in rects)]
-
-    def _label(self, u):
-        la, lb = self.left.space, self.right.space
-        rects = sorted(xy for xy, _ in self._rectangles(u))
-        terms = ["%s⊗%s" % (la.names[x], lb.names[y]) for x, y in rects]
+        inside = [(xy, rect) for xy, rect in rects if rect & ~u == 0]
+        maximal = sorted(xy for xy, rect in inside
+                         if not any(other != rect and rect & ~other == 0
+                                    for _, other in inside))
+        terms = ["%s⊗%s" % (la.names[x], lb.names[y]) for x, y in maximal]
         return " ⊓ ".join(terms)
 
     # -- queries -----------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
                                  StateSpace, bool_space, bool_meet, bool_join,
@@ -10,6 +10,7 @@ from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
                                  bool_meet_all, bool_bullet_all, bits,
                                  inclusion_order)
 from qlattice.realspaces import spin_space, simplex_space
+from qlattice.tensor import build_tensor
 
 from test_ontic import _inclusion_space
 
@@ -177,7 +178,10 @@ def _brute_covers(space):
 
 def test_cover_matrix_against_brute_force(z2, two_qubit):
     ts, comp = two_qubit
-    for space in (z2.space, simplex_space(3).space, ts.space, comp.space):
+    simplex_square = build_tensor(simplex_space(3), simplex_space(3)).space
+    assert simplex_square.n == 511
+    for space in (z2.space, simplex_space(3).space, ts.space, comp.space,
+                  simplex_square):
         assert np.array_equal(space.cover_matrix, _brute_covers(space))
         assert not space.cover_matrix.flags.writeable
 
@@ -257,3 +261,63 @@ def test_mask_queries_match_oracle_on_two_qubit_tensor(two_qubit):
                     for _ in range(400)]
         # both verdicts of bounded occur on each space
         assert _check_mask_queries(space, families) == {True, False}
+
+
+# -- validation errors against the dense-product oracle ----------------------
+
+def _oracle_validation_error(leq):
+    """The first order-axiom violation, named as by dense boolean matrix
+    products, or None when the relation is a partial order with bottom."""
+    n = len(leq)
+    names = ["e%d" % i for i in range(n)]
+    if not leq.diagonal().all():
+        i = int(np.flatnonzero(~leq.diagonal())[0])
+        return "order not reflexive at %r" % names[i]
+    bad = leq & leq.T & ~np.eye(n, dtype=bool)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        return "antisymmetry fails for %r, %r" % (names[i], names[j])
+    trans = leq @ leq & ~leq
+    if trans.any():
+        i, j = np.argwhere(trans)[0]
+        return "transitivity fails for %r, %r" % (names[i], names[j])
+    if not (leq.sum(axis=1) == n).any():
+        return "no bottom element"
+    return None
+
+
+def _relation(rows):
+    return np.array(rows, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                       min_size=n, max_size=n)),
+    st.booleans(), st.booleans())
+@example([[True, False], [True, False]], False, False)
+@example([[True, True], [True, True]], False, False)
+@example([[True, True, False], [False, True, True], [False, False, True]],
+         False, False)
+@example([[True, False], [False, True]], False, False)
+def test_validation_errors_match_dense_oracle(rows, reflexive, antisymmetric):
+    leq = _relation(rows)
+    n = len(leq)
+    if reflexive:
+        leq |= np.eye(n, dtype=bool)
+    if antisymmetric:
+        leq &= ~np.tril(leq.T, -1)
+    want = _oracle_validation_error(leq)
+    names = ["e%d" % i for i in range(n)]
+    if want is None:
+        try:
+            space = StateSpace(names, leq)
+        except InputError as err:
+            # a partial order with bottom may still lack a meet
+            assert str(err).startswith("no meet for")
+            return
+        assert np.array_equal(space.cover_matrix, _brute_covers(space))
+        return
+    with pytest.raises(InputError) as err:
+        StateSpace(names, leq)
+    assert str(err.value) == want

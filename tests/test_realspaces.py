@@ -1,13 +1,20 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlattice.core_order import InputError
+from qlattice import chu
+from qlattice.core_order import InputError, StateSpace
 from qlattice.realspaces import (make_space, bool_real_space, simplex_space,
                                  spin_space, is_deterministic,
                                  is_completely_indeterministic,
                                  ortho_matrix, ortho_complement,
-                                 orthoclosure, orthoclosed_sets)
+                                 orthoclosure, orthoclosed_sets,
+                                 RealStructureEmbedding, real_effects_of,
+                                 validate_embedding, validate_real)
 from qlattice.ontic import build_completion
+
+from test_ontic import _inclusion_space
 
 
 def test_bool_real_space_shape():
@@ -122,3 +129,95 @@ def test_orthocomplement_is_antitone(a, b):
     pa = ortho_complement(_EMB, small, _ORTH)
     pb = ortho_complement(_EMB, large, _ORTH)
     assert pb <= pa
+
+
+# -- star order reversal and effect separation against the leq and effect
+# loops ----------------------------------------------------------------------
+
+def _oracle_order_reversal(space, star, nonbottom):
+    for i in nonbottom:
+        for j in nonbottom:
+            if space.leq[i, j] and not space.leq[star[j], star[i]]:
+                return ["star not order-reversing at (%r, %r)"
+                        % (space.names[i], space.names[j])]
+    return []
+
+
+def _oracle_separation(ambient, real, star):
+    effects = real_effects_of(ambient, real, star)
+    profiles = {}
+    for s in range(ambient.n):
+        p = tuple(chu.evaluate(ambient, l, s) for l in effects)
+        if p in profiles:
+            return ["real effects cannot separate %r from %r"
+                    % (ambient.names[profiles[p]], ambient.names[s])]
+        profiles[p] = s
+    return []
+
+
+def _unchecked_embedding(ambient, real, star):
+    emb = object.__new__(RealStructureEmbedding)
+    emb.ambient = ambient
+    emb.real = tuple(sorted(real))
+    emb.star = dict(star)
+    return emb
+
+
+def _problems_of_kind(problems, prefix):
+    return [p for p in problems if p.startswith(prefix)]
+
+
+def test_inseparable_embedding_matches_effect_oracle():
+    # the hidden h lies above the real a and above no other real, as does
+    # a itself
+    ambient = StateSpace.from_relation(
+        ["BOT", "a", "a*", "h", "k"],
+        [("BOT", "a"), ("BOT", "a*"), ("a", "h"), ("a", "k")])
+    real, star = [0, 1, 2], {1: 2, 2: 1}
+    want = _oracle_separation(ambient, real, star)
+    assert want == ["real effects cannot separate 'a' from 'h'"]
+    assert validate_embedding(_unchecked_embedding(ambient, real, star)) == want
+    with pytest.raises(InputError, match="cannot separate 'a' from 'h'"):
+        RealStructureEmbedding(ambient, real, star)
+
+
+def test_non_reversing_star_matches_leq_oracle():
+    rs = simplex_space(3)
+    space = rs.space
+    star = dict(rs.star)
+    # swap the stars of two pures: u1 now maps to u13, which lies above
+    # u3 = star(u12), although u1 lies above u12
+    u1, u2 = space.index("u1"), space.index("u2")
+    star[u1], star[u2] = star[u2], star[u1]
+    nonbottom = [i for i in range(space.n) if i != space.bottom]
+    want = _oracle_order_reversal(space, star, nonbottom)
+    assert want
+    problems = validate_real(SimpleNamespace(space=space, star=star))
+    assert _problems_of_kind(problems, "star not order-reversing") == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 31), min_size=1, max_size=7, unique=True),
+       st.data())
+def test_star_checks_match_oracles_on_drawn_embeddings(family, data):
+    space = _inclusion_space(family)
+    chosen = data.draw(st.sets(st.integers(0, space.n - 1)))
+    real = {space.bottom} | chosen
+    # close the real subset under meets so that every check runs
+    while True:
+        more = {space.meet(a, b) for a in real for b in real} - real
+        if not more:
+            break
+        real |= more
+    nonbottom = sorted(real - {space.bottom})
+    star = {i: data.draw(st.sampled_from(nonbottom)) for i in nonbottom} \
+        if nonbottom else {}
+    problems = validate_embedding(_unchecked_embedding(space, real, star))
+    assert _problems_of_kind(problems, "star not order-reversing") == \
+        _oracle_order_reversal(space, star, nonbottom)
+    assert _problems_of_kind(problems, "real effects cannot separate") == \
+        _oracle_separation(space, real, star)
+    if real == set(range(space.n)):
+        problems = validate_real(SimpleNamespace(space=space, star=star))
+        assert _problems_of_kind(problems, "star not order-reversing") == \
+            _oracle_order_reversal(space, star, nonbottom)

@@ -1,11 +1,12 @@
 import random
-from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qlattice.core_order import CapExceeded, bits
-from qlattice.realspaces import bool_real_space, simplex_space, spin_space
+from qlattice.core_order import CapExceeded, InputError, bits
+from qlattice.realspaces import (bool_real_space, simplex_space, spin_space,
+                                 is_deterministic)
 from qlattice.tensor import (build_tensor, nfold_tensor, SimplexPower,
                              congruence_oracle)
 
@@ -180,3 +181,185 @@ def test_cover_mask_bits_are_the_pure_tensors_above(two_qubit):
         for k, p in enumerate(pures):
             assert bool(mask >> k & 1) == bool(ts.space.leq[i, p])
         assert ts.cover_set(i) == frozenset(bits(mask))
+
+
+def test_pinned_scale_counts():
+    assert len(build_tensor(spin_space(3), spin_space(2))) == 239
+    assert len(build_tensor(spin_space(3), spin_space(3))) == 535
+
+
+# -- references: the pair search over the numpy expansion formula, with
+# names, order and star read off the factors' leq matrices -------------------
+
+def _reference_normalize(ts, gens):
+    """Cover mask of the meet of the generating pairs and the reduced
+    generator tuple, by the expansion formula on numpy arrays."""
+    la, lb = ts.left.space, ts.right.space
+    gens = sorted(set((int(a), int(b)) for a, b in gens))
+    gens = [(a, b) for a, b in gens
+            if not any((x, y) != (a, b) and la.leq[x, a] and lb.leq[y, b]
+                       for x, y in gens)]
+    n = len(gens)
+    if n == 0:
+        raise InputError("empty generator list")
+    if n > 20:
+        raise CapExceeded("expansion formula over %d generators" % n)
+    ta = np.array([pa for pa, _ in ts.pure_pairs])
+    tb = np.array([pb for _, pb in ts.pure_pairs])
+    lm = np.zeros(1 << n, dtype=np.int64)
+    rm = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        half = 1 << b
+        lm[half:2 * half] = la._meet_table[lm[:half], gens[b][0]]
+        rm[half:2 * half] = lb._meet_table[rm[:half], gens[b][1]]
+        lm[half] = gens[b][0]
+        rm[half] = gens[b][1]
+    l_ok = la.leq[lm[1:]][:, ta]
+    r_ok = lb.leq[rm[1:]][:, tb]
+    ok = l_ok[-1] & r_ok[-1]
+    if n > 1:
+        ok &= (l_ok[:-1] | r_ok[:-1][::-1]).all(axis=0)
+    return sum(1 << int(k) for k in np.flatnonzero(ok)), tuple(gens)
+
+
+def _reference_covers(ts):
+    """Every element's cover mask, by meeting every pair of known elements
+    until no new one appears."""
+    memo = {}
+    gens_of = {1 << k: [pp] for k, pp in enumerate(ts.pure_pairs)}
+    queue = list(gens_of)
+    seen = set()
+    while queue:
+        u = queue.pop()
+        for v in list(gens_of):
+            pair = (min(u, v), max(u, v))
+            if u == v or pair in seen:
+                continue
+            seen.add(pair)
+            key = tuple(sorted(set(gens_of[u] + gens_of[v])))
+            if key not in memo:
+                memo[key] = _reference_normalize(ts, key)
+            w, reduced = memo[key]
+            if w not in gens_of:
+                gens_of[w] = list(reduced)
+                queue.append(w)
+    return sorted(gens_of, key=lambda u: (u.bit_count(), bits(u)))
+
+
+def _reference_space(ts):
+    """(covers, names, leq, star) of the tensor, from the references."""
+    la, lb = ts.left.space, ts.right.space
+    pairs = ts.pure_pairs
+    covers = _reference_covers(ts)
+    if is_deterministic(ts.left) and is_deterministic(ts.right):
+        # the simplex fast path lists every nonempty mask in increasing order
+        covers.sort()
+
+    def above(x, y):
+        return sum(1 << k for k, (p, q) in enumerate(pairs)
+                   if la.leq[x, p] and lb.leq[y, q])
+
+    rects = [((x, y), above(x, y)) for x in range(la.n) for y in range(lb.n)]
+    names = []
+    for u in covers:
+        inside = [(xy, r) for xy, r in rects if r and r & ~u == 0]
+        maximal = sorted(xy for xy, r in inside
+                         if not any(o != r and r & ~o == 0
+                                    for _, o in inside))
+        names.append(" ⊓ ".join("%s⊗%s" % (la.names[x], lb.names[y])
+                                for x, y in maximal))
+    leq = np.array([[set(bits(v)) <= set(bits(u)) for v in covers]
+                    for u in covers])
+    full = (1 << len(pairs)) - 1
+    star_cover = []
+    for p, q in pairs:
+        sp, sq = ts.left.star_of(p), ts.right.star_of(q)
+        star_cover.append(sum(1 << k for k, (a, b) in enumerate(pairs)
+                              if la.leq[sp, a] or lb.leq[sq, b]))
+    star = {}
+    for i, u in enumerate(covers):
+        if u != full:
+            s = full
+            for k in bits(u):
+                s &= star_cover[k]
+            star[i] = covers.index(s)
+    return covers, names, leq, star
+
+
+def _check_against_reference(ts):
+    covers, names, leq, star = _reference_space(ts)
+    assert ts._covers == covers
+    assert ts.space.names == names
+    assert np.array_equal(ts.space.leq, leq)
+    assert ts.real_space.star == star
+
+
+_FACTORS = {"bool": bool_real_space, "spin2": lambda: spin_space(2),
+            "spin3": lambda: spin_space(3),
+            "simplex2": lambda: simplex_space(2)}
+
+
+@pytest.mark.parametrize("left, right", [
+    ("bool", "bool"), ("spin2", "spin2"), ("spin3", "spin2"),
+    ("spin2", "simplex2")])
+def test_tensor_matches_pair_search(left, right):
+    _check_against_reference(build_tensor(_FACTORS[left](),
+                                          _FACTORS[right]()))
+
+
+# spin(3) with spin(3) is left to the pinned count: its pair search takes
+# about 6 s
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(_FACTORS)), st.sampled_from(sorted(_FACTORS)))
+def test_tensor_matches_pair_search_on_drawn_factors(left, right):
+    assume(not left == right == "spin3")
+    _check_against_reference(build_tensor(_FACTORS[left](),
+                                          _FACTORS[right]()))
+
+
+def _random_generators(rng, ts):
+    """1 to 7 generating pairs: pure, non-pure and bottom components, with
+    duplicates and pairs that refine one another."""
+    la, lb = ts.left.space, ts.right.space
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.4:
+            gens.append(rng.choice(ts.pure_pairs))
+        elif roll < 0.55:
+            gens.append((la.bottom, rng.randrange(lb.n)))
+        elif roll < 0.7:
+            gens.append((rng.randrange(la.n), lb.bottom))
+        else:
+            gens.append((rng.randrange(la.n), rng.randrange(lb.n)))
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(gens)
+        if rng.random() < 0.5:
+            gens.append((a, b))
+        else:
+            gens.append((la.meet(a, rng.randrange(la.n)),
+                         lb.meet(b, rng.randrange(lb.n))))
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize("left, right", [
+    (lambda: spin_space(3), lambda: spin_space(2)),
+    (lambda: spin_space(2), lambda: simplex_space(3)),
+    (lambda: simplex_space(3), lambda: spin_space(2))])
+def test_normalize_matches_numpy_expansion_formula(left, right):
+    ts = build_tensor(left(), right())
+    rng = random.Random(7)
+    for _ in range(1500):
+        gens = _random_generators(rng, ts)
+        assert ts.normalize(gens) == _reference_normalize(ts, gens)[0]
+
+
+def test_normalize_errors_match_reference():
+    ts = build_tensor(spin_space(3), spin_space(2))
+    for gens, error in (([], InputError), (ts.pure_pairs, CapExceeded)):
+        assert len(ts.pure_pairs) > 20
+        with pytest.raises(error):
+            ts.normalize(gens)
+        with pytest.raises(error):
+            _reference_normalize(ts, gens)
