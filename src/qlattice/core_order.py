@@ -99,11 +99,6 @@ def _unpack_rows(masks, n):
                          bitorder="little").astype(bool)
 
 
-def _low_bit(mask):
-    """Index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
-
-
 def bits(mask):
     """The set bits of an int mask, lowest first."""
     out = []
@@ -205,7 +200,7 @@ class StateSpace(object):
             both = row & down[i] & ~(1 << i)
             if both:
                 raise InputError("antisymmetry fails for %r, %r"
-                                 % (names[i], names[_low_bit(both)]))
+                                 % (names[i], names[bits(both)[0]]))
         covers = []
         for i, row in enumerate(up):
             strict = row ^ (1 << i)
@@ -214,7 +209,7 @@ class StateSpace(object):
                 above |= up[k] ^ (1 << k)
             if above & ~row:
                 raise InputError("transitivity fails for %r, %r"
-                                 % (names[i], names[_low_bit(above & ~row)]))
+                                 % (names[i], names[bits(above & ~row)[0]]))
             covers.append(strict & ~above)
         if (1 << self.n) - 1 not in up:
             raise InputError("no bottom element")
