@@ -9,8 +9,6 @@ the model is contextual precisely when some coherent description fits no
 real state.
 """
 
-import numpy as np
-
 from .core_order import BOT, NO, YES, InputError, CapExceeded, bits
 from . import chu
 from .realspaces import real_effects, is_deterministic, bool_real_space
@@ -279,7 +277,7 @@ def type1_context(completion, omega):
     """All one-sided effects whose part refines the given pure, plus the
     bottom effect."""
     base = completion.base.space
-    below = [int(i) for i in np.flatnonzero(base.leq[:, omega])]
+    below = bits(base.down[omega])
     effects = {chu.BOTTOM_EFFECT}
     effects.update(chu.Effect(s, None) for s in below)
     effects.update(chu.Effect(None, s) for s in below)
@@ -394,8 +392,7 @@ def enumerate_families(completion):
     coherence filters, in id order."""
     space = completion.base.space
     pures = sorted(space.pures())
-    choices = [sorted(int(i) for i in np.flatnonzero(space.leq[:, p]))
-               for p in pures]
+    choices = [bits(space.down[p]) for p in pures]
     out = []
     total = 1
     for c in choices:

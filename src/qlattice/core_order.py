@@ -5,9 +5,10 @@ below the two definite answers.  On top of the meet that comes with this
 order it carries a commutative "and"-like product (Y is the unit, N is
 absorbing) and an involution swapping Y and N.
 
-`StateSpace` is a finite meet-semilattice with a bottom element, stored as a
-dense boolean order matrix and, beside it, as int bitmasks of up-sets and
-down-sets.  Everything downstream (real structures, ontic completions,
+`StateSpace` is a finite meet-semilattice with a bottom element, stored as
+int bitmasks of up-sets, down-sets and upper covers, plus one dense boolean
+order matrix `leq` for matrix reads; there is no covering matrix and no
+meet table.  Everything downstream (real structures, ontic completions,
 tensors) is built out of these.
 """
 
@@ -89,16 +90,6 @@ def _row_masks(mat):
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _unpack_rows(masks, n):
-    """The boolean matrix with n columns whose row i is masks[i]; the
-    inverse of _row_masks."""
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=n,
-                         bitorder="little").astype(bool)
-
-
 def bits(mask):
     """The set bits of an int mask, lowest first."""
     out = []
@@ -132,19 +123,20 @@ def _closure(mat):
 class StateSpace(object):
     """A finite meet-semilattice with bottom, over named elements.
 
-    The order matrix `leq` is indexed so that leq[i, j] means element i lies
-    below element j, and the read-only covering matrix `cover_matrix[i, j]`
-    that j covers i.  The same order is kept as int bitmasks: bit j of
-    `up[i]` and bit i of `down[j]` are set when i lies below j.  Meets and
-    least upper bounds are read off these masks: the meet of i and j is the
-    element whose down-set is down[i] & down[j], and the least upper bound
-    of a bounded family the element whose up-set is the AND of theirs.
-    Validation is eager: reflexivity, antisymmetry, transitivity, a unique
-    bottom and the existence of a unique greatest common lower bound for
-    every pair are all checked at construction time, and the first
-    offending pair (in id order) is named in the error.  The order axioms
-    and the covers are read off the masks with one OR per comparable pair,
-    not with dense n × n matrix products.
+    The order is kept as int bitmasks: bit j of `up[i]` and bit i of
+    `down[j]` are set when i lies below j, and bit j of the read-only
+    `covers[i]` when j covers i.  The one dense view is the order matrix
+    `leq`, indexed so that leq[i, j] means element i lies below element j.
+    Meets and least upper bounds are read off the masks: the meet of i and
+    j is the element whose down-set is down[i] & down[j], and the least
+    upper bound of a bounded family the element whose up-set is the AND of
+    theirs.  Validation is eager: reflexivity, antisymmetry, transitivity,
+    a unique bottom and the existence of a unique greatest common lower
+    bound for every pair are all checked at construction time, and the
+    first offending pair (in id order) is named in the error.  The order
+    axioms and the covers are read off the masks with one OR per comparable
+    pair, and the meets with one AND and one lookup per pair, not with
+    dense n × n matrices.
     """
 
     def __init__(self, names, leq):
@@ -163,13 +155,14 @@ class StateSpace(object):
         self._index = {name: i for i, name in enumerate(names)}
         self.up = _row_masks(leq)
         self.down = _row_masks(leq.T)
-        covers = self._validate()
+        # the element with each down-set, read by _validate once the order
+        # axioms hold
+        self._by_down = {d: k for k, d in enumerate(self.down)}
+        self.covers = tuple(self._validate())
         self.bottom = self.up.index((1 << self.n) - 1)
-        self.cover_matrix = _unpack_rows(covers, self.n)
-        self.cover_matrix.setflags(write=False)
         # bit c of lower[z] is set when z covers c
         lower = [0] * self.n
-        for c, row in enumerate(covers):
+        for c, row in enumerate(self.covers):
             for z in bits(row):
                 lower[z] |= 1 << c
         # for ontic.closure_step: per element z, one mask for each element c
@@ -182,8 +175,8 @@ class StateSpace(object):
         self._top_down = sorted(range(self.n),
                                 key=lambda z: -self.down[z].bit_count())
         self._steps = {}
-        self.maximals = tuple(i for i, row in enumerate(covers) if not row)
-        self._meet_table = self._build_meet_table()
+        self.maximals = tuple(i for i, row in enumerate(self.covers)
+                              if not row)
         self._by_up = {u: k for k, u in enumerate(self.up)}
 
     def _validate(self):
@@ -191,7 +184,11 @@ class StateSpace(object):
         pair in id order, and return each element's row of upper covers:
         its strict up-set minus everything strictly above a member of it.
         Transitivity holds when the up-sets of the members of up[i] stay
-        inside up[i]; the work is one OR per comparable pair."""
+        inside up[i]; the work is one OR per comparable pair.  A pair has a
+        meet when down[i] & down[j] is some element's down-set.  The scan
+        runs over i < j only and still names the first pair of a row-major
+        scan: the first row with a missing meet cannot miss it below the
+        diagonal, or an earlier row would miss it too."""
         names, up, down = self.names, self.up, self.down
         for i, row in enumerate(up):
             if not row >> i & 1:
@@ -213,19 +210,13 @@ class StateSpace(object):
             covers.append(strict & ~above)
         if (1 << self.n) - 1 not in up:
             raise InputError("no bottom element")
+        has = self._by_down.__contains__
+        for i, d in enumerate(down):
+            if not all(map(has, map(d.__and__, down[i + 1:]))):
+                j = next(j for j in range(i + 1, self.n)
+                         if not has(d & down[j]))
+                raise InputError("no meet for %r, %r" % (names[i], names[j]))
         return covers
-
-    def _build_meet_table(self):
-        by_down = {d: k for k, d in enumerate(self.down)}
-        table = np.empty((self.n, self.n), dtype=np.int32)
-        for i, d in enumerate(self.down):
-            row = [by_down.get(d & e, -1) for e in self.down]
-            if -1 in row:
-                raise InputError("no meet for %r, %r"
-                                 % (self.names[i], self.names[row.index(-1)]))
-            table[i] = row
-        table.setflags(write=False)
-        return table
 
     # -- queries ---------------------------------------------------------
 
@@ -239,17 +230,17 @@ class StateSpace(object):
         return bool(self.leq[i, j])
 
     def meet(self, i, j):
-        return int(self._meet_table[i, j])
+        return self._by_down[self.down[i] & self.down[j]]
 
     def meet_all(self, indices):
         it = iter(indices)
         try:
-            out = next(it)
+            out = self.down[next(it)]
         except StopIteration:
             raise InputError("meet of an empty family")
         for k in it:
-            out = self._meet_table[out, k]
-        return int(out)
+            out &= self.down[k]
+        return self._by_down[out]
 
     def _upper_bounds(self, indices):
         out = (1 << self.n) - 1
@@ -269,10 +260,10 @@ class StateSpace(object):
         return self.sup((i, j))
 
     def upper_covers(self, i):
-        return [int(j) for j in np.flatnonzero(self.cover_matrix[i])]
+        return bits(self.covers[i])
 
     def covered_by(self, i, j):
-        return bool(self.cover_matrix[i, j])
+        return bool(self.covers[i] >> j & 1)
 
     def pures(self):
         """Maximal elements; in every space here these are exactly the
@@ -280,7 +271,7 @@ class StateSpace(object):
         return list(self.maximals)
 
     def pures_above(self, i):
-        return [m for m in self.maximals if self.leq[i, m]]
+        return [m for m in self.maximals if self.up[i] >> m & 1]
 
     def generated_by_pures(self):
         return all(self.meet_all(self.pures_above(i)) == i
@@ -316,9 +307,8 @@ class StateSpace(object):
         return space
 
     def to_json_dict(self):
-        pairs = [[self.names[int(i)], self.names[int(j)]]
-                 for i, j in np.argwhere(self.cover_matrix)]
-        pairs.sort()
+        pairs = sorted([self.names[i], self.names[j]]
+                       for i, row in enumerate(self.covers) for j in bits(row))
         return {"elements": list(self.names),
                 "leq": pairs,
                 "bottom": self.names[self.bottom]}
@@ -330,8 +320,9 @@ class StateSpace(object):
         lines = ["digraph %s {" % graph_name, "  rankdir=BT;"]
         for name in self.names:
             lines.append('  "%s";' % name)
-        for i, j in sorted(map(tuple, np.argwhere(self.cover_matrix))):
-            lines.append('  "%s" -> "%s";' % (self.names[int(i)], self.names[int(j)]))
+        for i, row in enumerate(self.covers):
+            lines.extend('  "%s" -> "%s";' % (self.names[i], self.names[j])
+                         for j in bits(row))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

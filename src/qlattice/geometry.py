@@ -14,9 +14,7 @@ orthogonal completeness to the narrow family.
 from itertools import combinations, permutations
 import random
 
-import numpy as np
-
-from .core_order import InputError
+from .core_order import InputError, bits
 from .realspaces import ortho_matrix
 
 
@@ -38,7 +36,9 @@ class GeometrySet(object):
 
     All points are ids in the completion's ambient space.  Both hidden
     families are enumerated regardless of the variant so that the wide
-    geometry can consult the narrow subfamily.
+    geometry can consult the narrow subfamily.  Relations are int masks
+    over those ids: the cover rows of the base and the completion, and for
+    each point the mask of the points consistent with it (itself included).
     """
 
     def __init__(self, completion, chain, variant="narrow"):
@@ -58,8 +58,8 @@ class GeometrySet(object):
 
         base = completion.base.space
         hat = completion.space
-        self._cov_real = base.cover_matrix
-        self._cov_hat = hat.cover_matrix
+        self._cov_real = base.covers
+        self._cov_hat = hat.covers
         self.perp = ortho_matrix(completion.embedding)
 
         self.pure_points = tuple(sorted(completion.embed(p)
@@ -68,7 +68,8 @@ class GeometrySet(object):
         hidden = self.hidden_wide if variant == "wide" \
             else self.hidden_narrow
         self.points = tuple(sorted(set(self.pure_points) | hidden))
-        self._cons = self._consistency_matrix()
+        self._point_mask = sum(1 << p for p in self.points)
+        self._cons = self._consistency_masks()
         self._cliques = None
         self._lines = {}
 
@@ -86,7 +87,8 @@ class GeometrySet(object):
         wide, narrow = set(), set()
         for nu, phi in combinations(pures, 2):
             gamma = base.space.meet(nu, phi)
-            if not (self._cov_real[gamma, nu] and self._cov_real[gamma, phi]):
+            row = self._cov_real[gamma]
+            if not row >> nu & row >> phi & 1:
                 continue
             for mu in pures:
                 if base.space.leq[base.star_of(mu), gamma]:
@@ -99,14 +101,14 @@ class GeometrySet(object):
                     narrow.add(chi)
         return frozenset(wide), frozenset(narrow)
 
-    def _consistency_matrix(self):
+    def _consistency_masks(self):
         pts = self.points
-        k = len(pts)
-        out = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            out[i, i] = True
-            for j in range(i + 1, k):
-                out[i, j] = out[j, i] = self._consistent_raw(pts[i], pts[j])
+        out = {p: 1 << p for p in pts}
+        for i, x in enumerate(pts):
+            for y in pts[i + 1:]:
+                if self._consistent_raw(x, y):
+                    out[x] |= 1 << y
+                    out[y] |= 1 << x
         return out
 
     def _consistent_raw(self, x, y):
@@ -120,7 +122,8 @@ class GeometrySet(object):
             return any(comp.embed(e) == m for e in shared)
         chi, sigma = (x, y) if hx else (y, x)
         s_real = comp.real_id(sigma)
-        return any(self._cov_real[e, s_real] for e in comp.components(chi))
+        return any(self._cov_real[e] >> s_real & 1
+                   for e in comp.components(chi))
 
     # -- basic queries --------------------------------------------------------
 
@@ -134,15 +137,14 @@ class GeometrySet(object):
         return sum(a != b for a, b in zip(cx, cy)) <= 2
 
     def consistent(self, x, y):
-        pts = self.points
-        return bool(self._cons[pts.index(x), pts.index(y)])
+        return bool(self._cons[x] >> y & 1)
 
     def colinear(self, a, b, c):
         """b = c, or a covers the completion meet of b and c."""
         if b == c:
             return True
         m = self.completion.meet(b, c)
-        return bool(self._cov_hat[m, a])
+        return bool(self._cov_hat[m] >> a & 1)
 
     def orthogonal(self, x, y):
         return bool(self.perp[x, y])
@@ -161,11 +163,9 @@ class GeometrySet(object):
     def consistency_cover(self):
         """Maximal pairwise-consistent point sets, deterministically ordered."""
         if self._cliques is None:
-            adj = self._cons & ~np.eye(len(self.points), dtype=bool)
-            raw = _bron_kerbosch(adj)
-            pts = self.points
-            self._cliques = sorted(tuple(sorted(pts[i] for i in c))
-                                   for c in raw)
+            adj = {p: m & ~(1 << p) for p, m in self._cons.items()}
+            self._cliques = sorted(tuple(bits(c))
+                                   for c in _bron_kerbosch(adj))
         return self._cliques
 
     # -- lines and starred partners --------------------------------------------
@@ -175,7 +175,7 @@ class GeometrySet(object):
         hit = self._lines.get(key)
         if hit is None:
             m = self.completion.meet(a, b)
-            hit = frozenset(p for p in self.points if self._cov_hat[m, p]) \
+            hit = frozenset(bits(self._cov_hat[m] & self._point_mask)) \
                 | {a, b}
             self._lines[key] = hit
         return hit
@@ -264,24 +264,24 @@ def build_geometry(completion, chain, variant="narrow"):
 
 # -- shared machinery ---------------------------------------------------------
 
-def _bron_kerbosch(adj):
-    """Maximal cliques with deterministic max-degree pivoting."""
-    n = adj.shape[0]
-    neighbors = [frozenset(int(j) for j in np.flatnonzero(adj[i]))
-                 for i in range(n)]
+def _bron_kerbosch(neighbors):
+    """Maximal cliques, as vertex masks, of the graph whose vertex v has
+    the neighbour mask neighbors[v] (bit u set when u is adjacent to v,
+    never v itself), with deterministic max-degree pivoting."""
     out = []
 
     def expand(r, p, x):
         if not p and not x:
-            out.append(frozenset(r))
+            out.append(r)
             return
-        pivot = max(sorted(p | x), key=lambda u: len(p & neighbors[u]))
-        for v in sorted(p - neighbors[pivot]):
-            expand(r | {v}, p & neighbors[v], x & neighbors[v])
-            p = p - {v}
-            x = x | {v}
+        pivot = max(bits(p | x),
+                    key=lambda u: (p & neighbors[u]).bit_count())
+        for v in bits(p & ~neighbors[pivot]):
+            expand(r | 1 << v, p & neighbors[v], x & neighbors[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
-    expand(frozenset(), frozenset(range(n)), frozenset())
+    expand(0, sum(1 << v for v in neighbors), 0)
     return out
 
 
@@ -292,7 +292,7 @@ def _colinear_pairs(G, subset, lam):
     for a, b in combinations(sorted(subset), 2):
         if lam in (a, b):
             continue
-        if G._cov_hat[G.completion.meet(a, b), lam]:
+        if G._cov_hat[G.completion.meet(a, b)] >> lam & 1:
             out.append((a, b))
     return out
 
@@ -307,7 +307,8 @@ def _quadrangles(G, subset):
                 yield lam, (a, b), (c, d)
 
 
-def _distinct_meets(G, quad):
+def _quad_is_generic(G, quad):
+    """The six pairwise completion meets of the quadrangle differ."""
     meets = [G.completion.meet(x, y) for x, y in combinations(quad, 2)]
     return len(set(meets)) == len(meets)
 
@@ -319,37 +320,25 @@ def _no_inner_colinearity(G, quad):
     return True
 
 
-def _third_points(G, a, b, candidates=None):
+def _third_points(G, a, b):
     """Points covering the completion meet of a and b, each pairwise
-    consistent with both."""
-    pool = G.points if candidates is None else candidates
+    consistent with both, in id order."""
     m = G.completion.meet(a, b)
-    pts = G.points
-    ia, ib = pts.index(a), pts.index(b)
-    out = []
-    for p in pool:
-        if G._cov_hat[m, p]:
-            k = pts.index(p)
-            if G._cons[k, ia] and G._cons[k, ib]:
-                out.append(p)
-    return out
+    return bits(G._cov_hat[m] & G._point_mask & G._cons[a] & G._cons[b])
 
 
 def _diagonal_witnesses(G, quad, pool=None):
-    """Candidates colinear with both diagonal pairs of the quadrangle and
-    consistent with all four corners."""
+    """Points (of the pool mask, when given) colinear with both diagonal
+    pairs of the quadrangle and consistent with all four corners, in id
+    order."""
     s1, s2, s3, s4 = quad
-    pts = G.points
-    idx = [pts.index(s) for s in quad]
     m13 = G.completion.meet(s1, s3)
     m24 = G.completion.meet(s2, s4)
-    out = []
-    for p in (G.points if pool is None else pool):
-        if G._cov_hat[m13, p] and G._cov_hat[m24, p]:
-            k = pts.index(p)
-            if all(G._cons[k, i] for i in idx):
-                out.append(p)
-    return out
+    hits = G._cov_hat[m13] & G._cov_hat[m24] \
+        & (G._point_mask if pool is None else pool)
+    for s in quad:
+        hits &= G._cons[s]
+    return bits(hits)
 
 
 def _paper_diagonal_witness(G, quad):
@@ -421,7 +410,7 @@ def verify_projective(G):
             quad_configs.setdefault((lam, frozenset((p1, p2))), (lam, p1, p2))
     for lam, (a, b), (c, d) in quad_configs.values():
         quad = (a, b, c, d)
-        if lam in quad or not _distinct_meets(G, quad):
+        if lam in quad or not _quad_is_generic(G, quad):
             continue
         for s in quad:
             if G.completion.real_id(s) is None:
@@ -440,6 +429,7 @@ def verify_projective(G):
 
 def _verify_quadrangle_axiom(G, configs):
     narrow = frozenset(G.pure_points) | G.hidden_narrow
+    narrow_mask = sum(1 << p for p in narrow)
     general_bad, restricted_bad = [], []
     n_general = n_restricted = n_starred = 0
     general_hits = restricted_hits = 0
@@ -469,8 +459,7 @@ def _verify_quadrangle_axiom(G, configs):
             continue
         n_restricted += 1
         for diag in ((a, b, c, d), (a, b, d, c)):
-            hits = [w for w in _diagonal_witnesses(G, diag,
-                                                   pool=sorted(narrow))
+            hits = [w for w in _diagonal_witnesses(G, diag, pool=narrow_mask)
                     if G.orthogonally_complete(set(diag) | {w})]
             if not hits:
                 restricted_bad.append((lam,) + quad)
@@ -554,9 +543,8 @@ def verify_ortho(G, wide=None):
 
     o4_bad, irr_bad = [], []
     o4_witness_hits = 0
-    idx = {p: i for i, p in enumerate(pts)}
     for a, b in permutations(pts, 2):
-        if a == b or not G._cons[idx[a], idx[b]]:
+        if a == b or not G.consistent(a, b):
             continue
         third = [e for e in _third_points(G, a, b)
                  if G.orthogonally_complete({a, b, e})]
@@ -615,7 +603,6 @@ def _check_type2_structure(G):
     complete chart: the point plus the oriented pure pair over each of its
     components, with the stated orthogonality pattern."""
     bad = []
-    idx = {p: i for i, p in enumerate(G.points)}
     for chi in sorted(G.hidden_narrow):
         profile = G.hidden_profile(chi)
         if profile is None:
@@ -626,8 +613,12 @@ def _check_type2_structure(G):
         U = {chi}
         for phi, psi in oriented.values():
             U |= {comp.embed(phi), comp.embed(psi)}
-        ids = sorted(U)
-        if not all(G._cons[idx[x], idx[y]] for x in ids for y in ids):
+        chart = sum(1 << x for x in U)
+        # the points consistent with every member of the chart
+        joint = G._point_mask
+        for x in U:
+            joint &= G._cons[x]
+        if joint & chart != chart:
             bad.append((chi, "chart not consistent"))
             continue
         phi_g, psi_g = (comp.embed(p) for p in oriented[gamma])
@@ -646,9 +637,8 @@ def _check_type2_structure(G):
         if not G.orthogonally_complete(U):
             bad.append((chi, "chart not orthogonally complete"))
             continue
-        extendable = [p for p in G.points if p not in U
-                      and all(G._cons[idx[p], idx[x]] for x in ids)
-                      and G.orthogonally_complete(U | {p})]
+        extendable = [p for p in bits(joint & ~chart)
+                      if G.orthogonally_complete(U | {p})]
         if extendable:
             bad.append((chi, "chart not maximal", extendable))
     return {"pass": not bad, "failures": bad,
@@ -662,7 +652,6 @@ def _check_type1_structure(G):
     comp = G.completion
     base = comp.base
     bad = []
-    idx = {p: i for i, p in enumerate(G.points)}
     for chi in sorted(G.hidden_narrow):
         profile = G.hidden_profile(chi)
         if profile is None:
@@ -689,9 +678,9 @@ def _check_type1_structure(G):
                 bad.append((chi, delta, "pattern", got, expect))
                 continue
             U = {chi, p, q, partner}
-            ids = sorted(U)
-            if not all(G._cons[idx[x], idx[y]] for x in ids for y in ids
-                       if x in idx and y in idx):
+            ids = [x for x in U if x in G._cons]
+            chart = sum(1 << x for x in ids)
+            if not all(G._cons[x] & chart == chart for x in ids):
                 bad.append((chi, delta, "chart not consistent"))
                 continue
             if not G.orthogonally_complete(U):
@@ -739,15 +728,14 @@ def verify_invariants(G, samples=200, seed=0):
     base = comp.base
     report = {}
 
-    idx = {p: i for i, p in enumerate(G.points)}
-    wr_ok = all(bool(G._cons[idx[x], idx[y]]) == G.wr(x, y)
+    wr_ok = all(G.consistent(x, y) == G.wr(x, y)
                 for x, y in combinations(G.pure_points, 2))
     report["wr_matches_consistency"] = {"pass": wr_ok}
 
     rek1_bad = []
     hidden = sorted(set(G.points) - set(G.pure_points))
     for x, y in combinations(hidden, 2):
-        if G._cons[idx[x], idx[y]]:
+        if G.consistent(x, y):
             shared = set(comp.components(x)) & set(comp.components(y))
             if len(shared) != 1:
                 rek1_bad.append((x, y, len(shared)))
@@ -759,7 +747,7 @@ def verify_invariants(G, samples=200, seed=0):
     for lam in pures:
         covered[lam] = [(a, b) for a, b in combinations(pures, 2)
                         if lam not in (a, b)
-                        and G._cov_real[base.space.meet(a, b), lam]]
+                        and G._cov_real[base.space.meet(a, b)] >> lam & 1]
     for lam in pures:
         for (a, b), (c, d) in combinations(covered[lam], 2):
             if len({a, b, c, d}) != 4:
@@ -801,7 +789,8 @@ def _check_component_pattern(G, samples, seed):
                 or base.space.leq[base.star_of(mu), phi]:
             continue
         gamma = base.space.meet(nu, phi)
-        if not (G._cov_real[gamma, nu] and G._cov_real[gamma, phi]):
+        row = G._cov_real[gamma]
+        if not row >> nu & row >> phi & 1:
             continue
         lam = comp.sharpening([base.star_of(mu), gamma])
         if lam is None or not comp.is_hidden(lam):
@@ -855,17 +844,17 @@ def covering_preservation_report(rs):
     are covered by each, and when a pure covers two distinct pair meets the
     total meet is covered by both pair meets."""
     space = rs.space
-    cov = space.cover_matrix
+    cov = space.covers
     pures = space.pures()
     first_bad = []
     for a, b in combinations(pures, 2):
         m = space.meet(a, b)
-        if not (cov[m, a] and cov[m, b]):
+        if not cov[m] >> a & cov[m] >> b & 1:
             first_bad.append((a, b))
     second_bad = []
     n_second = 0
     covered = {lam: [(a, b) for a, b in combinations(pures, 2)
-                     if lam not in (a, b) and cov[space.meet(a, b), lam]]
+                     if lam not in (a, b) and cov[space.meet(a, b)] >> lam & 1]
                for lam in pures}
     for lam in pures:
         for (a, b), (c, d) in combinations(covered[lam], 2):
@@ -876,7 +865,7 @@ def covering_preservation_report(rs):
                 continue
             n_second += 1
             total = space.meet_all([a, b, c, d])
-            if not (cov[total, mab] and cov[total, mcd]):
+            if not cov[total] >> mab & cov[total] >> mcd & 1:
                 second_bad.append((lam, a, b, c, d))
     return {
         "first": {"pass": not first_bad, "failures": first_bad,

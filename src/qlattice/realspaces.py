@@ -58,13 +58,13 @@ class RealSpace(object):
 
 
 class RealStructureEmbedding(object):
-    """A real subset with star, sitting inside an ambient state space."""
+    """A real subset with star, sitting inside an ambient state space; bit r
+    of `real_mask` is set when r is real."""
 
     def __init__(self, ambient, real, star):
         self.ambient = ambient
         self.real = tuple(sorted(int(r) for r in real))
-        self.real_mask = np.zeros(ambient.n, dtype=bool)
-        self.real_mask[list(self.real)] = True
+        self.real_mask = sum(1 << r for r in self.real)
         self.star = {int(k): int(v) for k, v in star.items()}
         problems = validate_embedding(self)
         if problems:
@@ -77,12 +77,12 @@ class RealStructureEmbedding(object):
             raise InputError("star undefined at %r" % self.ambient.names[i])
 
     def is_real(self, i):
-        return bool(self.real_mask[i])
+        return bool(self.real_mask >> i & 1)
 
     def real_pures(self):
-        sub = self.ambient.leq[np.ix_(self.real, self.real)]
-        strict = sub & ~np.eye(len(self.real), dtype=bool)
-        return [self.real[k] for k in np.flatnonzero(strict.sum(axis=1) == 0)]
+        """The reals with no other real above them, in id order."""
+        up = self.ambient.up
+        return [r for r in self.real if up[r] & self.real_mask == 1 << r]
 
 
 def _star_problems(space, star, nonbottom, standalone):
@@ -142,12 +142,11 @@ def validate_embedding(emb):
     names = amb.names
     problems = []
     real = list(emb.real)
-    real_bits = sum(1 << r for r in real)
     if amb.bottom not in real:
         problems.append("real subset misses the bottom element")
     for a in real:
         for b in real:
-            if not real_bits >> amb.meet(a, b) & 1:
+            if not emb.real_mask >> amb.meet(a, b) & 1:
                 problems.append("real subset not meet-closed at (%r, %r)"
                                 % (names[a], names[b]))
                 return problems
@@ -168,7 +167,7 @@ def validate_embedding(emb):
     # effects separate two states exactly when their real down-sets differ.
     first_with = {}
     for s, down in enumerate(amb.down):
-        seen = first_with.setdefault(down & real_bits, s)
+        seen = first_with.setdefault(down & emb.real_mask, s)
         if seen != s:
             problems.append("real effects cannot separate %r from %r"
                             % (names[seen], names[s]))
@@ -302,18 +301,17 @@ def is_linear(rs, completion=None):
     third state may be hidden, so the search runs in the ontic completion."""
     from .ontic import OnticCompletion
     completion = OnticCompletion(rs) if completion is None else completion
-    space = rs.space
+    space, hat = rs.space, completion.space
     pures = space.pures()
     for i, s1 in enumerate(pures):
         for s2 in pures[i + 1:]:
             m = space.meet(s1, s2)
             if not (space.covered_by(m, s1) and space.covered_by(m, s2)):
                 continue
-            hat = completion.space
-            m_h = completion.embed(m)
+            # a cover of m in the completion above neither pure
             s1_h, s2_h = completion.embed(s1), completion.embed(s2)
-            if not any(not hat.leq[s1_h, s3] and not hat.leq[s2_h, s3]
-                       for s3 in hat.upper_covers(m_h)):
+            if not hat.covers[completion.embed(m)] \
+                    & ~(hat.up[s1_h] | hat.up[s2_h]):
                 return False
     return True
 

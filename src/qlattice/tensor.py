@@ -56,7 +56,6 @@ class TensorSpace(object):
                              if up >> pa & 1) for up in la.up]
         self._up_right = [sum(1 << k for k, (_, pb) in enumerate(self.pure_pairs)
                               if up >> pb & 1) for up in lb.up]
-        self._meets = (la._meet_table.tolist(), lb._meet_table.tolist())
         self._norm_cache = {}
         # real effects of both factors and generator columns, built by the
         # first congruence_profile call
@@ -64,7 +63,7 @@ class TensorSpace(object):
         if is_deterministic(left) and is_deterministic(right):
             self._enumerate_simplex(cap)
         else:
-            self._enumerate_meets(cap)
+            self._enumerate_general(cap)
         self._install_space()
 
     # -- the expansion-formula order test ---------------------------------
@@ -91,12 +90,11 @@ class TensorSpace(object):
             raise InputError("empty generator list")
         if n > 20:
             raise CapExceeded("expansion formula over %d generators" % n)
-        meet_a, meet_b = self._meets
+        meet_a, meet_b = self.left.space.meet, self.right.space.meet
         lm, rm = [0], [0]
         for a, b in gens:
-            row_a, row_b = meet_a[a], meet_b[b]
-            lm += [a] + [row_a[x] for x in lm[1:]]
-            rm += [b] + [row_b[y] for y in rm[1:]]
+            lm += [a] + [meet_a(a, x) for x in lm[1:]]
+            rm += [b] + [meet_b(b, y) for y in rm[1:]]
         ul = [self._up_left[x] for x in lm]
         ur = [self._up_right[y] for y in rm]
         full = len(lm) - 1
@@ -116,7 +114,7 @@ class TensorSpace(object):
                               % (count, cap))
         self._covers = list(range(1, count + 1))
 
-    def _enumerate_meets(self, cap):
+    def _enumerate_general(self, cap):
         # Every element is a meet of pure tensors, so each one is reached
         # from a pure tensor by meeting in one pure pair at a time.  The
         # pure pair k added to u lies outside u's cover set, so no generator

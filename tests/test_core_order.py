@@ -176,14 +176,29 @@ def _brute_covers(space):
     return out
 
 
+def _mask_rows(mat):
+    """Row i of a boolean matrix as an int with bit j for column j."""
+    return tuple(sum(1 << int(j) for j in np.flatnonzero(row)) for row in mat)
+
+
 def test_cover_matrix_against_brute_force(z2, two_qubit):
     ts, comp = two_qubit
     simplex_square = build_tensor(simplex_space(3), simplex_space(3)).space
     assert simplex_square.n == 511
     for space in (z2.space, simplex_space(3).space, ts.space, comp.space,
                   simplex_square):
-        assert np.array_equal(space.cover_matrix, _brute_covers(space))
-        assert not space.cover_matrix.flags.writeable
+        assert space.covers == _mask_rows(_brute_covers(space))
+        with pytest.raises(TypeError):
+            space.covers[0] = 0
+
+
+def test_leq_is_the_only_dense_array(z2, two_qubit):
+    ts, comp = two_qubit
+    for space in (bool_space(), z2.space, ts.space, comp.space):
+        arrays = [name for name, value in vars(space).items()
+                  if isinstance(value, np.ndarray)]
+        assert arrays == ["leq"]
+        assert space.leq.shape == (space.n, space.n)
 
 
 def test_order_masks_match_leq(z2, two_qubit):
@@ -232,9 +247,17 @@ def _oracle_sup(space, ids):
 
 
 def _check_mask_queries(space, families):
-    assert np.array_equal(space._meet_table, _oracle_meet_table(space))
+    table = _oracle_meet_table(space)
+    for i in range(space.n):
+        assert [space.meet(i, j) for j in range(space.n)] == table[i].tolist()
+    with pytest.raises(InputError, match="meet of an empty family"):
+        space.meet_all([])
     verdicts = set()
     for ids in families:
+        want = ids[0]
+        for k in ids[1:]:
+            want = table[want, k]
+        assert space.meet_all(ids) == want
         want = _oracle_sup(space, ids)
         assert space.bounded(ids) == (want is not None)
         assert space.sup(ids) == want
@@ -286,6 +309,18 @@ def _oracle_validation_error(leq):
     return None
 
 
+def _oracle_missing_meet(leq):
+    """The first pair, in a row-major scan, whose common lower bounds have
+    no greatest member, or None."""
+    n = len(leq)
+    for i in range(n):
+        for j in range(n):
+            lower = np.flatnonzero(leq[:, i] & leq[:, j])
+            if not leq[np.ix_(lower, lower)].all(axis=0).any():
+                return "no meet for 'e%d', 'e%d'" % (i, j)
+    return None
+
+
 def _relation(rows):
     return np.array(rows, dtype=bool)
 
@@ -300,6 +335,13 @@ def _relation(rows):
 @example([[True, True, False], [False, True, True], [False, False, True]],
          False, False)
 @example([[True, False], [False, True]], False, False)
+# e0 below e1 and e2, both below e3 and e4: the adjacent pair e3, e4 has
+# two maximal common lower bounds
+@example([[True, True, True, True, True],
+          [False, True, False, True, True],
+          [False, False, True, True, True],
+          [False, False, False, True, False],
+          [False, False, False, False, True]], False, False)
 def test_validation_errors_match_dense_oracle(rows, reflexive, antisymmetric):
     leq = _relation(rows)
     n = len(leq)
@@ -310,13 +352,11 @@ def test_validation_errors_match_dense_oracle(rows, reflexive, antisymmetric):
     want = _oracle_validation_error(leq)
     names = ["e%d" % i for i in range(n)]
     if want is None:
-        try:
-            space = StateSpace(names, leq)
-        except InputError as err:
-            # a partial order with bottom may still lack a meet
-            assert str(err).startswith("no meet for")
-            return
-        assert np.array_equal(space.cover_matrix, _brute_covers(space))
+        # a partial order with bottom may still lack a meet
+        want = _oracle_missing_meet(leq)
+    if want is None:
+        space = StateSpace(names, leq)
+        assert space.covers == _mask_rows(_brute_covers(space))
         return
     with pytest.raises(InputError) as err:
         StateSpace(names, leq)

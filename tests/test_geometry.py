@@ -1,13 +1,18 @@
+import copy
 import random
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from qlattice.geometry import (_bron_kerbosch, verify_projective,
+from qlattice.core_order import bits
+from qlattice.geometry import (_bron_kerbosch, _diagonal_witnesses,
+                               _third_points, verify_projective,
                                verify_ortho, verify_invariants,
                                covering_preservation_report,
                                export_incidence)
+
+from test_core_order import _brute_covers
 
 
 def test_point_counts(geo_wide, geo_narrow):
@@ -37,28 +42,26 @@ def test_cover_members_are_pairwise_consistent(geo_narrow):
 
 
 def test_bron_kerbosch_against_networkx():
-    import numpy as np
     rng = random.Random(42)
     for _ in range(10):
         n = rng.randint(4, 12)
-        adj = np.zeros((n, n), dtype=bool)
+        adj = {v: 0 for v in range(n)}
         g = nx.Graph()
         g.add_nodes_from(range(n))
         for i, j in combinations(range(n), 2):
             if rng.random() < 0.45:
-                adj[i, j] = adj[j, i] = True
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
                 g.add_edge(i, j)
-        mine = {frozenset(c) for c in _bron_kerbosch(adj)}
+        mine = {frozenset(bits(c)) for c in _bron_kerbosch(adj)}
         theirs = {frozenset(c) for c in nx.find_cliques(g)}
         assert mine == theirs
 
 
 def test_bron_kerbosch_is_deterministic():
-    import numpy as np
-    adj = np.zeros((4, 4), dtype=bool)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        adj[i, j] = adj[j, i] = True
+    adj = {0: 0b0110, 1: 0b0101, 2: 0b0011, 3: 0}
     assert _bron_kerbosch(adj) == _bron_kerbosch(adj)
+    assert sorted(_bron_kerbosch(adj)) == [0b0111, 0b1000]
 
 
 def test_projective_axioms(geo_wide):
@@ -113,7 +116,53 @@ def test_colinearity_basics(geo_narrow):
     m = G.completion.meet(a, b)
     for c in G.points:
         if G.colinear(c, a, b):
-            assert G._cov_hat[m, c]
+            assert G._cov_hat[m] >> c & 1
+
+
+def test_witness_masks_match_point_scan(geo_wide):
+    # On the real consistency relation every point covering the meet of
+    # two points is consistent with both, so the corner filters would go
+    # untested: the copy gets a random symmetric relation instead.
+    G = copy.copy(geo_wide)
+    pts = G.points
+    rng = random.Random(11)
+    related = {p: {p} for p in pts}
+    for x, y in combinations(pts, 2):
+        if rng.random() < 0.6:
+            related[x].add(y)
+            related[y].add(x)
+    G._cons = {p: sum(1 << q for q in related[p]) for p in pts}
+    hat = G.completion.space
+    covers = _brute_covers(hat)
+
+    def scan(meets, corners, pool):
+        return [p for p in pool if all(covers[m, p] for m in meets)
+                and all(s in related[p] for s in corners)]
+
+    for a, b in rng.sample(list(combinations(pts, 2)), 300):
+        assert _third_points(G, a, b) == scan([hat.meet(a, b)], (a, b), pts)
+    # diagonal pairs drawn from the pairs whose meet one point covers
+    on = {p: [] for p in pts}
+    for a, b in combinations(pts, 2):
+        for p in pts:
+            if covers[hat.meet(a, b), p]:
+                on[p].append((a, b))
+    centres = [p for p in pts if len(on[p]) > 1]
+    narrow = sorted(set(G.pure_points) | G.hidden_narrow)
+    narrow_mask = sum(1 << p for p in narrow)
+    dropped = [False] * 4
+    for _ in range(400):
+        (s1, s3), (s2, s4) = rng.sample(on[rng.choice(centres)], 2)
+        quad = (s1, s2, s3, s4)
+        meets = [hat.meet(s1, s3), hat.meet(s2, s4)]
+        want = scan(meets, quad, pts)
+        assert _diagonal_witnesses(G, quad) == want
+        assert _diagonal_witnesses(G, quad, pool=narrow_mask) \
+            == scan(meets, quad, narrow)
+        for k in range(4):
+            dropped[k] |= scan(meets, quad[:k] + quad[k + 1:], pts) != want
+    # every corner's filter decides some sampled quadrangle
+    assert all(dropped)
 
 
 def test_invariants(geo_wide):

@@ -1,3 +1,4 @@
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -7,13 +8,14 @@ from qlattice import chu
 from qlattice.core_order import InputError, StateSpace
 from qlattice.realspaces import (make_space, bool_real_space, simplex_space,
                                  spin_space, is_deterministic,
-                                 is_completely_indeterministic,
+                                 is_completely_indeterministic, is_linear,
                                  ortho_matrix, ortho_complement,
                                  orthoclosure, orthoclosed_sets,
                                  RealStructureEmbedding, real_effects_of,
                                  validate_embedding, validate_real)
 from qlattice.ontic import build_completion
 
+from test_core_order import _brute_covers
 from test_ontic import _inclusion_space
 
 
@@ -58,6 +60,37 @@ def test_classification():
     assert is_deterministic(simplex_space(3))
     assert not is_deterministic(spin_space(2))
     assert is_completely_indeterministic(spin_space(2))
+
+
+def _linear_by_leq(rs, comp):
+    """is_linear with the covers read off leq: every pure pair whose meet
+    both pures cover has a cover of that meet in the completion above
+    neither pure."""
+    space, hat = rs.space, comp.space
+    covers, hat_covers = _brute_covers(space), _brute_covers(hat)
+    for a, b in combinations(space.pures(), 2):
+        m = space.meet(a, b)
+        if not (covers[m, a] and covers[m, b]):
+            continue
+        ah, bh, mh = comp.embed(a), comp.embed(b), comp.embed(m)
+        if not any(hat_covers[mh, c] and not hat.leq[ah, c]
+                   and not hat.leq[bh, c] for c in range(hat.n)):
+            return False
+    return True
+
+
+def test_is_linear_matches_leq_oracle(two_qubit):
+    ts, comp = two_qubit
+    cases = [(rs, build_completion(rs))
+             for rs in (bool_real_space(), spin_space(2), spin_space(3),
+                        simplex_space(3))]
+    cases.append((ts.real_space, comp))
+    verdicts = []
+    for rs, completion in cases:
+        want = _linear_by_leq(rs, completion)
+        assert is_linear(rs, completion=completion) == want
+        verdicts.append(want)
+    assert verdicts == [False, True, True, False, True]
 
 
 def test_make_space_kinds():
@@ -159,6 +192,7 @@ def _unchecked_embedding(ambient, real, star):
     emb = object.__new__(RealStructureEmbedding)
     emb.ambient = ambient
     emb.real = tuple(sorted(real))
+    emb.real_mask = sum(1 << r for r in emb.real)
     emb.star = dict(star)
     return emb
 

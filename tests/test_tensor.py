@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -9,6 +10,8 @@ from qlattice.realspaces import (bool_real_space, simplex_space, spin_space,
                                  is_deterministic)
 from qlattice.tensor import (build_tensor, nfold_tensor, SimplexPower,
                              congruence_oracle)
+
+from test_core_order import _oracle_meet_table
 
 
 def test_bool_square_size(bool_square):
@@ -191,6 +194,10 @@ def test_pinned_scale_counts():
 # -- references: the pair search over the numpy expansion formula, with
 # names, order and star read off the factors' leq matrices -------------------
 
+# the factors' meet tables, read off leq
+_leq_meet_table = functools.lru_cache(maxsize=None)(_oracle_meet_table)
+
+
 def _reference_normalize(ts, gens):
     """Cover mask of the meet of the generating pairs and the reduced
     generator tuple, by the expansion formula on numpy arrays."""
@@ -210,8 +217,8 @@ def _reference_normalize(ts, gens):
     rm = np.zeros(1 << n, dtype=np.int64)
     for b in range(n):
         half = 1 << b
-        lm[half:2 * half] = la._meet_table[lm[:half], gens[b][0]]
-        rm[half:2 * half] = lb._meet_table[rm[:half], gens[b][1]]
+        lm[half:2 * half] = _leq_meet_table(la)[lm[:half], gens[b][0]]
+        rm[half:2 * half] = _leq_meet_table(lb)[rm[:half], gens[b][1]]
         lm[half] = gens[b][0]
         rm[half] = gens[b][1]
     l_ok = la.leq[lm[1:]][:, ta]
