@@ -84,7 +84,7 @@ def bool_bullet_all(values):
     return out
 
 
-def _row_masks(mat):
+def row_masks(mat):
     """Each row of a boolean matrix as an int, bit j for column j."""
     packed = np.packbits(mat, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -100,13 +100,31 @@ def bits(mask):
     return out
 
 
+def unpack_masks(masks, width):
+    """A family of int masks as a boolean matrix, row i holding the low
+    `width` bits of masks[i]: the inverse of row_masks."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
+                                    for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), nbytes), axis=1,
+                         count=width, bitorder="little").astype(bool)
+
+
 def inclusion_order(masks):
     """Inclusion order of a family of int masks: [i, j] is set when
-    masks[i] lies inside masks[j]."""
-    out = np.empty((len(masks), len(masks)), dtype=bool)
-    for i, m in enumerate(masks):
-        out[i] = [m & ~o == 0 for o in masks]
-    return out
+    masks[i] lies inside masks[j].  With holders[x] the mask of the j whose
+    masks[j] holds bit x, row i is the AND of holders[x] over the bits x of
+    masks[i]."""
+    width = max(masks, default=0).bit_length()
+    holders = row_masks(unpack_masks(masks, width).T)
+    full = (1 << len(masks)) - 1
+    rows = []
+    for m in masks:
+        row = full
+        for x in bits(m):
+            row &= holders[x]
+        rows.append(row)
+    return unpack_masks(rows, len(masks))
 
 
 def _closure(mat):
@@ -153,28 +171,17 @@ class StateSpace(object):
         self.leq = leq
         self.leq.setflags(write=False)
         self._index = {name: i for i, name in enumerate(names)}
-        self.up = _row_masks(leq)
-        self.down = _row_masks(leq.T)
+        self.up = row_masks(leq)
+        self.down = row_masks(leq.T)
         # the element with each down-set, read by _validate once the order
         # axioms hold
         self._by_down = {d: k for k, d in enumerate(self.down)}
         self.covers = tuple(self._validate())
         self.bottom = self.up.index((1 << self.n) - 1)
-        # bit c of lower[z] is set when z covers c
-        lower = [0] * self.n
-        for c, row in enumerate(self.covers):
-            for z in bits(row):
-                lower[z] |= 1 << c
-        # for ontic.closure_step: per element z, one mask for each element c
-        # that z covers, of the elements below z and not below c; the
-        # elements from the top down (by down-set size, so every element
-        # comes after all elements above it); and the step results by input
-        # down-set
-        self._cover_gaps = [[self.down[z] & ~self.down[c] for c in bits(low)]
-                            for z, low in enumerate(lower)]
-        self._top_down = sorted(range(self.n),
-                                key=lambda z: -self.down[z].bit_count())
+        # ontic.closure_step's results by input down-set, and its bit
+        # tables, built on the first memo miss
         self._steps = {}
+        self._step_tables = None
         self.maximals = tuple(i for i, row in enumerate(self.covers)
                               if not row)
         self._by_up = {u: k for k, u in enumerate(self.up)}

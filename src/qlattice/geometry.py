@@ -64,6 +64,9 @@ class GeometrySet(object):
 
         self.pure_points = tuple(sorted(completion.embed(p)
                                         for p in base.pures()))
+        # the pure point at each coordinate tuple, for starred_partners
+        self._pure_at = {self.coords[completion.real_id(p)]: p
+                         for p in self.pure_points}
         self.hidden_wide, self.hidden_narrow = self._enumerate_hidden()
         hidden = self.hidden_wide if variant == "wide" \
             else self.hidden_narrow
@@ -186,15 +189,12 @@ class GeometrySet(object):
         rx = self.completion.real_id(x)
         if rx is None:
             return {}
-        by_coords = {}
-        for p in self.pure_points:
-            by_coords[self.coords[self.completion.real_id(p)]] = p
         t = self.coords[rx]
         out = {}
         for i in range(self.n_factors):
             s = list(t)
             s[i] = self.factors[i].star_of(t[i])
-            hit = by_coords.get(tuple(s))
+            hit = self._pure_at.get(tuple(s))
             if hit is not None:
                 out[i] = hit
         return out

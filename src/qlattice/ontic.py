@@ -13,9 +13,26 @@ closed set holding both x and x* holds them in every larger one.  So once a
 pair of reals has an inadmissible join, every union that contains the pair
 (or two reals above it) is inadmissible too, and the completion answers it
 without a closure.
+
+One pre-closure step is bit-sliced, in the manner of the bit-vector lattice
+encodings of Aït-Kaci, Boyer, Lincoln and Nasr ("Efficient implementation
+of lattice operations", TOPLAS 11(1), 1989) and of the carry trick that
+tests many bit fields at once (Knuth, TAOCP 4A, §7.1.3).  Every cover pair
+(z, c), z covering c, owns one bit; the pairs of one z sit side by side
+with a guard bit above them.  sat[u] holds the pairs whose gap, the
+elements below z and not below c, meets the down-set of u.  A set meets a
+gap exactly when one of its members' down-sets does, so sat is additive and
+the pairs met by the input are one OR per member.  z is the least upper
+bound of its trace when every gap of z is met, and adding 1 at the bottom
+of z's block carries into its guard exactly then.  The bottom covers
+nothing: it is always fixed, and is the answer only for a bottom-only
+input.
 """
 
-from .core_order import InputError, CapExceeded, StateSpace, inclusion_order
+import numpy as np
+
+from .core_order import (InputError, CapExceeded, StateSpace, bits,
+                         inclusion_order, row_masks)
 from .realspaces import RealSpace, RealStructureEmbedding
 
 
@@ -23,32 +40,89 @@ class LiftError(InputError):
     """A morphism image fails admissibility and cannot be lifted."""
 
 
+def _step_tables(space):
+    """The bit tables of closure_step, built once per space: (sat, blocks,
+    lows, guards, owner, keep).  Each element above the bottom owns one
+    block, its cover pairs and a guard bit above them; the blocks run bottom
+    up in down-set size.  bit p of sat[u] is set when the gap of cover pair
+    p meets down[u]; blocks, lows and guards hold the pair bits, the lowest
+    bit of each block and the guard bits; owner maps g + 1 to the element
+    whose guard is bit g, and keep[z] holds the guards of the elements not
+    below z."""
+    n, leq = space.n, space.leq
+    lower = [[] for _ in range(n)]
+    for c, row in enumerate(space.covers):
+        for z in bits(row):
+            lower[z].append(c)
+    order = sorted((z for z in range(n) if lower[z]),
+                   key=lambda z: space.down[z].bit_count())
+    tops, bottoms, columns, guard_at = [], [], [], []
+    blocks = lows = guards = width = 0
+    owner = {}
+    for z in order:
+        k = len(lower[z])
+        tops += [z] * k
+        bottoms += lower[z]
+        columns += range(width, width + k)
+        lows |= 1 << width
+        blocks |= ((1 << k) - 1) << width
+        width += k
+        guards |= 1 << width
+        guard_at.append(width)
+        width += 1
+        owner[width] = z
+    # gap[p, x]: x lies below the top of pair p and not below its bottom;
+    # the gap meets down[u] when some gap element lies below u
+    gap = (leq[:, tops] & ~leq[:, bottoms]).T.astype(np.float32)
+    met = np.zeros((n, width), dtype=bool)
+    met[:, columns] = ((gap @ leq.astype(np.float32)) > 0).T
+    below = np.zeros((n, width), dtype=bool)
+    below[:, guard_at] = leq[order].T
+    keep = [guards & ~m for m in row_masks(below)]
+    return row_masks(met), blocks, lows, guards, owner, keep
+
+
 def closure_step(space, members):
-    """One application of the pre-closure: maximal elements z that are the
-    least upper bound of their own trace below the input set.
+    """One application of the pre-closure: the maximal elements z that are
+    the least upper bound of their own trace, the elements below z and
+    below some member.
 
     Every bounded set has a unique least upper bound (meets exist), so z is
-    the least upper bound of its trace exactly when no element that z covers
-    is above the whole trace, that is when the trace meets every cover gap
-    of z.  Elements are tried from the top down, and those below a fixed
-    point already found are skipped, as they cannot be maximal.  Steps are
-    memoized on the input's down-set."""
+    the least upper bound of its trace exactly when no element c that z
+    covers is above the whole trace, that is when the trace meets every
+    cover gap of z, the elements below z and not below c.  The gap lies
+    below z, so the trace meets it exactly when the input's down-set does,
+    and that is when the down-set of some member does: whether a gap is met
+    is the OR over the members of sat[u] (see _step_tables), one bit per
+    cover pair.  Adding a block's lowest bit to its met pairs carries into
+    its guard exactly when every pair of the block is met, and stops inside
+    the block otherwise, so one addition over all blocks at once leaves the
+    guard bits of the fixed elements.  The bottom covers nothing and is
+    always fixed; it is maximal only when nothing else is, that is for a
+    bottom-only input.  Blocks run bottom up, so the highest guard left is
+    a maximal fixed element; each one found clears the guards of everything
+    below it.  The work is one OR per member, one carry, and a few big-int
+    operations per element returned.  Steps are memoized on the input's
+    down-set; the tables are built on a space's first memo miss."""
     below = 0
     for u in members:
         below |= space.down[u]
     out = space._steps.get(below)
     if out is not None:
         return out
-    gaps = space._cover_gaps
-    covered = 0
+    if space._step_tables is None:
+        space._step_tables = _step_tables(space)
+    sat, blocks, lows, guards, owner, keep = space._step_tables
+    hit = 0
+    for u in members:
+        hit |= sat[u]
+    fixed = ((hit & blocks) + lows) & guards
     found = []
-    for z in space._top_down:
-        if covered >> z & 1:
-            continue
-        if all(map(below.__and__, gaps[z])):
-            found.append(z)
-            covered |= space.down[z]
-    out = tuple(sorted(found))
+    while fixed:
+        z = owner[fixed.bit_length()]
+        found.append(z)
+        fixed &= keep[z]
+    out = tuple(sorted(found)) or (space.bottom,)
     space._steps[below] = out
     return out
 

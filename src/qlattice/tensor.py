@@ -118,13 +118,15 @@ class TensorSpace(object):
         # Every element is a meet of pure tensors, so each one is reached
         # from a pure tensor by meeting in one pure pair at a time.  The
         # pure pair k added to u lies outside u's cover set, so no generator
-        # of u refines it and it refines none of them: the sorted list is
-        # already the reduced one that normalize keys its cache on.
+        # of u refines it and it refines none of them: the sorted tuple is
+        # already the reduced one that normalize keys its cache on, and the
+        # search reads the cache by it without reducing it again.
         pure_pairs = self.pure_pairs
+        cache = self._norm_cache
         gens_of = {}
         queue = []
         for k, pp in enumerate(pure_pairs):
-            gens_of[1 << k] = [pp]
+            gens_of[1 << k] = (pp,)
             queue.append(1 << k)
         while queue:
             u = queue.pop()
@@ -132,8 +134,10 @@ class TensorSpace(object):
             for k, pp in enumerate(pure_pairs):
                 if u >> k & 1:
                     continue
-                extended = sorted(gens + [pp])
-                w = self.normalize(extended)
+                extended = tuple(sorted(gens + (pp,)))
+                w = cache.get(extended)
+                if w is None:
+                    w = cache[extended] = self._expand(extended)
                 if w not in gens_of:
                     if len(gens_of) + 1 > cap:
                         raise CapExceeded(

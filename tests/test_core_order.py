@@ -8,7 +8,7 @@ from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
                                  StateSpace, bool_space, bool_meet, bool_join,
                                  bool_bullet, bool_bar, bool_leq,
                                  bool_meet_all, bool_bullet_all, bits,
-                                 inclusion_order)
+                                 inclusion_order, row_masks, unpack_masks)
 from qlattice.realspaces import spin_space, simplex_space
 from qlattice.tensor import build_tensor
 
@@ -222,6 +222,19 @@ def test_bits_and_inclusion_order():
     masks = [0b011, 0b001, 0b111, 0b100]
     want = [[set(bits(a)) <= set(bits(b)) for b in masks] for a in masks]
     assert inclusion_order(masks).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 80) - 1) | st.integers(0, 15),
+                max_size=12))
+def test_inclusion_order_matches_pairwise_tests(masks):
+    # zero masks, repeats and masks wider than a machine word included
+    want = [[a & ~b == 0 for b in masks] for a in masks]
+    got = inclusion_order(masks)
+    assert got.shape == (len(masks), len(masks))
+    assert got.tolist() == want
+    width = max(masks, default=0).bit_length()
+    assert row_masks(unpack_masks(masks, width)) == masks
 
 
 def _oracle_meet_table(space):

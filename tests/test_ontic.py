@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qlattice import ontic
 from qlattice.core_order import CapExceeded, StateSpace
 from qlattice.realspaces import spin_space, simplex_space
 from qlattice.tensor import build_tensor
@@ -243,6 +244,100 @@ def test_closure_step_matches_oracle_on_tensor_subsets(two_qubit):
     for _ in range(500):
         sub = rng.sample(others, rng.randint(1, 6))
         assert closure_step(space, sub) == _oracle_step(space, sub)
+
+
+def _scan_stepper(space):
+    """The pre-closure step as a top-down scan, one element and one cover
+    gap at a time, with no memo: z is fixed when the input's down-set meets
+    every gap down[z] & ~down[c] of an element c that z covers, and a fixed
+    z below a fixed element found earlier is skipped."""
+    down = space.down
+    gaps = [[down[z] & ~down[c] for c in range(space.n)
+             if space.covers[c] >> z & 1] for z in range(space.n)]
+    top_down = sorted(range(space.n), key=lambda z: -down[z].bit_count())
+
+    def step(members):
+        below = 0
+        for u in members:
+            below |= down[u]
+        covered = 0
+        found = []
+        for z in top_down:
+            if covered >> z & 1:
+                continue
+            if all(below & g for g in gaps[z]):
+                found.append(z)
+                covered |= down[z]
+        return tuple(sorted(found))
+    return step
+
+
+_STEP_SPACES = {
+    "spin2": lambda: spin_space(2).space,
+    "spin3": lambda: spin_space(3).space,
+    "spin4": lambda: spin_space(4).space,
+    "simplex2": lambda: simplex_space(2).space,
+    "simplex3": lambda: simplex_space(3).space,
+    "simplex4": lambda: simplex_space(4).space,
+    "counterexample": counterexample_lattice,
+    "z2z2": lambda: build_tensor(spin_space(2), spin_space(2)).space,
+    "z3z2": lambda: build_tensor(spin_space(3), spin_space(2)).space,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_SPACES))
+def test_closure_step_matches_scan(name):
+    # a fresh space, so that every first call is a memo miss
+    space = _STEP_SPACES[name]()
+    scan = _scan_stepper(space)
+    bottom = space.bottom
+    assert closure_step(space, [bottom]) == (bottom,) == scan([bottom])
+    inputs = [[u] for u in range(space.n)]
+    inputs += [[bottom, u] for u in range(space.n)]
+    rng = random.Random(8)
+    for _ in range(400):
+        inputs.append(rng.sample(range(space.n),
+                                 rng.randint(1, min(6, space.n))))
+    for members in inputs:
+        assert closure_step(space, members) == scan(members), members
+        # the second call is a memo read with the same answer
+        assert closure_step(space, members) == scan(members), members
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 31), min_size=1, max_size=7, unique=True),
+       st.data())
+def test_closure_step_matches_scan_on_intersection_families(family, data):
+    # members are drawn from every element, the bottom included
+    space = _inclusion_space(family)
+    members = data.draw(st.lists(st.sampled_from(range(space.n)),
+                                 min_size=1, max_size=4, unique=True))
+    want = _scan_stepper(space)(members)
+    assert closure_step(space, members) == want
+    assert want == _oracle_step(space, members)
+
+
+def test_closure_step_memo_matches_scan_after_completion(monkeypatch):
+    def make():
+        return build_tensor(spin_space(2), spin_space(2)).real_space
+    rs = make()
+    build_completion(rs)
+    # the same completion with the scan in place of the kernel
+    ref = make()
+    scan = _scan_stepper(ref.space)
+
+    def scan_step(space, members):
+        below = 0
+        for u in members:
+            below |= space.down[u]
+        if below not in space._steps:
+            space._steps[below] = scan(members)
+        return space._steps[below]
+
+    monkeypatch.setattr(ontic, "closure_step", scan_step)
+    build_completion(ref)
+    assert len(rs.space._steps) == 7519
+    assert rs.space._steps == ref.space._steps
 
 
 @pytest.mark.parametrize("rs", [spin_space(2), spin_space(3),

@@ -9,7 +9,7 @@ from qlattice.core_order import CapExceeded, InputError, bits
 from qlattice.realspaces import (bool_real_space, simplex_space, spin_space,
                                  is_deterministic)
 from qlattice.tensor import (build_tensor, nfold_tensor, SimplexPower,
-                             congruence_oracle)
+                             congruence_oracle, _reduce_generators)
 
 from test_core_order import _oracle_meet_table
 
@@ -360,6 +360,23 @@ def test_normalize_matches_numpy_expansion_formula(left, right):
     for _ in range(1500):
         gens = _random_generators(rng, ts)
         assert ts.normalize(gens) == _reference_normalize(ts, gens)[0]
+
+
+@pytest.mark.parametrize("left, right", [
+    (lambda: spin_space(2), lambda: spin_space(2)),
+    (lambda: spin_space(3), lambda: spin_space(2)),
+    (lambda: spin_space(3), lambda: spin_space(3)),
+    (lambda: spin_space(2), lambda: simplex_space(3)),
+    (lambda: simplex_space(3), lambda: spin_space(2))],
+    ids=["z2z2", "z3z2", "z3z3", "z2s3", "s3z2"])
+def test_enumeration_reads_the_cache_by_reduced_keys(left, right):
+    # the search skips normalize's reduction: every key it stores must be
+    # the reduced generator list that normalize would key on
+    ts = build_tensor(left(), right())
+    la, lb = ts.left.space, ts.right.space
+    assert ts._norm_cache
+    for key in ts._norm_cache:
+        assert _reduce_generators(la, lb, key) == list(key)
 
 
 def test_normalize_errors_match_reference():
