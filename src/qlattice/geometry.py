@@ -9,12 +9,36 @@ charts on which a ternary colinearity relation is defined.  The verifiers
 below check the Veblen-Young incidence axioms on those charts, the
 orthogonality axioms on the narrow family, and the structural lemmas tying
 orthogonal completeness to the narrow family.
+
+Every incidence and orthogonality query is an AND of int masks over the
+points (bit p for point p), read from tables that GeometrySet builds once:
+thru[b][c], the points colinear with b and c; pencil[lam][a], the points
+b with lam colinear with a and b; and the row and column masks of perp
+(see GeometrySet).  The bit-vector encoding is the one the completion
+uses for its order (Aït-Kaci, Boyer, Lincoln and Nasr, TOPLAS 11(1),
+1989).
+
+Work that depends on fewer points than a configuration runs once per
+object it depends on.  A set of points is pairwise consistent exactly
+when it lies in some chart, since every clique extends to a maximal one.
+So the quadrangle configurations (lam, (a, b), (c, d)) met chart by chart
+are the vertices lam of the pairings {(a, b), (c, d)} whose five points
+are pairwise consistent, and the vertices of one pairing are one mask
+(_quadrangles).  "configs" is the sum of the popcounts of those masks.
+Genericity, the hidden-corner test and inner colinearity read only the
+four flanks and run once per four-point set; witness existence reads only
+the two pairs and runs once per pairing.  The exchange axiom's "tuples"
+are the (s1, s2, s3, s4) with s1 and s2 colinear with s3 and s4 and all
+four pairwise consistent, counted with one popcount per (s3, s4, s1).
+Where the verifiers no longer scan chart by chart, their failure lists are
+put in the order such a scan meets them (_scan_order), so a report is the
+same as the per-chart scan's, failures included.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
 import random
 
-from .core_order import InputError, bits
+from .core_order import InputError, bits, row_masks
 from .realspaces import ortho_matrix
 
 
@@ -37,8 +61,26 @@ class GeometrySet(object):
     All points are ids in the completion's ambient space.  Both hidden
     families are enumerated regardless of the variant so that the wide
     geometry can consult the narrow subfamily.  Relations are int masks
-    over those ids: the cover rows of the base and the completion, and for
-    each point the mask of the points consistent with it (itself included).
+    over those ids, bit p for point p, built once here:
+
+    - _cons[p]: the points consistent with p, p itself included.
+    - thru[b][c]: the points covering the completion meet of b and c, so
+      that colinear(a, b, c) is bit a of it.  thru[b][b] is every point,
+      because colinear(a, b, b) holds for every a (b = c); the exchange
+      and degenerate-triple axioms read it that way.  Rows depend only on
+      the meet and are shared between the pairs with one meet.
+    - pencil[lam][a]: the points b != a with lam in thru[a][b], a sparse
+      dict (missing means 0).  It answers "is s1 colinear with s2, s3" for
+      every s2 at once: s2 = s3 or s2 in pencil[s1][s3].
+    - perp_rows[x] and perp_cols[y]: bit y of the one and bit x of the
+      other is perp[x, y], restricted to the points.  Code that lets x
+      vary in perp[x, y] reads the column of y.  perp stays as the dense
+      matrix it is built from; o2 tests its symmetry by comparing each
+      row with its column and assumes nothing.
+
+    orthogonally_complete skips the quadrangle scan on fewer than five
+    points, since a quadrangle's vertex and four flanks are five distinct
+    points.
     """
 
     def __init__(self, completion, chain, variant="narrow"):
@@ -57,9 +99,7 @@ class GeometrySet(object):
         self.factors = self._factor_list()
 
         base = completion.base.space
-        hat = completion.space
         self._cov_real = base.covers
-        self._cov_hat = hat.covers
         self.perp = ortho_matrix(completion.embedding)
 
         self.pure_points = tuple(sorted(completion.embed(p)
@@ -72,9 +112,11 @@ class GeometrySet(object):
             else self.hidden_narrow
         self.points = tuple(sorted(set(self.pure_points) | hidden))
         self._point_mask = sum(1 << p for p in self.points)
+        self._pure_mask = sum(1 << p for p in self.pure_points)
         self._cons = self._consistency_masks()
+        self.thru, self.pencil = self._incidence_tables()
+        self.perp_rows, self.perp_cols = self._perp_masks()
         self._cliques = None
-        self._lines = {}
 
     def _factor_list(self):
         out = [self.chain[0].left]
@@ -114,6 +156,41 @@ class GeometrySet(object):
                     out[y] |= 1 << x
         return out
 
+    def _incidence_tables(self):
+        """thru and pencil (see the class docstring).  A row of thru depends
+        only on the meet, so the pairs with one meet share one int."""
+        meet = self.completion.space.meet
+        covers = self.completion.space.covers
+        everything = self._point_mask
+        on_meet = {}
+        thru = {p: {p: everything} for p in self.points}
+        # spokes[b][m]: the points c != b that meet b in m
+        spokes = {p: {} for p in self.points}
+        for i, b in enumerate(self.points):
+            for c in self.points[i + 1:]:
+                m = meet(b, c)
+                line = on_meet.get(m)
+                if line is None:
+                    line = on_meet[m] = covers[m] & everything
+                thru[b][c] = thru[c][b] = line
+                spokes[b][m] = spokes[b].get(m, 0) | 1 << c
+                spokes[c][m] = spokes[c].get(m, 0) | 1 << b
+        pencil = {p: {} for p in self.points}
+        for b, fans in spokes.items():
+            for m, ends in fans.items():
+                for lam in bits(on_meet[m]):
+                    fan = pencil[lam]
+                    fan[b] = fan.get(b, 0) | ends
+        return thru, pencil
+
+    def _perp_masks(self):
+        """Row and column masks of perp over the points: bit y of
+        perp_rows[x] and bit x of perp_cols[y] are perp[x, y]."""
+        rows, cols = row_masks(self.perp), row_masks(self.perp.T)
+        keep = self._point_mask
+        return ({p: rows[p] & keep for p in self.points},
+                {p: cols[p] & keep for p in self.points})
+
     def _consistent_raw(self, x, y):
         hx, hy = self.is_hidden(x), self.is_hidden(y)
         comp = self.completion
@@ -142,12 +219,16 @@ class GeometrySet(object):
     def consistent(self, x, y):
         return bool(self._cons[x] >> y & 1)
 
+    def _check_points(self, *xs):
+        missing = [x for x in xs if x not in self.thru]
+        if missing:
+            raise InputError("not points of the %s geometry: %s"
+                             % (self.variant, missing))
+
     def colinear(self, a, b, c):
         """b = c, or a covers the completion meet of b and c."""
-        if b == c:
-            return True
-        m = self.completion.meet(b, c)
-        return bool(self._cov_hat[m] >> a & 1)
+        self._check_points(a, b, c)
+        return bool(self.thru[b][c] >> a & 1)
 
     def orthogonal(self, x, y):
         return bool(self.perp[x, y])
@@ -174,14 +255,9 @@ class GeometrySet(object):
     # -- lines and starred partners --------------------------------------------
 
     def line(self, a, b):
-        key = (a, b) if a <= b else (b, a)
-        hit = self._lines.get(key)
-        if hit is None:
-            m = self.completion.meet(a, b)
-            hit = frozenset(bits(self._cov_hat[m] & self._point_mask)) \
-                | {a, b}
-            self._lines[key] = hit
-        return hit
+        """a, b and the points colinear with them; every point when a = b."""
+        self._check_points(a, b)
+        return frozenset(bits(self.thru[a][b] | 1 << a | 1 << b))
 
     def starred_partners(self, x):
         """Pure points obtained from x by starring exactly one factor
@@ -239,20 +315,10 @@ class GeometrySet(object):
     # -- orthogonal completeness ------------------------------------------------
 
     def orthogonally_complete(self, subset):
-        subset = sorted(subset)
-        for a, b, c in permutations(subset, 3):
-            if b < c and self.colinear(a, b, c):
-                if not (self.perp[a, b] or self.perp[a, c]
-                        or self.perp[b, c]):
-                    return False
-        for lam, (a, b), (c, d) in _quadrangles(self, subset):
-            quad = (a, b, c, d)
-            if not _no_inner_colinearity(self, quad):
-                continue
-            if not any(sum(bool(self.perp[x, y])
-                           for y in quad if y != x) >= 2 for x in quad):
-                return False
-        return True
+        """Every colinear triple of the subset holds an orthogonal pair, and
+        every quadrangle of it without inner colinearity has a corner
+        orthogonal to two others."""
+        return _orthogonally_complete(self, sum(1 << x for x in set(subset)))
 
     def __len__(self):
         return len(self.points)
@@ -285,37 +351,80 @@ def _bron_kerbosch(neighbors):
     return out
 
 
-def _colinear_pairs(G, subset, lam):
-    """Unordered pairs (a, b) of the subset, both distinct from lam, whose
-    completion meet is covered by lam."""
-    out = []
-    for a, b in combinations(sorted(subset), 2):
-        if lam in (a, b):
-            continue
-        if G._cov_hat[G.completion.meet(a, b)] >> lam & 1:
-            out.append((a, b))
-    return out
+def _quadrangles(G, near):
+    """Quadrangles whose five points are pairwise near, once per four-point
+    set: yields (quad, pairings), quad the mask of the four flanks and each
+    pairing ((a, b), (c, d), vertices) with a < b, c < d, (a, b) < (c, d).
+    Its vertices are the points lam outside quad with lam in thru[a][b] and
+    in thru[c][d] and near all four flanks, as one mask:
 
+        thru[a][b] & thru[c][d] & near[a] & near[b] & near[c] & near[d] & ~quad
 
-def _quadrangles(G, subset):
-    """Configurations (lam, (a,b), (c,d)) inside the subset: lam covers both
-    meets and the four flank points are distinct."""
-    for lam in subset:
-        pairs = _colinear_pairs(G, subset, lam)
-        for (a, b), (c, d) in combinations(pairs, 2):
-            if len({a, b, c, d}) == 4:
-                yield lam, (a, b), (c, d)
+    near maps each point to the mask of the points it may share a
+    quadrangle with, itself included; it must be symmetric.  The lowest
+    flank a heads the first pair of every pairing of its set, so all the
+    pairings of one set turn up under one a and are grouped there."""
+    thru = G.thru
+    for a in sorted(near):
+        near_a = near[a]
+        above_a = -(2 << a)
+        found = {}
+        for b in bits(near_a & above_a):
+            ends = near_a & near[b] & ~(1 << a | 1 << b)
+            tips = thru[a][b] & ends
+            if not tips:
+                continue
+            for c in bits(ends & above_a):
+                near_c = near[c]
+                tips_c = tips & near_c & ~(1 << c)
+                if not tips_c:
+                    continue
+                row = thru[c]
+                for d in bits(ends & near_c & -(2 << c)):
+                    lams = tips_c & row[d] & near[d] & ~(1 << d)
+                    if lams:
+                        quad = 1 << a | 1 << b | 1 << c | 1 << d
+                        found.setdefault(quad, []).append(
+                            ((a, b), (c, d), lams))
+        yield from found.items()
 
 
 def _quad_is_generic(G, quad):
-    """The six pairwise completion meets of the quadrangle differ."""
-    meets = [G.completion.meet(x, y) for x, y in combinations(quad, 2)]
-    return len(set(meets)) == len(meets)
+    """The six pairwise completion meets of the quadrangle differ, read as
+    their down masks, which name an element."""
+    down = G.completion.space.down
+    meets = {down[x] & down[y] for x, y in combinations(bits(quad), 2)}
+    return len(meets) == 6
 
 
 def _no_inner_colinearity(G, quad):
-    for a, b, c in permutations(quad, 3):
-        if b < c and a not in (b, c) and G.colinear(a, b, c):
+    """No flank of the quad mask is colinear with two others."""
+    thru = G.thru
+    for y, z in combinations(bits(quad), 2):
+        if thru[y][z] & quad & ~(1 << y | 1 << z):
+            return False
+    return True
+
+
+def _orthogonally_complete(G, chart):
+    """GeometrySet.orthogonally_complete on a mask of points.
+
+    The quadrangle scan is skipped below five points: a quadrangle's vertex
+    is a point of the set outside its four flanks, so it needs five."""
+    thru, rows, cols = G.thru, G.perp_rows, G.perp_cols
+    members = bits(chart)
+    for y, z in combinations(members, 2):
+        # x colinear with y, z needs x perp y, x perp z or y perp z
+        if not rows[y] >> z & 1 and thru[y][z] & chart \
+                & ~(1 << y | 1 << z | cols[y] | cols[z]):
+            return False
+    if len(members) < 5:
+        return True
+    for quad, _ in _quadrangles(G, dict.fromkeys(members, chart)):
+        if not _no_inner_colinearity(G, quad):
+            continue
+        if not any((rows[x] & quad & ~(1 << x)).bit_count() >= 2
+                   for x in bits(quad)):
             return False
     return True
 
@@ -323,8 +432,7 @@ def _no_inner_colinearity(G, quad):
 def _third_points(G, a, b):
     """Points covering the completion meet of a and b, each pairwise
     consistent with both, in id order."""
-    m = G.completion.meet(a, b)
-    return bits(G._cov_hat[m] & G._point_mask & G._cons[a] & G._cons[b])
+    return bits(G.thru[a][b] & G._cons[a] & G._cons[b])
 
 
 def _diagonal_witnesses(G, quad, pool=None):
@@ -332,10 +440,9 @@ def _diagonal_witnesses(G, quad, pool=None):
     pairs of the quadrangle and consistent with all four corners, in id
     order."""
     s1, s2, s3, s4 = quad
-    m13 = G.completion.meet(s1, s3)
-    m24 = G.completion.meet(s2, s4)
-    hits = G._cov_hat[m13] & G._cov_hat[m24] \
-        & (G._point_mask if pool is None else pool)
+    hits = G.thru[s1][s3] & G.thru[s2][s4]
+    if pool is not None:
+        hits &= pool
     for s in quad:
         hits &= G._cons[s]
     return bits(hits)
@@ -374,112 +481,156 @@ def _paper_diagonal_witness(G, quad):
 def verify_projective(G):
     """Incidence-axiom report over the consistency cover: the degenerate
     triple axiom, the exchange axiom, nondegeneracy of quadrangles, and the
-    quadrangle axiom with the narrow restriction on non-starred planes."""
+    quadrangle axiom with the narrow restriction on non-starred planes.
+
+    The per-chart scans are replaced by the pairwise consistent sets they
+    amount to (see the module docstring).  "tuples" counts the distinct
+    (s1, s2, s3, s4), s3 < s4, with s1 and s2 covering the meet of s3 and
+    s4 and all four pairwise consistent: for each consistent (s3, s4) the
+    seed is thru[s3][s4] & cons[s3] & cons[s4], and each s1 of the seed
+    adds the popcount of seed & cons[s1].  "configs" counts the quadrangle
+    configurations, the vertices of the pairings of _quadrangles under
+    consistency.  The degenerate-triple axiom still runs chart by chart, as
+    its failure list repeats a pair for every chart that holds it."""
     cliques = G.consistency_cover()
+    thru, pencil = G.thru, G.pencil
     report = {}
 
+    charts = [sum(1 << x for x in U) for U in cliques]
     vy1_bad = []
-    for U in cliques:
-        for a in U:
-            for b in U:
-                if not G.colinear(a, b, b):
-                    vy1_bad.append((a, b))
+    for U, chart in zip(cliques, charts):
+        if any(chart & ~thru[b][b] for b in U):
+            vy1_bad.extend((a, b) for a in U for b in U
+                           if not thru[b][b] >> a & 1)
     report["vy1"] = {"pass": not vy1_bad, "failures": vy1_bad,
                      "cover_size": len(cliques)}
 
+    cons = G._cons
     vy2_bad = []
-    checked = set()
-    for U in cliques:
-        for s3, s4 in combinations(U, 2):
-            seed = [s for s in U if G.colinear(s, s3, s4)]
-            for s1 in seed:
-                for s2 in seed:
-                    key = (s1, s2, s3, s4)
-                    if key in checked:
-                        continue
-                    checked.add(key)
-                    if not G.colinear(s1, s2, s3):
-                        vy2_bad.append(key)
-    report["vy2"] = {"pass": not vy2_bad, "failures": vy2_bad,
-                     "tuples": len(checked)}
+    tuples = 0
+    for s3 in G.points:
+        for s4 in bits(cons[s3] & -(2 << s3)):
+            seed = thru[s3][s4] & cons[s3] & cons[s4]
+            for s1 in bits(seed):
+                met = seed & cons[s1]
+                tuples += met.bit_count()
+                # s1 is colinear with s2, s3 when s2 = s3 or s2 lies in
+                # the pencil of s1 at s3
+                bad = met & ~(pencil[s1].get(s3, 0) | 1 << s3)
+                if bad:
+                    vy2_bad.extend((s1, s2, s3, s4) for s2 in bits(bad))
+    report["vy2"] = {
+        "pass": not vy2_bad,
+        "failures": _scan_order(charts, vy2_bad,
+                                key=lambda t: (t[2], t[3], t[0], t[1])),
+        "tuples": tuples}
 
+    quadrangles = list(_quadrangles(G, cons))
     nondegen_bad = []
-    quad_configs = {}
-    for U in cliques:
-        for lam, p1, p2 in _quadrangles(G, U):
-            quad_configs.setdefault((lam, frozenset((p1, p2))), (lam, p1, p2))
-    for lam, (a, b), (c, d) in quad_configs.values():
-        quad = (a, b, c, d)
-        if lam in quad or not _quad_is_generic(G, quad):
-            continue
-        for s in quad:
-            if G.completion.real_id(s) is None:
-                nondegen_bad.append((lam,) + quad)
-                break
+    configs = 0
+    for quad, pairings in quadrangles:
+        flagged = quad & ~G._pure_mask and _quad_is_generic(G, quad)
+        for p1, p2, lams in pairings:
+            configs += lams.bit_count()
+            if flagged:
+                nondegen_bad.extend((lam,) + p1 + p2 for lam in bits(lams))
     report["nondegeneracy"] = {"pass": not nondegen_bad,
-                               "failures": nondegen_bad,
-                               "configs": len(quad_configs)}
+                               "failures": _scan_order(charts, nondegen_bad),
+                               "configs": configs}
 
-    vy3 = _verify_quadrangle_axiom(G, quad_configs.values())
+    vy3 = _verify_quadrangle_axiom(G, quadrangles, charts)
     report.update(vy3)
     report["pass"] = all(v["pass"] for v in report.values()
                          if isinstance(v, dict))
     return report
 
 
-def _verify_quadrangle_axiom(G, configs):
-    narrow = frozenset(G.pure_points) | G.hidden_narrow
-    narrow_mask = sum(1 << p for p in narrow)
+def _verify_quadrangle_axiom(G, quadrangles, charts):
+    narrow_mask = G._pure_mask | sum(1 << p for p in G.hidden_narrow)
     general_bad, restricted_bad = [], []
     n_general = n_restricted = n_starred = 0
     general_hits = restricted_hits = 0
-    seen_pairings = set()
-    for lam, (a, b), (c, d) in configs:
-        quad = (a, b, c, d)
-        if lam in quad or not _no_inner_colinearity(G, quad):
+    for quad, pairings in quadrangles:
+        if not _no_inner_colinearity(G, quad):
             continue
-        pairing = frozenset((frozenset((a, b)), frozenset((c, d))))
-        if pairing not in seen_pairings:
-            # witness existence does not involve lam; check once per pairing
-            seen_pairings.add(pairing)
+        starred = None
+        # x -> the quad plus x is orthogonally complete; the restricted
+        # tests below read it for vertices and witnesses alike
+        extends = {}
+        for (a, b), (c, d), lams in pairings:
+            corners = (a, b, c, d)
             n_general += 1
             for diag in ((a, b, c, d), (a, b, d, c)):
                 hits = _diagonal_witnesses(G, diag)
                 if not hits:
-                    general_bad.append((lam,) + quad)
+                    general_bad.append(
+                        (_first_vertex(charts, quad, lams),) + corners)
                     break
                 paper = _paper_diagonal_witness(G, diag)
                 if paper is not None and paper in hits:
                     general_hits += 1
-        five = set(quad) | {lam}
-        if not five <= narrow or not G.orthogonally_complete(five):
-            continue
-        if _config_on_starred_plane(G, lam, quad):
-            n_starred += 1
-            continue
-        n_restricted += 1
-        for diag in ((a, b, c, d), (a, b, d, c)):
-            hits = [w for w in _diagonal_witnesses(G, diag, pool=narrow_mask)
-                    if G.orthogonally_complete(set(diag) | {w})]
-            if not hits:
-                restricted_bad.append((lam,) + quad)
-                break
-            direct = _direct_diagonal_witness(G, diag)
-            if direct is not None and direct in hits:
-                restricted_hits += 1
+            if quad & ~narrow_mask:
+                continue
+            five = [lam for lam in bits(lams & narrow_mask)
+                    if _extends(G, quad, lam, extends)]
+            if not five:
+                continue
+            if starred is None:
+                starred = _config_on_starred_plane(G, corners)
+            if starred:
+                n_starred += len(five)
+                continue
+            # what follows reads only the pairing: weigh it by the vertices
+            n_restricted += len(five)
+            for diag in ((a, b, c, d), (a, b, d, c)):
+                hits = [w for w in _diagonal_witnesses(G, diag,
+                                                       pool=narrow_mask)
+                        if _extends(G, quad, w, extends)]
+                if not hits:
+                    restricted_bad.extend((lam,) + corners for lam in five)
+                    break
+                direct = _direct_diagonal_witness(G, diag)
+                if direct is not None and direct in hits:
+                    restricted_hits += len(five)
     return {
-        "vy3": {"pass": not general_bad, "failures": general_bad,
+        "vy3": {"pass": not general_bad,
+                "failures": _scan_order(charts, general_bad),
                 "configs": n_general,
                 "paper_witness_hits": general_hits},
         "vy3_restricted": {"pass": not restricted_bad,
-                           "failures": restricted_bad,
+                           "failures": _scan_order(charts, restricted_bad),
                            "configs": n_restricted,
                            "starred_flagged": n_starred,
                            "paper_witness_hits": restricted_hits},
     }
 
 
-def _config_on_starred_plane(G, lam, quad):
+def _extends(G, quad, x, known):
+    """The quad mask plus x is orthogonally complete; memoised in known."""
+    hit = known.get(x)
+    if hit is None:
+        hit = known[x] = _orthogonally_complete(G, quad | 1 << x)
+    return hit
+
+
+def _first_vertex(charts, quad, lams):
+    """The vertex a per-chart scan meets the pairing at first: the lowest
+    one in the first chart, in cover order, that holds the four flanks and
+    a vertex."""
+    chart = next(c for c in charts if not quad & ~c and lams & c)
+    return bits(lams & chart)[0]
+
+
+def _scan_order(charts, failures, key=tuple):
+    """Failures in the order a per-chart scan meets them: by the first
+    chart, in cover order, that holds all their points, then by key."""
+    def first_chart(entry):
+        held = sum(1 << x for x in set(entry))
+        return next(i for i, chart in enumerate(charts) if not held & ~chart)
+    return sorted(failures, key=lambda entry: (first_chart(entry), key(entry)))
+
+
+def _config_on_starred_plane(G, quad):
     """The plane spanned by the quadrangle is starred exactly when some pure
     centre has both of its one-factor starred partners among the corners and
     the remaining corners stay on the centre's two coordinate lines.  When
@@ -524,36 +675,47 @@ def verify_ortho(G, wide=None):
     report = {}
     pts = G.points
 
-    report["o1"] = {"pass": not any(G.perp[p, p] for p in pts)}
-    report["o2"] = {"pass": all(bool(G.perp[p, q]) == bool(G.perp[q, p])
-                                for p in pts for q in pts)}
+    rows, cols = G.perp_rows, G.perp_cols
+    report["o1"] = {"pass": not any(rows[p] >> p & 1 for p in pts)}
+    # perp is symmetric on the points when every row equals its column
+    report["o2"] = {"pass": all(rows[p] == cols[p] for p in pts)}
 
     o3_bad = []
     for U in G.consistency_cover():
+        chart = sum(1 << x for x in U)
         for a, b in combinations(U, 2):
-            eps = [e for e in U if G.perp[e, a] and G.perp[e, b]]
+            eps = chart & cols[a] & cols[b]
             if not eps:
                 continue
-            line = [d for d in U if G.colinear(d, a, b)]
-            for e in eps:
-                for d in line:
-                    if not G.perp[e, d]:
-                        o3_bad.append((a, b, e, d))
+            line = G.thru[a][b] & chart
+            for e in bits(eps):
+                o3_bad.extend((a, b, e, d) for d in bits(line & ~rows[e]))
     report["o3"] = {"pass": not o3_bad, "failures": o3_bad}
 
     o4_bad, irr_bad = [], []
     o4_witness_hits = 0
-    for a, b in permutations(pts, 2):
-        if a == b or not G.consistent(a, b):
-            continue
-        third = [e for e in _third_points(G, a, b)
-                 if G.orthogonally_complete({a, b, e})]
-        if not any(G.perp[e, a] for e in third):
-            o4_bad.append((a, b))
-        elif _o4_paper_witness(G, a, b) in third:
-            o4_witness_hits += 1
-        if not any(k not in (a, b) for k in third):
-            irr_bad.append((a, b))
+    # pair mask -> its third points e with {a, b, e} orthogonally complete;
+    # a and b themselves always qualify, as two points hold no triple
+    thirds = {}
+    for a in pts:
+        profile = None if G.completion.real_id(a) is not None \
+            else G.hidden_profile(a)
+        for b in bits(G._cons[a] & ~(1 << a)):
+            pair = 1 << a | 1 << b
+            third = thirds.get(pair)
+            if third is None:
+                third = sum(1 << e for e in _third_points(G, a, b)
+                            if pair >> e & 1
+                            or _orthogonally_complete(G, pair | 1 << e))
+                thirds[pair] = third
+            if not third & cols[a]:
+                o4_bad.append((a, b))
+            else:
+                witness = _o4_paper_witness(G, a, b, profile)
+                if witness is not None and third >> witness & 1:
+                    o4_witness_hits += 1
+            if not third & ~pair:
+                irr_bad.append((a, b))
     report["o4"] = {"pass": not o4_bad, "failures": o4_bad,
                     "paper_witness_hits": o4_witness_hits}
     # the double-starred pure pairs are the diagonals of starred planes;
@@ -574,9 +736,10 @@ def verify_ortho(G, wide=None):
     return report
 
 
-def _o4_paper_witness(G, a, b):
+def _o4_paper_witness(G, a, b, profile):
     """The orthogonal third point: star of a (or of a's distinguished pure)
-    joined with the meet toward b."""
+    joined with the meet toward b.  profile is G.hidden_profile(a) for a
+    hidden a, which depends on a alone."""
     comp = G.completion
     base = comp.base
     if comp.real_id(a) is not None:
@@ -585,7 +748,6 @@ def _o4_paper_witness(G, a, b):
         if m_real is None or m_real == base.space.bottom:
             return None
         return comp.sharpening([base.star_of(comp.real_id(a)), m_real])
-    profile = G.hidden_profile(a)
     if profile is None:
         return None
     gamma, oriented = profile
@@ -678,9 +840,8 @@ def _check_type1_structure(G):
                 bad.append((chi, delta, "pattern", got, expect))
                 continue
             U = {chi, p, q, partner}
-            ids = [x for x in U if x in G._cons]
-            chart = sum(1 << x for x in ids)
-            if not all(G._cons[x] & chart == chart for x in ids):
+            chart = sum(1 << x for x in U)
+            if not all(G._cons[x] & chart == chart for x in U):
                 bad.append((chi, delta, "chart not consistent"))
                 continue
             if not G.orthogonally_complete(U):

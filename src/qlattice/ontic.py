@@ -146,11 +146,23 @@ def closure(space, members):
 
 
 def is_star_free(rs, members):
-    """No member's star sits below another member."""
-    for x in members:
-        for y in members:
-            if rs.space.leq[rs.star_of(x), y]:
-                return False
+    """No member's star sits below a member.
+
+    The members are taken in turn against the masks of those before them:
+    y completes a bad pair when it lies above the star of an earlier
+    member, or when its own star lies below an earlier member or below y.
+    That is one up-set AND per member, and the test stops at the first
+    member that completes a bad pair."""
+    up = rs.space.up
+    held = above = 0
+    for y in members:
+        y = int(y)
+        bit = 1 << y
+        star_up = up[rs.star_of(y)]
+        if above & bit or star_up & (held | bit):
+            return False
+        held |= bit
+        above |= star_up
     return True
 
 

@@ -3,15 +3,18 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from qlattice.core_order import bits
+from qlattice.core_order import InputError, bits
 from qlattice.geometry import (_bron_kerbosch, _diagonal_witnesses,
+                               _no_inner_colinearity, _quadrangles,
                                _third_points, verify_projective,
                                verify_ortho, verify_invariants,
                                covering_preservation_report,
                                export_incidence)
 
+import geometry_reference as ref
 from test_core_order import _brute_covers
 
 
@@ -116,7 +119,7 @@ def test_colinearity_basics(geo_narrow):
     m = G.completion.meet(a, b)
     for c in G.points:
         if G.colinear(c, a, b):
-            assert G._cov_hat[m] >> c & 1
+            assert G.completion.space.covers[m] >> c & 1
 
 
 def test_witness_masks_match_point_scan(geo_wide):
@@ -184,3 +187,189 @@ def test_incidence_export_shape(geo_narrow):
     assert len(data["points"]) == 80
     assert len(data["hidden"]) == 64
     assert data["lines"]
+
+
+# -- the mask tables against the per-call reference --------------------------
+
+class _BentCompletion(object):
+    """A completion whose cover rows are replaced; everything else,
+    meets included, is the wrapped completion's."""
+
+    def __init__(self, comp, covers):
+        self._comp = comp
+        self.space = copy.copy(comp.space)
+        self.space.covers = covers
+
+    def __getattr__(self, name):
+        return getattr(self._comp, name)
+
+    def meet(self, i, j):
+        return self.space.meet(i, j)
+
+
+def _bent_covers(G, seed, flips=100):
+    """A copy whose completion cover rows have random point bits flipped,
+    tables rebuilt: colinearity no longer follows a geometry, so the
+    exchange axiom fails.  The narrow family is emptied, because the
+    starred-plane test assumes the real consistency relation."""
+    rng = random.Random(seed)
+    covers = list(G.completion.space.covers)
+    for _ in range(flips):
+        covers[rng.randrange(len(covers))] ^= 1 << rng.choice(G.points)
+    H = copy.copy(G)
+    H.completion = _BentCompletion(G.completion, tuple(covers))
+    H.thru, H.pencil = H._incidence_tables()
+    H.hidden_narrow = frozenset()
+    return H
+
+
+def _fewer_consistent(G, seed, drops=200):
+    """A copy with random consistent pairs made inconsistent."""
+    rng = random.Random(seed)
+    cons = dict(G._cons)
+    pairs = [(x, y) for x, y in combinations(G.points, 2) if cons[x] >> y & 1]
+    for x, y in rng.sample(pairs, drops):
+        cons[x] ^= 1 << y
+        cons[y] ^= 1 << x
+    H = copy.copy(G)
+    H._cons = cons
+    H._cliques = None
+    return H
+
+
+def _merged_chart(G, seed, size=24):
+    """A copy where a random point set is made pairwise consistent, so
+    quadrangles cross the real charts; the narrow family is emptied, as in
+    _bent_covers."""
+    rng = random.Random(seed)
+    group = sum(1 << x for x in rng.sample(G.points, size))
+    H = copy.copy(G)
+    H._cons = {p: m | group if group >> p & 1 else m
+               for p, m in G._cons.items()}
+    H._cliques = None
+    H.hidden_narrow = frozenset()
+    return H
+
+
+def _asymmetric_perp(G, seed, density):
+    """A copy with a random, not symmetric, orthogonality matrix."""
+    H = copy.copy(G)
+    H.perp = np.random.default_rng(seed).random(G.perp.shape) < density
+    H.perp_rows, H.perp_cols = H._perp_masks()
+    assert (H.perp != H.perp.T).any()
+    return H
+
+
+def test_incidence_tables_match_meets_and_covers(geo_wide, geo_narrow):
+    rng = random.Random(2)
+    for G in (geo_wide, geo_narrow):
+        hat = G.completion.space
+        everything = sum(1 << p for p in G.points)
+        for b in G.points:
+            for c in G.points:
+                want = everything if b == c \
+                    else hat.covers[hat.meet(b, c)] & everything
+                assert G.thru[b][c] == want
+        for lam in rng.sample(G.points, 20):
+            for a in G.points:
+                want = sum(1 << b for b in G.points
+                           if b != a and G.thru[a][b] >> lam & 1)
+                assert G.pencil[lam].get(a, 0) == want
+        H = _asymmetric_perp(G, 4, 0.3)
+        for x in G.points:
+            for y in G.points:
+                assert H.perp_rows[x] >> y & 1 == H.perp[x, y]
+                assert H.perp_cols[y] >> x & 1 == H.perp[x, y]
+
+
+def test_colinear_and_line_match_reference(geo_wide):
+    G = geo_wide
+    rng = random.Random(8)
+    pts = G.points
+    for _ in range(3000):
+        a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
+        assert G.colinear(a, b, c) == ref.colinear(G, a, b, c)
+    for a, b in rng.sample(list(combinations(pts, 2)), 400):
+        assert G.line(a, b) == ref.line(G, a, b)
+
+
+def test_non_points_raise_input_error(geo_narrow):
+    G = geo_narrow
+    a = G.points[0]
+    outside = next(x for x in range(G.completion.space.n)
+                   if x not in G.points)
+    for args in ((outside, a, a), (a, outside, a), (a, a, outside)):
+        with pytest.raises(InputError):
+            G.colinear(*args)
+    with pytest.raises(InputError):
+        G.line(a, outside)
+
+
+def test_orthogonally_complete_matches_reference(geo_narrow, geo_wide):
+    rng = random.Random(6)
+    decided_by_quadrangle = 0
+    for G in (geo_narrow, _asymmetric_perp(geo_narrow, 1, 0.4),
+              _asymmetric_perp(geo_wide, 2, 0.6)):
+        subsets = [set(rng.sample(U, min(k, len(U))))
+                   for U in rng.sample(G.consistency_cover(), 40)
+                   for k in (3, 4, 5, 6, 7, len(U))]
+        # a vertex and its flanks: five points that hold a quadrangle
+        subsets += [{lam} | set(p1 + p2) for lam, p1, p2
+                    in rng.sample(ref.quadrangle_configs(G), 200)]
+        for S in subsets:
+            want = ref.orthogonally_complete(G, S)
+            assert G.orthogonally_complete(S) == want
+            if len(S) == 5 and not want \
+                    and ref.orthogonally_complete(G, S, quads=False):
+                decided_by_quadrangle += 1
+    # five points are enough for a quadrangle to decide completeness
+    assert decided_by_quadrangle
+
+
+def test_quadrangles_match_reference(geo_wide):
+    rng = random.Random(9)
+    for G in (geo_wide, _fewer_consistent(geo_wide, 1),
+              _merged_chart(geo_wide, 2)):
+        got = set()
+        for quad, pairings in _quadrangles(G, G._cons):
+            for p1, p2, lams in pairings:
+                assert sum(1 << x for x in p1 + p2) == quad
+                got.update((lam, p1, p2) for lam in bits(lams))
+        configs = ref.quadrangle_configs(G)
+        assert got == set(configs)
+        for lam, p1, p2 in rng.sample(configs, 300):
+            quad = p1 + p2
+            assert _no_inner_colinearity(G, sum(1 << x for x in quad)) \
+                == ref.no_inner_colinearity(G, quad)
+
+
+def test_projective_reports_match_reference(geo_wide):
+    failing = set()
+    for G in (geo_wide, _bent_covers(geo_wide, 0),
+              _fewer_consistent(geo_wide, 3), _merged_chart(geo_wide, 0)):
+        report = verify_projective(G)
+        assert report == ref.verify_projective(G)
+        failing.update(k for k, v in report.items()
+                       if isinstance(v, dict) and v["failures"])
+    # every failure list is compared on some nonempty instance
+    assert failing == {"vy2", "nondegeneracy", "vy3", "vy3_restricted"}
+
+
+def test_ortho_reports_match_reference(geo_narrow, geo_wide):
+    failing = set()
+    cases = [(geo_narrow, geo_wide),
+             (_asymmetric_perp(geo_narrow, 1, 0.3),
+              _asymmetric_perp(geo_wide, 2, 0.3)),
+             (_fewer_consistent(geo_narrow, 3),
+              _fewer_consistent(geo_wide, 3))]
+    bent = _bent_covers(geo_narrow, 5)
+    bent.hidden_narrow = geo_narrow.hidden_narrow
+    cases.append((bent, _bent_covers(geo_wide, 6)))
+    for G, wide in cases:
+        report = verify_ortho(G, wide=wide)
+        assert report == ref.verify_ortho(G, wide=wide)
+        failing.update(k for k, v in report.items()
+                       if isinstance(v, dict) and not v["pass"])
+    assert failing == {"o1", "o2", "o3", "o4", "irreducibility",
+                       "structure_type1", "structure_type2",
+                       "wide_exclusion"}

@@ -43,6 +43,38 @@ def test_star_freeness():
     assert is_unbounded_star_free(rs, (a, b))
 
 
+def _star_free_by_leq(rs, members):
+    """The reference: one dense leq read per ordered member pair."""
+    return not any(rs.space.leq[rs.star_of(x), y]
+                   for x in members for y in members)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spin_space(2), lambda: spin_space(3), lambda: spin_space(4),
+    lambda: simplex_space(2), lambda: simplex_space(3),
+    lambda: simplex_space(4),
+    lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+    lambda: build_tensor(spin_space(3), spin_space(2)).real_space,
+], ids=["spin2", "spin3", "spin4", "simplex2", "simplex3", "simplex4",
+        "z2z2", "z3z2"])
+def test_star_free_masks_match_leq(make):
+    rs = make()
+    space = rs.space
+    others = [i for i in range(space.n) if i != space.bottom]
+    rng = random.Random(space.n)
+    sets = [(x,) for x in others]
+    sets += [tuple(rng.sample(others, rng.randint(2, min(4, len(others)))))
+             for _ in range(300)]
+    # closed antichains, the inputs the completion passes
+    sets += [closure(space, s) for s in sets[-100:]]
+    verdicts = set()
+    for members in sets:
+        want = _star_free_by_leq(rs, members)
+        assert is_star_free(rs, members) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_completion_z2_shape(z2, z2_completion):
     comp = z2_completion
     assert len(comp) == 9

@@ -1,17 +1,23 @@
-"""Time the large tensor and completion builds, each in a fresh process.
+"""Time the large builds and the geometry checks, each in a fresh process.
 
     python3 tools/scale_rows.py OUT.json
 
 The rows are the Z2⊗Z2 completion, the Z3⊗Z2 tensor and its completion,
-and the Z3⊗Z3 and Z4⊗Z4 tensors.  Each row runs in its own interpreter
-(this script with `--child NAME`), so no memo or allocator state carries
-from one row to the next; the child reports its wall time, the element
-count it built and its peak resident set size.  A completion row times the
-tensor and the completion together and also reports the tensor on its own.
-OUT.json gets one entry per row plus the host it ran on.
+the Z3⊗Z3 and Z4⊗Z4 tensors, and the Z3⊗Z2 geometry.  Each row runs in its
+own interpreter (this script with `--child NAME`), so no memo or allocator
+state carries from one row to the next; the child reports its wall time,
+the element count it built and its peak resident set size.  A completion
+row times the tensor and the completion together and also reports the
+tensor on its own.  The geometry row goes on to build the wide and narrow
+geometries over the completion and run verify_projective, verify_ortho and
+verify_invariants; it reports the time of that part on its own and of each
+verifier, the point counts, the verifiers' counts and pass flags, and a
+digest of the full reports.  OUT.json gets one entry per row plus the host
+it ran on.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -22,13 +28,14 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# name: (spin axes of the left factor, of the right factor, complete it)
+# name: (spin axes of the left factor, of the right factor, last stage)
 ROWS = {
-    "z2z2-completion": (2, 2, True),
-    "z3z2-tensor": (3, 2, False),
-    "z3z2-completion": (3, 2, True),
-    "z3z3-tensor": (3, 3, False),
-    "z4z4-tensor": (4, 4, False),
+    "z2z2-completion": (2, 2, "completion"),
+    "z3z2-tensor": (3, 2, "tensor"),
+    "z3z2-completion": (3, 2, "completion"),
+    "z3z3-tensor": (3, 3, "tensor"),
+    "z4z4-tensor": (4, 4, "tensor"),
+    "z3z2-geometry": (3, 2, "geometry"),
 }
 
 
@@ -38,18 +45,50 @@ def run_row(name):
     from qlattice.ontic import OnticCompletion
     from qlattice.realspaces import spin_space
     from qlattice.tensor import build_tensor
-    na, nb, complete = ROWS[name]
+    na, nb, stage = ROWS[name]
     start = time.perf_counter()
     ts = build_tensor(spin_space(na), spin_space(nb))
     out = {"name": name, "tensor_s": time.perf_counter() - start,
            "tensor_elements": len(ts)}
     elements = len(ts)
-    if complete:
-        elements = OnticCompletion(ts.real_space).space.n
+    if stage != "tensor":
+        comp = OnticCompletion(ts.real_space)
+        elements = comp.space.n
+    if stage == "geometry":
+        out.update(run_geometry(comp, ts))
     out["wall_s"] = time.perf_counter() - start
     out["elements"] = elements
     out["peak_rss_mb"] = resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return out
+
+
+def run_geometry(comp, ts):
+    """Build both geometries over a completion and run the verifiers, as
+    the geometry check of `qlattice verify` does on two qubits."""
+    from qlattice.geometry import (build_geometry, verify_invariants,
+                                   verify_ortho, verify_projective)
+    start = time.perf_counter()
+    wide = build_geometry(comp, ts, variant="wide")
+    narrow = build_geometry(comp, ts, variant="narrow")
+    out = {"points": {"wide": len(wide), "narrow": len(narrow)}}
+    reports = {}
+    for key, verify, args in (
+            ("projective", verify_projective, (wide,)),
+            ("ortho", verify_ortho, (narrow, wide)),
+            ("invariants", verify_invariants, (wide, 400, 7))):
+        begin = time.perf_counter()
+        reports[key] = verify(*args)
+        out[verify.__name__ + "_s"] = time.perf_counter() - begin
+    out["geometry_s"] = time.perf_counter() - start
+    # each section's counts and pass flags, and the length of its failures
+    out["reports"] = {
+        key: {part: {k: len(v) if isinstance(v, list) else v
+                     for k, v in section.items()}
+              for part, section in report.items() if isinstance(section, dict)}
+        for key, report in reports.items()}
+    out["reports_sha256"] = hashlib.sha256(
+        json.dumps(reports, sort_keys=True).encode()).hexdigest()
     return out
 
 
