@@ -649,9 +649,12 @@ def _config_on_starred_plane(G, quad):
 
 
 def _shares_coordinate(G, x, y):
-    cx = G.coords[G.completion.real_id(x)]
-    cy = G.coords[G.completion.real_id(y)]
-    return any(a == b for a, b in zip(cx, cy))
+    """x and y lie on a common coordinate line.  The lines hold pure points
+    only, so a hidden point is on none of them."""
+    rx, ry = G.completion.real_id(x), G.completion.real_id(y)
+    if rx is None or ry is None:
+        return False
+    return any(a == b for a, b in zip(G.coords[rx], G.coords[ry]))
 
 
 def _direct_diagonal_witness(G, quad):
@@ -903,23 +906,11 @@ def verify_invariants(G, samples=200, seed=0):
     report["rek1"] = {"pass": not rek1_bad, "failures": rek1_bad}
 
     zl_bad = []
-    pures = base.space.pures()
-    covered = {}
-    for lam in pures:
-        covered[lam] = [(a, b) for a, b in combinations(pures, 2)
-                        if lam not in (a, b)
-                        and G._cov_real[base.space.meet(a, b)] >> lam & 1]
-    for lam in pures:
-        for (a, b), (c, d) in combinations(covered[lam], 2):
-            if len({a, b, c, d}) != 4:
-                continue
-            if base.space.meet(a, b) == base.space.meet(c, d):
-                continue
-            five = [lam, a, b, c, d]
-            agree = [i for i in range(G.n_factors)
-                     if len({G.coords[s][i] for s in five}) == 1]
-            if len(agree) < G.n_factors - 2:
-                zl_bad.append(tuple(five))
+    for five in _covered_quadrangles(base.space):
+        agree = [i for i in range(G.n_factors)
+                 if len({G.coords[s][i] for s in five}) == 1]
+        if len(agree) < G.n_factors - 2:
+            zl_bad.append(five)
     report["covered_quadruple_coordinates"] = {"pass": not zl_bad,
                                                "failures": zl_bad}
 
@@ -1000,6 +991,22 @@ def _pure_by_coords(G, t):
 
 # -- covering preservation -------------------------------------------------------
 
+def _covered_quadrangles(space):
+    r"""The configurations (lam, a, b, c, d) of pures in which lam covers the
+    two distinct pair meets a /\ b and c /\ d, all five pures distinct, by
+    lam and then by the pairs in combination order."""
+    cov = space.covers
+    pures = space.pures()
+    covered = {lam: [(a, b) for a, b in combinations(pures, 2)
+                     if lam not in (a, b) and cov[space.meet(a, b)] >> lam & 1]
+               for lam in pures}
+    for lam in pures:
+        for (a, b), (c, d) in combinations(covered[lam], 2):
+            if len({a, b, c, d}) == 4 \
+                    and space.meet(a, b) != space.meet(c, d):
+                yield lam, a, b, c, d
+
+
 def covering_preservation_report(rs):
     """Both covering laws on a real space: pairwise meets of distinct pures
     are covered by each, and when a pure covers two distinct pair meets the
@@ -1014,20 +1021,12 @@ def covering_preservation_report(rs):
             first_bad.append((a, b))
     second_bad = []
     n_second = 0
-    covered = {lam: [(a, b) for a, b in combinations(pures, 2)
-                     if lam not in (a, b) and cov[space.meet(a, b)] >> lam & 1]
-               for lam in pures}
-    for lam in pures:
-        for (a, b), (c, d) in combinations(covered[lam], 2):
-            if len({a, b, c, d, lam}) != 5:
-                continue
-            mab, mcd = space.meet(a, b), space.meet(c, d)
-            if mab == mcd:
-                continue
-            n_second += 1
-            total = space.meet_all([a, b, c, d])
-            if not cov[total] >> mab & cov[total] >> mcd & 1:
-                second_bad.append((lam, a, b, c, d))
+    for lam, a, b, c, d in _covered_quadrangles(space):
+        mab, mcd = space.meet(a, b), space.meet(c, d)
+        n_second += 1
+        total = space.meet_all([a, b, c, d])
+        if not cov[total] >> mab & cov[total] >> mcd & 1:
+            second_bad.append((lam, a, b, c, d))
     return {
         "first": {"pass": not first_bad, "failures": first_bad,
                   "pairs": len(pures) * (len(pures) - 1) // 2},

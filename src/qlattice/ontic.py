@@ -14,6 +14,19 @@ pair of reals has an inadmissible join, every union that contains the pair
 (or two reals above it) is inadmissible too, and the completion answers it
 without a closure.
 
+The completion keys its elements and its join memo by down-set; the closed
+down-sets form a closure system on the reals (Caspard and Monjardet, "The
+lattices of closure systems, closure operators, and implicational systems
+on a finite set: a survey", Discrete Applied Mathematics 127(2), 2003).
+This is exact.  The trace of z in a pre-closure step is D(z) ∩ D(U), so a
+closure depends on the union's down-set D(U) alone.  An element is the
+antichain of maximal reals of its closed down-set, so distinct elements
+have distinct keys.  Two incomparable reals are the maximal elements of
+their union's down-set, so the first level of the search meets every such
+pair as a two-member union, and the pair table fills as on antichains.
+The pair test is sound whichever members it looks at: a member and a real
+below the union that form a bad pair both lie in the union's down-set.
+
 One pre-closure step is bit-sliced, in the manner of the bit-vector lattice
 encodings of Aït-Kaci, Boyer, Lincoln and Nasr ("Efficient implementation
 of lattice operations", TOPLAS 11(1), 1989) and of the carry trick that
@@ -179,11 +192,19 @@ def is_unbounded_star_free(rs, members):
     return True
 
 
-def is_admissible(rs, members):
-    members = [m for m in members if m != rs.space.bottom]
+def sharpen(rs, members):
+    """The canonical antichain of the closure of the non-bottom members, or
+    None when it is not star-free; the bottom alone for no such member."""
+    space = rs.space
+    members = [m for m in members if m != space.bottom]
     if not members:
-        return True
-    return is_star_free(rs, closure(rs.space, members))
+        return (space.bottom,)
+    out = closure(space, members)
+    return out if is_star_free(rs, out) else None
+
+
+def is_admissible(rs, members):
+    return sharpen(rs, members) is not None
 
 
 class OnticCompletion(object):
@@ -192,7 +213,8 @@ class OnticCompletion(object):
     Elements are canonical admissible antichains of non-bottom reals; the
     bottom is the singleton of the real bottom.  The enumeration closes the
     real singletons under binary joins, which reaches every canonical
-    antichain (each one is the join of its own members).
+    antichain (each one is the join of its own members).  Elements are keyed
+    by their closed down masks, and the order is inclusion of those masks.
     """
 
     def __init__(self, rs, cap=10 ** 6):
@@ -200,59 +222,49 @@ class OnticCompletion(object):
             raise InputError("completion needs a RealSpace")
         self.base = rs
         real = rs.space
-        singles = [(i,) for i in range(real.n) if i != real.bottom]
-        elements = {(real.bottom,)}
-        elements.update(singles)
-        self._join_cache = {}
+        down = real.down
+        # bottom up, so that small inadmissible pairs are recorded first and
+        # decide more of the larger unions without a closure
+        singles = sorted((i for i in range(real.n) if i != real.bottom),
+                         key=lambda i: (down[i].bit_count(), i))
+        # closed down mask -> canonical antichain
+        found = {down[real.bottom]: (real.bottom,)}
+        found.update((down[i], (i,)) for i in singles)
+        self._joins = {}
         # bit y of _bad_pairs[x]: the join of x and y is inadmissible; the
         # first level of the search tries every pair, so the table is
         # complete before any union of three or more reals
         self._bad_pairs = [0] * real.n
-        frontier = list(elements)
+        frontier = [down[i] for i in singles]
         candidates = 0
         while frontier:
             fresh = []
-            for u in frontier:
-                if u == (real.bottom,):
-                    continue
-                u_mask = 0
-                for x in u:
-                    u_mask |= 1 << x
+            for d in frontier:
+                anti = found[d]
                 for s in singles:
-                    if real.up[s[0]] & u_mask:
+                    if d >> s & 1:
                         continue
                     candidates += 1
                     if candidates > cap:
                         raise CapExceeded(
                             "completion candidate cap hit after %d elements"
-                            % len(elements))
-                    j = self._join_antichains(u, s)
-                    if j is not None and j not in elements:
-                        elements.add(j)
+                            % len(found))
+                    j = self._join(anti + (s,), d | down[s])
+                    if j is not None and j not in found:
+                        found[j] = tuple(x for x in bits(j)
+                                         if real.up[x] & j == 1 << x)
                         fresh.append(j)
             frontier = fresh
-        order = sorted(elements, key=lambda u: (len(u), u))
-        self.elements = order
-        self._elem_index = {u: k for k, u in enumerate(order)}
-        names = [self._name(u) for u in order]
-        # u <= v when every member of u lies below some member of v, that is
-        # when the down-set of u is inside the down-set of v
-        downs = []
-        for u in order:
-            d = 0
-            for x in u:
-                d |= real.down[x]
-            downs.append(d)
-        self.space = StateSpace(names, inclusion_order(downs))
-        real_ids = [self._elem_index[(i,)] for i in range(real.n)
-                    if i != real.bottom]
-        bottom_id = self._elem_index[(real.bottom,)]
-        star = {}
-        for i in range(real.n):
-            if i != real.bottom:
-                star[self._elem_index[(i,)]] = self._elem_index[(rs.star_of(i),)]
+        keyed = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
+        self.elements = [u for _, u in keyed]
+        self._keys = [d for d, _ in keyed]
+        self._index = {d: k for k, d in enumerate(self._keys)}
+        names = [self._name(u) for u in self.elements]
+        self.space = StateSpace(names, inclusion_order(self._keys))
+        reals = [i for i in range(real.n) if i != real.bottom]
+        star = {self.embed(i): self.embed(rs.star_of(i)) for i in reals}
         self.embedding = RealStructureEmbedding(
-            self.space, real_ids + [bottom_id], star)
+            self.space, [self.embed(i) for i in reals + [real.bottom]], star)
 
     def _name(self, u):
         real = self.base.space
@@ -260,43 +272,36 @@ class OnticCompletion(object):
             return real.names[u[0]]
         return "{" + ",".join(real.names[i] for i in u) + "}"
 
-    def _join_antichains(self, u, v):
-        """Canonical join, or None when the union is inadmissible."""
-        real = self.base.space
-        merged = sorted(set(u) | set(v))
-        merged = tuple(m for m in merged if m != real.bottom)
-        if not merged:
-            return (real.bottom,)
-        if merged in self._join_cache:
-            return self._join_cache[merged]
-        below = 0
-        for m in merged:
-            below |= real.down[m]
+    def _join(self, members, below):
+        """The closed down mask of the join of some reals whose down-sets
+        OR to below, or None when their union is inadmissible; memoized on
+        below."""
+        if below in self._joins:
+            return self._joins[below]
         bad = self._bad_pairs
+        out = None
         # a known inadmissible pair below the union decides it.  Once the
         # table is complete the members are enough to look at: such a pair
         # lies below two distinct members (x and x* have no common upper
         # bound, so a single real is admissible), and their join is
         # inadmissible as well
-        if any(bad[m] & below for m in merged):
-            out = None
-        else:
-            out = closure(real, merged)
-            if not is_star_free(self.base, out):
-                out = None
-        if out is None and len(merged) == 2:
-            a, b = int(merged[0]), int(merged[1])
+        if not any(bad[m] & below for m in members):
+            anti = sharpen(self.base, members)
+            if anti is not None:
+                out = 0
+                for x in anti:
+                    out |= self.base.space.down[x]
+        if out is None and len(members) == 2:
+            a, b = (int(m) for m in members)
             bad[a] |= 1 << b
             bad[b] |= 1 << a
-        self._join_cache[merged] = out
+        self._joins[below] = out
         return out
 
     # -- queries -----------------------------------------------------------
 
     def embed(self, real_id):
-        return self._elem_index[(int(real_id),)] \
-            if real_id != self.base.space.bottom \
-            else self._elem_index[(self.base.space.bottom,)]
+        return self._index[self.base.space.down[real_id]]
 
     def components(self, idx):
         """The canonical antichain of maximal reals below an element."""
@@ -304,8 +309,13 @@ class OnticCompletion(object):
 
     def sharpening(self, members):
         """Least element dominating a set of reals, or None if inadmissible."""
-        u = self._join_antichains(tuple(members), ())
-        return None if u is None else self._elem_index[u]
+        members = tuple(members)
+        down = self.base.space.down
+        below = 0
+        for m in members:
+            below |= down[m]
+        d = self._join(members, below)
+        return None if d is None else self._index[d]
 
     def real_id(self, idx):
         """The base element for a real completion element, else None."""
@@ -322,8 +332,9 @@ class OnticCompletion(object):
 
     def join(self, i, j):
         """Canonical join, or None when the union is inadmissible."""
-        u = self._join_antichains(self.elements[i], self.elements[j])
-        return None if u is None else self._elem_index[u]
+        d = self._join(self.elements[i] + self.elements[j],
+                       self._keys[i] | self._keys[j])
+        return None if d is None else self._index[d]
 
     def serialize_element(self, idx):
         return sorted(self.base.space.names[i] for i in self.elements[idx])

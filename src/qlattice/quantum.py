@@ -11,7 +11,9 @@ The Bell pipeline builds the hidden state
 
 computes its four measurement marginals in the boolean tensor square, and
 scans the whole fourfold boolean simplex power for a global state matching
-all four at once.  Absence of such a state is Bell non-locality.
+all four at once.  Absence of such a state is Bell non-locality.  Sigma is
+closed on the tensor's real space and held as its canonical antichain, so
+the completion of the tensor is never enumerated.
 """
 
 import functools
@@ -21,11 +23,17 @@ import numpy as np
 from .core_order import YES, NO, BOT, InputError
 from . import chu
 from .realspaces import bool_real_space, spin_space, is_deterministic
-from .tensor import build_tensor, indeterministic_tensor, SimplexPower
-from .ontic import closure, build_completion
+from .tensor import build_tensor, SimplexPower
+from .ontic import build_completion, sharpen
 from .contextuality import find_joint_morphism
 
 BOOL_ID = {YES: 0, NO: 1, BOT: 2}
+
+
+@functools.cache
+def bool_square():
+    """The boolean tensor square (15 elements), built once per process."""
+    return build_tensor(bool_real_space(), bool_real_space())
 
 
 # -- broadcasting -----------------------------------------------------------
@@ -81,7 +89,7 @@ def broadcast_obstruction(rs, confirm_cap=12):
         }
     s1, s2 = _indeterministic_pair(rs)
     s1s, s2s = rs.star_of(s1), rs.star_of(s2)
-    bb = build_tensor(bool_real_space(), bool_real_space())
+    bb = bool_square()
     y, n, bot = 0, 1, 2
     forced = {
         space.names[s1]: bb.index_of([(y, bot)]),
@@ -109,16 +117,17 @@ def broadcast_obstruction(rs, confirm_cap=12):
 # -- the Bell scenario ------------------------------------------------------
 
 class BellScenario(object):
-    """A bipartite completed tensor with the candidate non-local state and
-    the two pairs of sharp measurements l(s, s*) on each side."""
+    """A bipartite tensor with the candidate non-local state and the two
+    pairs of sharp measurements l(s, s*) on each side.  sigma is the
+    state's canonical antichain of tensor element ids; it is hidden, having
+    two or more members."""
 
-    def __init__(self, left, right, s1, s2, t1, t2, ts=None, completion=None):
+    def __init__(self, left, right, s1, s2, t1, t2, ts=None):
         self.left = left
         self.right = right
-        if ts is None or completion is None:
-            ts, completion = indeterministic_tensor(left, right)
+        if ts is None:
+            ts = build_tensor(left, right)
         self.ts = ts
-        self.completion = completion
         ls, rsp = left.space, right.space
         for p, sp in ((s1, ls), (s2, ls), (t1, rsp), (t2, rsp)):
             if p not in sp.pures():
@@ -131,8 +140,8 @@ class BellScenario(object):
         m1 = ts.index_of([(s1, t1), (s2, t2)])
         m2 = ts.index_of([(left.star_of(s1), rsp.bottom),
                           (ls.bottom, right.star_of(t1))])
-        sigma = completion.sharpening([m1, m2])
-        if sigma is None or not completion.is_hidden(sigma):
+        sigma = sharpen(ts.real_space, [m1, m2])
+        if sigma is None or len(sigma) < 2:
             raise InputError("the Bell join did not produce a hidden state")
         self.sigma = sigma
         self.phi = (chu.make_effect(ls, s1, left.star_of(s1)),
@@ -141,10 +150,10 @@ class BellScenario(object):
                     chu.make_effect(rsp, t2, right.star_of(t2)))
 
     def components(self):
-        return self.completion.components(self.sigma)
+        return self.sigma
 
     def serialize_sigma(self):
-        return self.completion.serialize_element(self.sigma)
+        return sorted(self.ts.space.names[i] for i in self.sigma)
 
 
 def bell_scenario(na=2, nb=2):
@@ -161,43 +170,37 @@ def _bool_image(rs, l):
             for p in rs.space.pures()}
 
 
-def measurement_image(scenario, l_left, l_right, xi=None, bb=None):
-    """(f (x) g)(xi) for two sharp measurements: map every component of xi
-    generator-by-generator into the boolean tensor square, then take the
-    canonical antichain there.  Returns a single boolean tensor element."""
+def measurement_image(scenario, l_left, l_right, members=None):
+    """(f (x) g)(xi) for two sharp measurements, xi given by its canonical
+    antichain of tensor element ids (sigma by default; a real state r is
+    (r,)): map every member generator-by-generator into the boolean tensor
+    square, then take the canonical antichain there.  Returns a single
+    boolean tensor element."""
     ts = scenario.ts
-    comp = scenario.completion
-    if xi is None:
-        xi = scenario.sigma
-    if bb is None:
-        bb = build_tensor(bool_real_space(), bool_real_space())
+    if members is None:
+        members = scenario.sigma
+    bb = bool_square()
     fmap = _bool_image(scenario.left, l_left)
     gmap = _bool_image(scenario.right, l_right)
     images = []
-    for member in comp.components(xi):
+    for member in members:
         gens = [(fmap[p], gmap[q])
                 for p, q in (ts.pure_pairs[k] for k in ts.cover_set(member))]
         images.append(bb.index_of(gens))
-    members = [m for m in images if m != bb.space.bottom]
-    if not members:
-        return bb.space.bottom
-    anti = closure(bb.space, members)
-    if len(anti) != 1:
+    anti = sharpen(bb.real_space, images)
+    if anti is None or len(anti) != 1:
         raise InputError("measurement image is not a single boolean "
                          "tensor element")
     return anti[0]
 
 
-def bell_marginals(scenario, bb=None):
+def bell_marginals(scenario):
     """The four pairwise marginals Phi_13, Phi_14, Phi_23, Phi_24."""
-    if bb is None:
-        bb = build_tensor(bool_real_space(), bool_real_space())
     out = {}
     for a in (1, 2):
         for b in (3, 4):
             out["%d%d" % (a, b)] = measurement_image(
-                scenario, scenario.phi[a - 1], scenario.rho[b - 3],
-                bb=bb)
+                scenario, scenario.phi[a - 1], scenario.rho[b - 3])
     return out
 
 
@@ -235,7 +238,7 @@ def lambda_search(phi13, phi14, phi23, phi24, bb=None):
     square is the element's mask in the 2-factor power, so the marginals
     are packed as they are."""
     if bb is None:
-        bb = build_tensor(bool_real_space(), bool_real_space())
+        bb = bool_square()
     want = 0
     for slot, phi in enumerate((phi13, phi14, phi23, phi24)):
         want |= bb.cover_mask(phi) << (4 * slot)
@@ -245,14 +248,14 @@ def lambda_search(phi13, phi14, phi23, phi24, bb=None):
     return int(hits[0]) + 1
 
 
-def constructive_lambda(scenario, xi, power=None):
-    """The paper's witness for a real bipartite state: the meet over the
-    state's pure-pair generators of f1(w) (x) f2(w) (x) g1(w') (x) g2(w')."""
+def constructive_lambda(scenario, members, power=None):
+    """The paper's witness for a real bipartite state, given as its one-member
+    antichain (r,): the meet over the state's pure-pair generators of
+    f1(w) (x) f2(w) (x) g1(w') (x) g2(w')."""
     ts = scenario.ts
-    comp = scenario.completion
-    rid = comp.real_id(xi)
-    if rid is None:
+    if len(members) != 1:
         raise InputError("constructive witness needs a real state")
+    rid = members[0]
     if power is None:
         power = SimplexPower([bool_real_space()] * 4)
     maps = [_bool_image(scenario.left, scenario.phi[0]),
@@ -268,12 +271,11 @@ def constructive_lambda(scenario, xi, power=None):
     return mask
 
 
-def bell_report(scenario, bb=None):
+def bell_report(scenario):
     """JSON-ready summary: the state, its marginals, and the scan verdict."""
-    if bb is None:
-        bb = build_tensor(bool_real_space(), bool_real_space())
-    phi = bell_marginals(scenario, bb=bb)
-    lam = lambda_search(phi["13"], phi["14"], phi["23"], phi["24"], bb=bb)
+    bb = bool_square()
+    phi = bell_marginals(scenario)
+    lam = lambda_search(phi["13"], phi["14"], phi["23"], phi["24"])
     power = SimplexPower([bool_real_space()] * 4)
     return {
         "sigma": scenario.serialize_sigma(),

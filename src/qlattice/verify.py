@@ -38,14 +38,6 @@ def _two_qubit_tensor():
     return _shared["tensor"]
 
 
-def _two_qubit_completion():
-    """The ontic completion of the Z2 self-tensor (217 elements)."""
-    if "completion" not in _shared:
-        _shared["completion"] = build_completion(
-            _two_qubit_tensor()[1].real_space)
-    return _shared["completion"]
-
-
 # -- 1. boolean domain tables ------------------------------------------------
 
 _MEET_TABLE = {
@@ -245,9 +237,8 @@ def check_tensor_congruence(max_size=3):
 def check_bell():
     z2, ts = _two_qubit_tensor()
     a, b = z2.space.index("a"), z2.space.index("b")
-    scenario = quantum.BellScenario(z2, z2, a, b, a, b, ts=ts,
-                                    completion=_two_qubit_completion())
-    bb = build_tensor(bool_real_space(), bool_real_space())
+    scenario = quantum.BellScenario(z2, z2, a, b, a, b, ts=ts)
+    bb = quantum.bool_square()
     y, n, bot = 0, 1, 2
     want = {
         "13": bb.index_of([(n, bot), (y, n)]),
@@ -255,22 +246,18 @@ def check_bell():
         "23": bb.index_of([(y, n), (bot, y)]),
         "24": bb.index_of([(bot, bot)]),
     }
-    phi = quantum.bell_marginals(scenario, bb=bb)
+    phi = quantum.bell_marginals(scenario)
     marginals_ok = phi == want
-    lam = quantum.lambda_search(phi["13"], phi["14"], phi["23"], phi["24"],
-                                bb=bb)
-    ts, comp = scenario.ts, scenario.completion
+    lam = quantum.lambda_search(phi["13"], phi["14"], phi["23"], phi["24"])
     real_bad = []
     for rid in range(ts.space.n):
-        xi = comp.embed(rid)
         m = {}
         for a in (1, 2):
             for b in (3, 4):
                 m["%d%d" % (a, b)] = quantum.measurement_image(
                     scenario, scenario.phi[a - 1], scenario.rho[b - 3],
-                    xi=xi, bb=bb)
-        found = quantum.lambda_search(m["13"], m["14"], m["23"], m["24"],
-                                      bb=bb)
+                    (rid,))
+        found = quantum.lambda_search(m["13"], m["14"], m["23"], m["24"])
         if found is None:
             real_bad.append(rid)
     ok = marginals_ok and lam is None and not real_bad
@@ -344,7 +331,7 @@ def check_orthoclosure():
 
 def check_geometry():
     ts = _two_qubit_tensor()[1]
-    comp = _two_qubit_completion()
+    comp = build_completion(ts.real_space)
     wide = build_geometry(comp, ts, variant="wide")
     narrow = build_geometry(comp, ts, variant="narrow")
     inv = verify_invariants(wide, samples=400, seed=7)

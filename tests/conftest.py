@@ -1,10 +1,10 @@
 import pytest
 
-from qlattice.realspaces import spin_space, bool_real_space
-from qlattice.tensor import build_tensor, indeterministic_tensor
+from qlattice.realspaces import spin_space
+from qlattice.tensor import indeterministic_tensor
 from qlattice.ontic import build_completion
 from qlattice.geometry import build_geometry
-from qlattice.quantum import BellScenario
+from qlattice.quantum import BellScenario, bool_square as _bool_square
 
 
 @pytest.fixture(scope="session")
@@ -36,12 +36,11 @@ def geo_narrow(two_qubit):
 
 @pytest.fixture(scope="session")
 def bool_square():
-    brs = bool_real_space()
-    return build_tensor(brs, brs)
+    return _bool_square()
 
 
 @pytest.fixture(scope="session")
 def scenario(z2, two_qubit):
-    ts, comp = two_qubit
+    ts, _ = two_qubit
     a, b = z2.space.index("a"), z2.space.index("b")
-    return BellScenario(z2, z2, a, b, a, b, ts=ts, completion=comp)
+    return BellScenario(z2, z2, a, b, a, b, ts=ts)

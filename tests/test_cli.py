@@ -125,6 +125,19 @@ def test_bell_command_reports_nonlocal():
     assert payload["lambda"] is None
 
 
+def test_bell_command_on_three_axes_closes_sigma_alone():
+    # sigma is closed on the tensor, so the 3x3 completion, which the
+    # candidate cap stops, is never enumerated
+    out = run_cli("bell", "--na", "3", "--nb", "3")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["nonlocal"] is True
+    assert payload["lambda"] is None
+    assert len(payload["sigma"]) == 3
+    small = json.loads(run_cli("bell", "--na", "2", "--nb", "2").stdout)
+    assert payload["phi"] == small["phi"]
+
+
 # an empty QLATTICE_CAP_OVERRIDE counts as unset
 @pytest.mark.parametrize("factors, override", [
     ("bool,bool", "abc"),

@@ -239,15 +239,14 @@ def _fewer_consistent(G, seed, drops=200):
 
 def _merged_chart(G, seed, size=24):
     """A copy where a random point set is made pairwise consistent, so
-    quadrangles cross the real charts; the narrow family is emptied, as in
-    _bent_covers."""
+    quadrangles cross the real charts.  The narrow family is kept, so that
+    the starred-plane test meets hidden corners."""
     rng = random.Random(seed)
     group = sum(1 << x for x in rng.sample(G.points, size))
     H = copy.copy(G)
     H._cons = {p: m | group if group >> p & 1 else m
                for p, m in G._cons.items()}
     H._cliques = None
-    H.hidden_narrow = frozenset()
     return H
 
 

@@ -206,6 +206,43 @@ def test_sharpening_is_the_least_upper_bound(z2):
             assert comp.sharpening([np.int64(i) for i in sub]) == want
 
 
+@pytest.mark.parametrize("make", [
+    lambda: spin_space(3), lambda: simplex_space(3),
+    lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+], ids=["spin3", "simplex3", "z2z2"])
+def test_sharpening_takes_raw_member_lists(make):
+    # duplicates, the bottom, numpy ints, reals below other members and
+    # iterators: the answer is the least upper bound of the embedded reals,
+    # read off the completion's leq, and sharpen returns its antichain
+    rs = make()
+    space = rs.space
+    comp = build_completion(rs)
+    leq = comp.space.leq
+    rng = random.Random(space.n)
+    cases = [[], [space.bottom], [space.bottom, space.bottom]]
+    for _ in range(300):
+        sub = [rng.randrange(space.n) for _ in range(rng.randint(1, 5))]
+        x = rng.choice(sub)
+        sub.append(rng.choice([y for y in range(space.n)
+                               if space.leq[y, x]]))
+        cases.append(sub)
+    verdicts = set()
+    for sub in cases:
+        upper = leq[[comp.embed(i) for i in sub]].all(axis=0)
+        least = [k for k in np.flatnonzero(upper) if leq[k, upper].all()]
+        want = int(least[0]) if least else None
+        verdicts.add(want is None)
+        for members in (sub, [np.int64(i) for i in sub]):
+            assert comp.sharpening(members) == want, sub
+            got = ontic.sharpen(rs, members)
+            assert got == (None if want is None
+                           else comp.components(want)), sub
+            assert is_admissible(rs, members) == (want is not None)
+        # a one-pass iterable is read once
+        assert comp.sharpening(iter(sub)) == want, sub
+    assert verdicts == {True, False}
+
+
 # -- differential tests of the bitset order core against leq-only oracles ---
 
 def _oracle_step(space, members):
@@ -368,7 +405,7 @@ def test_closure_step_memo_matches_scan_after_completion(monkeypatch):
 
     monkeypatch.setattr(ontic, "closure_step", scan_step)
     build_completion(ref)
-    assert len(rs.space._steps) == 7519
+    assert len(rs.space._steps) == 7313
     assert rs.space._steps == ref.space._steps
 
 
@@ -400,11 +437,24 @@ def _reference_completion(rs):
     """The completion's breadth-first search with no pair table: every
     union of an element and a real not below it is closed with the public
     closure and tested with is_star_free.  Returns the elements in the
-    completion's order and the join memo."""
+    completion's order and the join memo, from the union's down-set (read
+    off leq) to the closed down-set, or None when the union is
+    inadmissible."""
     space = rs.space
+    down = [sum(1 << y for y in range(space.n) if space.leq[y, x])
+            for x in range(space.n)]
+
+    def down_of(members):
+        out = 0
+        for x in members:
+            out |= down[x]
+        return out
+
     singles = [(i,) for i in range(space.n) if i != space.bottom]
     elements = {(space.bottom,)} | set(singles)
     joins = {}
+    # closed down-set -> its antichain
+    closed = {}
     frontier = singles
     while frontier:
         fresh = []
@@ -413,13 +463,20 @@ def _reference_completion(rs):
                 if any(space.leq[s[0], x] for x in u):
                     continue
                 merged = tuple(sorted(set(u) | set(s)))
-                if merged not in joins:
+                below = down_of(merged)
+                if below not in joins:
                     out = closure(space, merged)
-                    joins[merged] = out if is_star_free(rs, out) else None
-                j = joins[merged]
-                if j is not None and j not in elements:
-                    elements.add(j)
-                    fresh.append(j)
+                    joins[below] = None
+                    if is_star_free(rs, out):
+                        joins[below] = down_of(out)
+                        closed[joins[below]] = out
+                j = joins[below]
+                if j is None:
+                    continue
+                anti = closed[j]
+                if anti not in elements:
+                    elements.add(anti)
+                    fresh.append(anti)
         frontier = fresh
     return sorted(elements, key=lambda u: (len(u), u)), joins
 
@@ -434,7 +491,7 @@ def test_pair_pruning_matches_unpruned_search(make):
     # a second copy of the space, so that no step memo is shared
     elements, joins = _reference_completion(make())
     assert comp.elements == elements
-    assert comp._join_cache == joins
+    assert comp._joins == joins
     # u <= v when the down-set of u is inside the down-set of v
     leq = rs.space.leq
     down = np.array([leq[:, list(u)].any(axis=1) for u in elements])

@@ -4,7 +4,8 @@ import pytest
 
 from qlattice.core_order import InputError
 from qlattice.realspaces import (bool_real_space, simplex_space, spin_space)
-from qlattice.tensor import SimplexPower
+from qlattice.tensor import SimplexPower, build_tensor
+from qlattice.ontic import build_completion
 from qlattice import quantum
 
 
@@ -33,21 +34,38 @@ def test_diagonal_map_is_total():
 
 
 def test_sigma_is_hidden_with_three_components(scenario, z2):
-    comp = scenario.completion
     ts = scenario.ts
-    assert comp.is_hidden(scenario.sigma)
     a, b = z2.space.index("a"), z2.space.index("b")
     astar = z2.star_of(a)
     want = sorted([ts.index_of([(a, a), (b, b)]),
                    ts.index_of([(a, astar), (astar, b)]),
                    ts.index_of([(b, astar), (astar, a)])])
-    assert sorted(comp.components(scenario.sigma)) == want
+    assert sorted(scenario.components()) == want
+
+
+@pytest.mark.parametrize("na, nb", [(2, 2), (3, 2)])
+def test_sigma_is_the_completion_join(na, nb):
+    # sigma, closed on the tensor alone, is the antichain of the join of
+    # the two generators in the enumerated completion, and that is hidden
+    left, right = spin_space(na), spin_space(nb)
+    a, b = left.space.index("a"), left.space.index("b")
+    ta, tb = right.space.index("a"), right.space.index("b")
+    scenario = quantum.BellScenario(left, right, a, b, ta, tb)
+    ts = build_tensor(left, right)
+    comp = build_completion(ts.real_space)
+    m1 = ts.index_of([(a, ta), (b, tb)])
+    m2 = ts.index_of([(left.star_of(a), right.space.bottom),
+                      (left.space.bottom, right.star_of(ta))])
+    chi = comp.sharpening([m1, m2])
+    assert comp.is_hidden(chi)
+    assert scenario.sigma == comp.components(chi)
+    assert scenario.serialize_sigma() == comp.serialize_element(chi)
 
 
 def test_marginals_are_the_expected_elements(scenario, bool_square):
     bb = bool_square
     y, n, bot = 0, 1, 2
-    phi = quantum.bell_marginals(scenario, bb)
+    phi = quantum.bell_marginals(scenario)
     assert phi["13"] == bb.index_of([(n, bot), (y, n)])
     assert phi["14"] == bb.index_of([(y, bot), (n, y)])
     assert phi["23"] == bb.index_of([(y, n), (bot, y)])
@@ -57,14 +75,14 @@ def test_marginals_are_the_expected_elements(scenario, bool_square):
 
 
 def test_no_global_state_for_the_bell_marginals(scenario, bool_square):
-    phi = quantum.bell_marginals(scenario, bool_square)
+    phi = quantum.bell_marginals(scenario)
     lam = quantum.lambda_search(phi["13"], phi["14"], phi["23"], phi["24"],
                                 bb=bool_square)
     assert lam is None
 
 
-def test_bell_report_is_nonlocal(scenario, bool_square):
-    report = quantum.bell_report(scenario, bb=bool_square)
+def test_bell_report_is_nonlocal(scenario):
+    report = quantum.bell_report(scenario)
     assert report["nonlocal"]
     assert report["lambda"] is None
     assert len(report["sigma"]) == 3
@@ -77,17 +95,16 @@ def test_real_states_admit_global_states(scenario, bool_square):
     rng = random.Random(9)
     sample = rng.sample(range(ts.space.n), 12)
     for rid in sample:
-        xi = scenario.completion.embed(rid)
         phi = {}
         for a in (1, 2):
             for b in (3, 4):
                 phi["%d%d" % (a, b)] = quantum.measurement_image(
                     scenario, scenario.phi[a - 1], scenario.rho[b - 3],
-                    xi=xi, bb=bb)
+                    (rid,))
         lam = quantum.lambda_search(phi["13"], phi["14"], phi["23"],
                                     phi["24"], bb=bb)
         assert lam is not None
-        built = quantum.constructive_lambda(scenario, xi, power)
+        built = quantum.constructive_lambda(scenario, (rid,), power)
         # the constructive witness reproduces all four marginals too
         for coords, key in (((0, 2), "13"), ((0, 3), "14"),
                             ((1, 2), "23"), ((1, 3), "24")):
@@ -104,7 +121,7 @@ def test_scenario_validation(z2, scenario):
     a = z2.space.index("a")
     with pytest.raises(InputError):
         quantum.BellScenario(z2, z2, a, z2.star_of(a), a, a,
-                             ts=scenario.ts, completion=scenario.completion)
+                             ts=scenario.ts)
 
 
 def _scan_oracle():
@@ -144,12 +161,11 @@ def test_lambda_search_matches_projection_oracle(scenario, bool_square):
             mask |= sub.pure_mask(bb.pure_pairs[k])
         pair_mask[idx] = mask
     best = _scan_oracle()
-    bell = quantum.bell_marginals(scenario, bb)
+    bell = quantum.bell_marginals(scenario)
     quads = [tuple(bell[k] for k in ("13", "14", "23", "24"))]
     for rid in range(scenario.ts.space.n):
-        xi = scenario.completion.embed(rid)
         quads.append(tuple(quantum.measurement_image(
-            scenario, scenario.phi[a], scenario.rho[b], xi=xi, bb=bb)
+            scenario, scenario.phi[a], scenario.rho[b], (rid,))
             for a in (0, 1) for b in (0, 1)))
     rng = random.Random(17)
     quads += [tuple(rng.randrange(len(bb)) for _ in range(4))

@@ -3,7 +3,8 @@
     python3 tools/scale_rows.py OUT.json
 
 The rows are the Z2⊗Z2 completion, the Z3⊗Z2 tensor and its completion,
-the Z3⊗Z3 and Z4⊗Z4 tensors, and the Z3⊗Z2 geometry.  Each row runs in its
+the Z3⊗Z3 and Z4⊗Z4 tensors, the Z3⊗Z2 geometry and the Z3⊗Z3 Bell
+scenario.  Each row runs in its
 own interpreter (this script with `--child NAME`), so no memo or allocator
 state carries from one row to the next; the child reports its wall time,
 the element count it built and its peak resident set size.  A completion
@@ -12,7 +13,9 @@ tensor on its own.  The geometry row goes on to build the wide and narrow
 geometries over the completion and run verify_projective, verify_ortho and
 verify_invariants; it reports the time of that part on its own and of each
 verifier, the point counts, the verifiers' counts and pass flags, and a
-digest of the full reports.  OUT.json gets one entry per row plus the host
+digest of the full reports.  The Bell row builds the tensor, the scenario
+and its report, as `qlattice bell` does, and reports the member count of
+sigma and the verdict, or the error that stopped it.  OUT.json gets one entry per row plus the host
 it ran on.
 """
 
@@ -36,6 +39,7 @@ ROWS = {
     "z3z3-tensor": (3, 3, "tensor"),
     "z4z4-tensor": (4, 4, "tensor"),
     "z3z2-geometry": (3, 2, "geometry"),
+    "z3z3-bell": (3, 3, "bell"),
 }
 
 
@@ -51,11 +55,13 @@ def run_row(name):
     out = {"name": name, "tensor_s": time.perf_counter() - start,
            "tensor_elements": len(ts)}
     elements = len(ts)
-    if stage != "tensor":
+    if stage in ("completion", "geometry"):
         comp = OnticCompletion(ts.real_space)
         elements = comp.space.n
     if stage == "geometry":
         out.update(run_geometry(comp, ts))
+    if stage == "bell":
+        out.update(run_bell(ts))
     out["wall_s"] = time.perf_counter() - start
     out["elements"] = elements
     out["peak_rss_mb"] = resource.getrusage(
@@ -90,6 +96,22 @@ def run_geometry(comp, ts):
     out["reports_sha256"] = hashlib.sha256(
         json.dumps(reports, sort_keys=True).encode()).hexdigest()
     return out
+
+
+def run_bell(ts):
+    """The default Bell scenario on the tensor and its report."""
+    from qlattice.core_order import CapExceeded, InputError
+    from qlattice.quantum import BellScenario, bell_report
+    left, right = ts.left, ts.right
+    try:
+        scenario = BellScenario(left, right, left.space.index("a"),
+                                left.space.index("b"), right.space.index("a"),
+                                right.space.index("b"), ts=ts)
+    except (CapExceeded, InputError) as exc:
+        return {"error": "%s: %s" % (type(exc).__name__, exc)}
+    report = bell_report(scenario)
+    return {"sigma_members": len(report["sigma"]),
+            "nonlocal": report["nonlocal"]}
 
 
 def main():
