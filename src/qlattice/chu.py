@@ -46,9 +46,9 @@ def effect_bar(l):
 
 
 def evaluate(space, l, sigma):
-    if l.yes is not None and space.leq[l.yes, sigma]:
+    if l.yes is not None and space.up[l.yes] >> sigma & 1:
         return YES
-    if l.no is not None and space.leq[l.no, sigma]:
+    if l.no is not None and space.up[l.no] >> sigma & 1:
         return NO
     return BOT
 

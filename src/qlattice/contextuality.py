@@ -42,9 +42,8 @@ class JointMorphism(object):
         space = completion.space
         self._images = []
         for x in range(space.n):
-            above = [p for p in space.maximals if space.leq[x, p]]
             mask = 0
-            for p in above:
+            for p in space.pures_above(x):
                 mask |= pure_masks[p]
             self._images.append(mask)
 
@@ -361,17 +360,18 @@ def _family_coherent(completion, family):
     base = completion.base
     space = base.space
     pures = space.pures()
+    up = space.up
     for s in range(space.n):
-        vals = {bool(space.leq[s, family[p]]) for p in pures if space.leq[s, p]}
+        vals = {up[s] >> family[p] & 1 for p in pures if up[s] >> p & 1}
         if len(vals) > 1:
             return False
     for l in real_effects(base):
         if l.yes is None or l.no is None:
             continue
-        yes_seen = any(space.leq[l.yes, family[p]]
-                       for p in pures if space.leq[l.yes, p])
-        no_seen = any(space.leq[l.no, family[p]]
-                      for p in pures if space.leq[l.no, p])
+        yes_seen = any(up[l.yes] >> family[p] & 1
+                       for p in pures if up[l.yes] >> p & 1)
+        no_seen = any(up[l.no] >> family[p] & 1
+                      for p in pures if up[l.no] >> p & 1)
         if yes_seen and no_seen:
             return False
     return True
@@ -382,7 +382,7 @@ def _consistency_pairs(completion, family):
     pures = space.pures()
     for w in pures:
         for q in pures:
-            if not space.leq[space.meet(w, family[q]), family[w]]:
+            if not space.up[space.meet(w, family[q])] >> family[w] & 1:
                 return False
     return True
 

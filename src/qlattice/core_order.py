@@ -5,11 +5,11 @@ below the two definite answers.  On top of the meet that comes with this
 order it carries a commutative "and"-like product (Y is the unit, N is
 absorbing) and an involution swapping Y and N.
 
-`StateSpace` is a finite meet-semilattice with a bottom element, stored as
-int bitmasks of up-sets, down-sets and upper covers, plus one dense boolean
-order matrix `leq` for matrix reads; there is no covering matrix and no
-meet table.  Everything downstream (real structures, ontic completions,
-tensors) is built out of these.
+`StateSpace` is a finite meet-semilattice with a bottom element, given and
+stored as int bitmasks of up-sets, plus their transpose (the down-sets) and
+the upper covers; the order matrix `leq` is a view built on first read.
+Everything downstream (real structures, ontic completions, tensors) is
+built out of these.
 """
 
 import json
@@ -110,13 +110,23 @@ def unpack_masks(masks, width):
                          count=width, bitorder="little").astype(bool)
 
 
+def transpose(rows, width):
+    """The columns of a family of int row masks: bit i of the j-th result is
+    bit j of rows[i], for j below width.  One OR per set bit."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in bits(row):
+            cols[j] |= bit
+    return cols
+
+
 def inclusion_order(masks):
-    """Inclusion order of a family of int masks: [i, j] is set when
-    masks[i] lies inside masks[j].  With holders[x] the mask of the j whose
-    masks[j] holds bit x, row i is the AND of holders[x] over the bits x of
-    masks[i]."""
-    width = max(masks, default=0).bit_length()
-    holders = row_masks(unpack_masks(masks, width).T)
+    """Inclusion order of a family of int masks, as row masks: bit j of row
+    i is set when masks[i] lies inside masks[j].  With holders[x] the mask
+    of the j whose masks[j] holds bit x, row i is the AND of holders[x] over
+    the bits x of masks[i]."""
+    holders = transpose(masks, max(masks, default=0).bit_length())
     full = (1 << len(masks)) - 1
     rows = []
     for m in masks:
@@ -124,55 +134,42 @@ def inclusion_order(masks):
         for x in bits(m):
             row &= holders[x]
         rows.append(row)
-    return unpack_masks(rows, len(masks))
-
-
-def _closure(mat):
-    """Reflexive-transitive closure of a boolean relation matrix."""
-    n = mat.shape[0]
-    out = mat | np.eye(n, dtype=bool)
-    while True:
-        nxt = out | (out @ out)
-        if (nxt == out).all():
-            return out
-        out = nxt
+    return rows
 
 
 class StateSpace(object):
-    """A finite meet-semilattice with bottom, over named elements.
-
-    The order is kept as int bitmasks: bit j of `up[i]` and bit i of
-    `down[j]` are set when i lies below j, and bit j of the read-only
-    `covers[i]` when j covers i.  The one dense view is the order matrix
-    `leq`, indexed so that leq[i, j] means element i lies below element j.
-    Meets and least upper bounds are read off the masks: the meet of i and
-    j is the element whose down-set is down[i] & down[j], and the least
-    upper bound of a bounded family the element whose up-set is the AND of
-    theirs.  Validation is eager: reflexivity, antisymmetry, transitivity,
-    a unique bottom and the existence of a unique greatest common lower
-    bound for every pair are all checked at construction time, and the
-    first offending pair (in id order) is named in the error.  The order
-    axioms and the covers are read off the masks with one OR per comparable
-    pair, and the meets with one AND and one lookup per pair, not with
-    dense n × n matrices.
+    """A finite meet-semilattice with bottom, over named elements, given by
+    its up-sets as int masks: bit j of `up[i]`, and of the read-only
+    `covers[i]`, is set when i lies below j, and when j covers i.  `down`
+    is the transpose of `up`.  No n × n array is held: `leq`, with leq[i, j]
+    when i lies below j, is a read-only view unpacked on first read.  The
+    meet of i and j is the element whose down-set is down[i] & down[j], and
+    the least upper bound of a bounded family the element whose up-set is
+    the AND of theirs.  Validation is eager: reflexivity, antisymmetry,
+    transitivity, a unique bottom and a meet for every pair are checked at
+    construction, naming the first offending pair in id order, with one OR
+    per comparable pair for the order axioms and the covers and one AND and
+    one lookup per pair for the meets.
     """
 
-    def __init__(self, names, leq):
+    def __init__(self, names, up):
         names = list(names)
         if len(set(names)) != len(names):
             dupes = sorted(n for n in set(names) if names.count(n) > 1)
             raise InputError("duplicate element names: %s" % dupes[0])
-        leq = np.asarray(leq, dtype=bool)
-        if leq.shape != (len(names), len(names)):
-            raise InputError("order matrix shape %s does not match %d elements"
-                             % (leq.shape, len(names)))
+        n, up = len(names), list(up)
+        if len(up) != n:
+            raise InputError("%d up-set masks for %d elements" % (len(up), n))
+        for i, m in enumerate(up):
+            if not isinstance(m, int) or m < 0 or m >> n:
+                raise InputError("up-set of %r is not an int mask over the "
+                                 "%d elements" % (names[i], n))
         self.names = names
-        self.n = len(names)
-        self.leq = leq
-        self.leq.setflags(write=False)
+        self.n = n
         self._index = {name: i for i, name in enumerate(names)}
-        self.up = row_masks(leq)
-        self.down = row_masks(leq.T)
+        self.up = up
+        self.down = transpose(up, n)
+        self._leq = None
         # the element with each down-set, read by _validate once the order
         # axioms hold
         self._by_down = {d: k for k, d in enumerate(self.down)}
@@ -233,8 +230,16 @@ class StateSpace(object):
         except KeyError:
             raise InputError("unknown element %r" % (name,))
 
+    @property
+    def leq(self):
+        """The order matrix, unpacked from `up` on first read and kept."""
+        if self._leq is None:
+            self._leq = unpack_masks(self.up, self.n)
+            self._leq.setflags(write=False)
+        return self._leq
+
     def below(self, i, j):
-        return bool(self.leq[i, j])
+        return bool(self.up[i] >> j & 1)
 
     def meet(self, i, j):
         return self._by_down[self.down[i] & self.down[j]]
@@ -292,12 +297,16 @@ class StateSpace(object):
         transitive closure is taken automatically."""
         names = list(names)
         idx = {name: i for i, name in enumerate(names)}
-        mat = np.zeros((len(names), len(names)), dtype=bool)
+        up = [1 << i for i in range(len(names))]
         for a, b in pairs:
             if a not in idx or b not in idx:
                 raise InputError("leq pair (%r, %r) uses an unknown element" % (a, b))
-            mat[idx[a], idx[b]] = True
-        return cls(names, _closure(mat))
+            up[idx[a]] |= 1 << idx[b]
+        # Warshall: after round k each up-set holds what it reaches via 0..k
+        for k in range(len(up)):
+            bit, above = 1 << k, up[k]
+            up = [u | above if u & bit else u for u in up]
+        return cls(names, up)
 
     @classmethod
     def from_json(cls, text):
@@ -339,6 +348,4 @@ class StateSpace(object):
 
 def bool_space():
     """The three-outcome domain as a StateSpace."""
-    names = [YES, NO, BOT]
-    pairs = [(BOT, YES), (BOT, NO)]
-    return StateSpace.from_relation(names, pairs)
+    return StateSpace([YES, NO, BOT], [0b001, 0b010, 0b111])

@@ -38,7 +38,7 @@ same as the per-chart scan's, failures included.
 from itertools import combinations
 import random
 
-from .core_order import InputError, bits, row_masks
+from .core_order import InputError, bits, transpose
 from .realspaces import ortho_matrix
 
 
@@ -73,10 +73,10 @@ class GeometrySet(object):
       dict (missing means 0).  It answers "is s1 colinear with s2, s3" for
       every s2 at once: s2 = s3 or s2 in pencil[s1][s3].
     - perp_rows[x] and perp_cols[y]: bit y of the one and bit x of the
-      other is perp[x, y], restricted to the points.  Code that lets x
-      vary in perp[x, y] reads the column of y.  perp stays as the dense
-      matrix it is built from; o2 tests its symmetry by comparing each
-      row with its column and assumes nothing.
+      other is set when x is orthogonal to y, restricted to the points.
+      The rows are those of realspaces.ortho_matrix and the columns their
+      transpose.  Code that lets x vary reads the column of y; o2 tests
+      symmetry by comparing each row with its column and assumes nothing.
 
     orthogonally_complete skips the quadrangle scan on fewer than five
     points, since a quadrangle's vertex and four flanks are five distinct
@@ -100,7 +100,6 @@ class GeometrySet(object):
 
         base = completion.base.space
         self._cov_real = base.covers
-        self.perp = ortho_matrix(completion.embedding)
 
         self.pure_points = tuple(sorted(completion.embed(p)
                                         for p in base.pures()))
@@ -115,7 +114,8 @@ class GeometrySet(object):
         self._pure_mask = sum(1 << p for p in self.pure_points)
         self._cons = self._consistency_masks()
         self.thru, self.pencil = self._incidence_tables()
-        self.perp_rows, self.perp_cols = self._perp_masks()
+        self.perp_rows, self.perp_cols = self._perp_masks(
+            ortho_matrix(completion.embedding))
         self._cliques = None
 
     def _factor_list(self):
@@ -136,7 +136,7 @@ class GeometrySet(object):
             if not row >> nu & row >> phi & 1:
                 continue
             for mu in pures:
-                if base.space.leq[base.star_of(mu), gamma]:
+                if base.space.up[base.star_of(mu)] >> gamma & 1:
                     continue
                 chi = comp.sharpening([base.star_of(mu), gamma])
                 if chi is None or not comp.is_hidden(chi):
@@ -183,13 +183,16 @@ class GeometrySet(object):
                     fan[b] = fan.get(b, 0) | ends
         return thru, pencil
 
-    def _perp_masks(self):
-        """Row and column masks of perp over the points: bit y of
-        perp_rows[x] and bit x of perp_cols[y] are perp[x, y]."""
-        rows, cols = row_masks(self.perp), row_masks(self.perp.T)
+    def _perp_masks(self, rows):
+        """perp_rows and perp_cols: the rows of ortho_matrix (bit y of
+        rows[x] when x is orthogonal to y) restricted to the points, and
+        their transpose."""
         keep = self._point_mask
-        return ({p: rows[p] & keep for p in self.points},
-                {p: cols[p] & keep for p in self.points})
+        rows = [row & keep if keep >> x & 1 else 0
+                for x, row in enumerate(rows)]
+        cols = transpose(rows, len(rows))
+        return ({p: rows[p] for p in self.points},
+                {p: cols[p] for p in self.points})
 
     def _consistent_raw(self, x, y):
         hx, hy = self.is_hidden(x), self.is_hidden(y)
@@ -229,9 +232,6 @@ class GeometrySet(object):
         """b = c, or a covers the completion meet of b and c."""
         self._check_points(a, b, c)
         return bool(self.thru[b][c] >> a & 1)
-
-    def orthogonal(self, x, y):
-        return bool(self.perp[x, y])
 
     def antipodal(self, x, y):
         """Pure points whose coordinates are star-related in every factor
@@ -283,17 +283,17 @@ class GeometrySet(object):
         not decompose that way."""
         comp = self.completion
         base = comp.base
-        hat_leq = comp.space.leq
+        hat_up, up = comp.space.up, base.space.up
         pairs = {}
         for e in comp.components(chi):
-            above = [p for p in base.space.pures() if base.space.leq[e, p]]
+            above = base.space.pures_above(e)
             if len(above) != 2:
                 return None
             pairs[e] = above
         gammas = []
         for e, (p, q) in pairs.items():
             for phi in (p, q):
-                if hat_leq[comp.embed(base.star_of(phi)), chi]:
+                if hat_up[comp.embed(base.star_of(phi))] >> chi & 1:
                     gammas.append((e, phi))
         if len(gammas) != 1:
             return None
@@ -304,9 +304,9 @@ class GeometrySet(object):
             if e == gamma:
                 continue
             # orientation rule: the star of phi sits below psi
-            if base.space.leq[base.star_of(p), q]:
+            if up[base.star_of(p)] >> q & 1:
                 oriented[e] = (p, q)
-            elif base.space.leq[base.star_of(q), p]:
+            elif up[base.star_of(q)] >> p & 1:
                 oriented[e] = (q, p)
             else:
                 return None
@@ -463,10 +463,9 @@ def _paper_diagonal_witness(G, quad):
     if base.space.bottom in (m13, m24):
         return None
     ref = G.coords[comp.real_id(s1)]
+    up13, up24 = (base.space.up[base.star_of(m)] for m in (m13, m24))
     for xi in base.space.pures():
-        if not base.space.leq[base.star_of(m13), xi]:
-            continue
-        if base.space.leq[base.star_of(m24), xi]:
+        if not up13 >> xi & 1 or up24 >> xi & 1:
             continue
         if sum(a != b for a, b in zip(G.coords[xi], ref)) > 2:
             continue
@@ -763,6 +762,10 @@ def _o4_paper_witness(G, a, b, profile):
     return comp.sharpening([m_real, base.star_of(gamma)])
 
 
+def _perp(G, x, y):
+    return bool(G.perp_rows[x] >> y & 1)
+
+
 def _check_type2_structure(G):
     """Every narrow hidden point carries the canonical maximal orthogonally
     complete chart: the point plus the oriented pure pair over each of its
@@ -787,15 +790,15 @@ def _check_type2_structure(G):
             bad.append((chi, "chart not consistent"))
             continue
         phi_g, psi_g = (comp.embed(p) for p in oriented[gamma])
-        pattern_ok = G.perp[phi_g, chi] and not G.perp[psi_g, chi] \
-            and not G.perp[phi_g, psi_g]
+        pattern_ok = _perp(G, phi_g, chi) and not _perp(G, psi_g, chi) \
+            and not _perp(G, phi_g, psi_g)
         for e, (p, q) in oriented.items():
             if e == gamma:
                 continue
             p, q = comp.embed(p), comp.embed(q)
-            pattern_ok &= bool(G.perp[p, q])
-            pattern_ok &= not G.perp[p, chi] and not G.perp[q, chi]
-            pattern_ok &= bool(G.perp[phi_g, p]) and bool(G.perp[phi_g, q])
+            pattern_ok &= _perp(G, p, q)
+            pattern_ok &= not _perp(G, p, chi) and not _perp(G, q, chi)
+            pattern_ok &= _perp(G, phi_g, p) and _perp(G, phi_g, q)
         if not pattern_ok:
             bad.append((chi, "orthogonality pattern"))
             continue
@@ -836,9 +839,9 @@ def _check_type1_structure(G):
                 bad.append((chi, delta, "partner missing"))
                 continue
             p, q = comp.embed(phi_d), comp.embed(psi_d)
-            got = (bool(G.perp[p, q]), bool(G.perp[p, chi]),
-                   bool(G.perp[q, chi]), bool(G.perp[p, partner]),
-                   bool(G.perp[q, partner]), bool(G.perp[chi, partner]))
+            got = tuple(_perp(G, x, y) for x, y in
+                        ((p, q), (p, chi), (q, chi), (p, partner),
+                         (q, partner), (chi, partner)))
             if got != expect:
                 bad.append((chi, delta, "pattern", got, expect))
                 continue
@@ -857,22 +860,17 @@ def _check_wide_exclusion(G, wide):
     the narrow family with two distinct pure traces must fail orthogonal
     completeness."""
     extra = wide.hidden_wide - wide.hidden_narrow
+    up = wide.completion.base.space.up
     bad = []
     checked = 0
     for U in wide.consistency_cover():
         hiddens = [chi for chi in U if chi in extra]
         if not hiddens:
             continue
+        reals = [r for r in map(wide.completion.real_id, U) if r is not None]
         for chi in hiddens:
-            comps = set(wide.completion.components(chi))
-            traces = set()
-            for s in U:
-                if wide.completion.real_id(s) is None or s == chi:
-                    continue
-                s_real = wide.completion.real_id(s)
-                hits = [e for e in comps
-                        if wide.completion.base.space.leq[e, s_real]]
-                traces.update(hits)
+            traces = {e for e in wide.completion.components(chi)
+                      for r in reals if up[e] >> r & 1}
             if len(traces) >= 2:
                 checked += 1
                 if wide.orthogonally_complete(set(U)):
@@ -937,8 +935,7 @@ def _check_component_pattern(G, samples, seed):
         diff = [i for i in range(G.n_factors) if cn[i] != cp[i]]
         if len(diff) > 2:
             continue
-        if base.space.leq[base.star_of(mu), nu] \
-                or base.space.leq[base.star_of(mu), phi]:
+        if base.space.up[base.star_of(mu)] & (1 << nu | 1 << phi):
             continue
         gamma = base.space.meet(nu, phi)
         row = G._cov_real[gamma]

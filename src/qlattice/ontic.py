@@ -45,7 +45,7 @@ input.
 import numpy as np
 
 from .core_order import (InputError, CapExceeded, StateSpace, bits,
-                         inclusion_order, row_masks)
+                         inclusion_order, row_masks, unpack_masks)
 from .realspaces import RealSpace, RealStructureEmbedding
 
 
@@ -61,8 +61,9 @@ def _step_tables(space):
     p meets down[u]; blocks, lows and guards hold the pair bits, the lowest
     bit of each block and the guard bits; owner maps g + 1 to the element
     whose guard is bit g, and keep[z] holds the guards of the elements not
-    below z."""
-    n, leq = space.n, space.leq
+    below z.  The order matrix is unpacked here, not kept on the space."""
+    n = space.n
+    leq = unpack_masks(space.up, n)
     lower = [[] for _ in range(n)]
     for c, row in enumerate(space.covers):
         for z in bits(row):

@@ -10,9 +10,8 @@ an ontic completion produces).
 import json
 from itertools import combinations
 
-import numpy as np
-
-from .core_order import BOT, InputError, StateSpace, bits, bool_space
+from .core_order import (BOT, CapExceeded, InputError, StateSpace, bits,
+                         bool_space)
 from . import chu
 
 
@@ -152,7 +151,7 @@ def validate_embedding(emb):
                 return problems
     pures = emb.real_pures()
     for a in real:
-        above = [p for p in pures if amb.leq[a, p]]
+        above = [p for p in pures if amb.up[a] >> p & 1]
         if above and amb.meet_all(above) != a:
             problems.append("real subset not generated by its maximal "
                             "elements at %r" % names[a])
@@ -188,7 +187,7 @@ def real_effects_of(space, real, star):
         if x == bottom:
             continue
         for y in real:
-            if y != bottom and space.leq[star[x], y]:
+            if y != bottom and space.up[star[x]] >> y & 1:
                 out.append(chu.Effect(x, y))
     return out
 
@@ -285,13 +284,13 @@ def is_deterministic(rs):
 def is_completely_indeterministic(rs):
     space = rs.space
     pures = space.pures()
+    up = space.up
     for sigma in pures:
         for lam in pures:
-            if not space.leq[rs.star_of(lam), sigma]:
+            if not up[rs.star_of(lam)] >> sigma & 1:
                 continue
-            if not any(not space.leq[rs.star_of(sigma), k]
-                       and not space.leq[rs.star_of(lam), k]
-                       for k in pures):
+            either = up[rs.star_of(sigma)] | up[rs.star_of(lam)]
+            if all(either >> k & 1 for k in pures):
                 return False
     return True
 
@@ -327,23 +326,27 @@ def classify(rs, completion=None):
 # -- orthogonality and orthoclosure ----------------------------------------
 
 def ortho_matrix(emb):
-    """x orth y iff some non-bottom real lies below x with its star below y."""
+    """The orthogonality relation as int row masks over the ambient
+    elements: bit y of row x is set, x orth y, when some non-bottom real w
+    lies below x with its star below y.  Each such w ORs up[w*] into the row
+    of every x in up[w]."""
     amb = emb.ambient
-    orth = np.zeros((amb.n, amb.n), dtype=bool)
+    rows = [0] * amb.n
     for w in emb.real:
         if w == amb.bottom:
             continue
-        orth |= amb.leq[w][:, None] & amb.leq[emb.star_of(w)][None, :]
-    return orth
+        far = amb.up[emb.star_of(w)]
+        for x in bits(amb.up[w]):
+            rows[x] |= far
+    return rows
 
 
 def ortho_complement(emb, subset, orth=None):
-    orth = ortho_matrix(emb) if orth is None else orth
-    subset = list(subset)
-    mask = np.ones(emb.ambient.n, dtype=bool)
-    for s in subset:
-        mask &= orth[:, s]
-    return frozenset(int(i) for i in np.flatnonzero(mask))
+    """The ambient elements orthogonal to every member of the subset, read
+    off the rows of ortho_matrix."""
+    rows = ortho_matrix(emb) if orth is None else orth
+    want = sum(1 << int(s) for s in set(subset))
+    return frozenset(x for x, row in enumerate(rows) if row & want == want)
 
 
 def orthoclosure(emb, subset, orth=None):
@@ -356,22 +359,12 @@ def orthoclosure(emb, subset, orth=None):
 
 
 def orthoclosed_sets(emb, orth=None):
-    """All closed sets of the double-orthogonal closure, deterministically
-    ordered."""
-    orth = ortho_matrix(emb) if orth is None else orth
-    seen = set()
-    out = []
-    for subset in _all_subsets_capped(emb.ambient.n):
-        h = ortho_complement(emb, subset, orth)
-        if h not in seen:
-            seen.add(h)
-            out.append(h)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def _all_subsets_capped(n, cap=16):
-    if n > cap:
-        from .core_order import CapExceeded
+    """All closed sets of the double-orthogonal closure, the orthogonals of
+    every subset, deterministically ordered; at most 16 elements."""
+    n = emb.ambient.n
+    if n > 16:
         raise CapExceeded("orthoclosed-set enumeration over %d elements" % n)
-    for mask in range(1 << n):
-        yield [i for i in range(n) if mask >> i & 1]
+    orth = ortho_matrix(emb) if orth is None else orth
+    closed = {ortho_complement(emb, bits(mask), orth)
+              for mask in range(1 << n)}
+    return sorted(closed, key=lambda s: (len(s), sorted(s)))

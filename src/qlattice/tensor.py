@@ -157,8 +157,8 @@ class TensorSpace(object):
                  for x, ul in enumerate(self._up_left)
                  for y, ur in enumerate(self._up_right) if ul & ur]
         names = [self._label(u, rects) for u in covers]
-        # reverse inclusion of cover sets
-        space = StateSpace(names, inclusion_order(covers).T)
+        # reverse inclusion of cover sets: inclusion of their complements
+        space = StateSpace(names, inclusion_order([full ^ u for u in covers]))
         star = {}
         bottom = self._cover_index[full]
         # the star of pure pair (pa, pb) covers the pure pairs above pa* or

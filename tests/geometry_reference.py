@@ -2,19 +2,42 @@
 qlattice.geometry.
 
 Every incidence query here reads the completion's meet and cover rows, and
-every orthogonality query one entry of the dense perp matrix; nothing reads
-thru, pencil or the perp masks.  The verifiers scan the consistency cover
-chart by chart and keep each quadrangle configuration and each exchange
-tuple in a set, as the geometry module once did, so their reports (counts
-and failure lists, in scan order) are what the mask verifiers must
-reproduce.  The witness constructions that read neither table come from the
-module under test.
+every orthogonality query one entry of a dense perp matrix built here from
+the completion's leq (perp); nothing reads thru, pencil or the perp masks.
+The verifiers scan the consistency cover chart by chart and keep each
+quadrangle configuration and each exchange tuple in a set, as the geometry
+module once did, so their reports (counts and failure lists, in scan
+order) are what the mask verifiers must reproduce.  The witness
+constructions that read neither table come from the module under test.
 """
 
+import functools
 from itertools import combinations, permutations
+
+import numpy as np
 
 from qlattice.geometry import (_direct_diagonal_witness, _o4_paper_witness,
                                _paper_diagonal_witness, _shares_coordinate)
+
+
+@functools.lru_cache(maxsize=None)
+def ortho_outer_product(emb):
+    """x orth y iff some non-bottom real w lies below x with its star below
+    y: the OR of one outer product of leq rows per such w."""
+    amb = emb.ambient
+    orth = np.zeros((amb.n, amb.n), dtype=bool)
+    for w in emb.real:
+        if w != amb.bottom:
+            orth |= amb.leq[w][:, None] & amb.leq[emb.star_of(w)][None, :]
+    return orth
+
+
+def perp(G):
+    """The dense orthogonality matrix of G's completion, or the one a test
+    copy carries as dense_perp."""
+    dense = getattr(G, "dense_perp", None)
+    return ortho_outer_product(G.completion.embedding) if dense is None \
+        else dense
 
 
 def colinear(G, a, b, c):
@@ -64,10 +87,11 @@ def orthogonally_complete(G, subset, quads=True):
     """Every colinear triple holds an orthogonal pair and, unless quads is
     false, every quadrangle without inner colinearity has a corner
     orthogonal to two others."""
+    P = perp(G)
     subset = sorted(subset)
     for a, b, c in permutations(subset, 3):
         if b < c and colinear(G, a, b, c):
-            if not (G.perp[a, b] or G.perp[a, c] or G.perp[b, c]):
+            if not (P[a, b] or P[a, c] or P[b, c]):
                 return False
     if not quads:
         return True
@@ -75,7 +99,7 @@ def orthogonally_complete(G, subset, quads=True):
         quad = (a, b, c, d)
         if not no_inner_colinearity(G, quad):
             continue
-        if not any(sum(bool(G.perp[x, y]) for y in quad if y != x) >= 2
+        if not any(sum(bool(P[x, y]) for y in quad if y != x) >= 2
                    for x in quad):
             return False
     return True
@@ -209,18 +233,19 @@ def _on_starred_plane(G, quad):
 
 
 def verify_ortho(G, wide=None):
+    P = perp(G)
     report = {}
     pts = G.points
-    report["o1"] = {"pass": not any(G.perp[p, p] for p in pts)}
-    report["o2"] = {"pass": all(bool(G.perp[p, q]) == bool(G.perp[q, p])
+    report["o1"] = {"pass": not any(P[p, p] for p in pts)}
+    report["o2"] = {"pass": all(bool(P[p, q]) == bool(P[q, p])
                                 for p in pts for q in pts)}
     o3_bad = []
     for U in G.consistency_cover():
         for a, b in combinations(U, 2):
-            eps = [e for e in U if G.perp[e, a] and G.perp[e, b]]
+            eps = [e for e in U if P[e, a] and P[e, b]]
             line_ab = [d for d in U if colinear(G, d, a, b)]
             o3_bad.extend((a, b, e, d) for e in eps for d in line_ab
-                          if not G.perp[e, d])
+                          if not P[e, d])
     report["o3"] = {"pass": not o3_bad, "failures": o3_bad}
     o4_bad, irr_bad = [], []
     o4_witness_hits = 0
@@ -229,7 +254,7 @@ def verify_ortho(G, wide=None):
             continue
         third = [e for e in third_points(G, a, b)
                  if orthogonally_complete(G, {a, b, e})]
-        if not any(G.perp[e, a] for e in third):
+        if not any(P[e, a] for e in third):
             o4_bad.append((a, b))
         else:
             profile = G.hidden_profile(a) if G.is_hidden(a) else None
@@ -255,6 +280,7 @@ def verify_ortho(G, wide=None):
 
 
 def _type2_structure(G):
+    P = perp(G)
     bad = []
     comp = G.completion
     for chi in sorted(G.hidden_narrow):
@@ -272,15 +298,15 @@ def _type2_structure(G):
             bad.append((chi, "chart not consistent"))
             continue
         phi_g, psi_g = (comp.embed(p) for p in oriented[gamma])
-        pattern_ok = G.perp[phi_g, chi] and not G.perp[psi_g, chi] \
-            and not G.perp[phi_g, psi_g]
+        pattern_ok = P[phi_g, chi] and not P[psi_g, chi] \
+            and not P[phi_g, psi_g]
         for e, (p, q) in oriented.items():
             if e == gamma:
                 continue
             p, q = comp.embed(p), comp.embed(q)
-            pattern_ok &= bool(G.perp[p, q])
-            pattern_ok &= not G.perp[p, chi] and not G.perp[q, chi]
-            pattern_ok &= bool(G.perp[phi_g, p]) and bool(G.perp[phi_g, q])
+            pattern_ok &= bool(P[p, q])
+            pattern_ok &= not P[p, chi] and not P[q, chi]
+            pattern_ok &= bool(P[phi_g, p]) and bool(P[phi_g, q])
         if not pattern_ok:
             bad.append((chi, "orthogonality pattern"))
             continue
@@ -296,6 +322,7 @@ def _type2_structure(G):
 
 
 def _type1_structure(G):
+    P = perp(G)
     comp = G.completion
     base = comp.base
     bad = []
@@ -318,9 +345,9 @@ def _type1_structure(G):
                 bad.append((chi, delta, "partner missing"))
                 continue
             p, q = comp.embed(phi_d), comp.embed(psi_d)
-            got = (bool(G.perp[p, q]), bool(G.perp[p, chi]),
-                   bool(G.perp[q, chi]), bool(G.perp[p, partner]),
-                   bool(G.perp[q, partner]), bool(G.perp[chi, partner]))
+            got = (bool(P[p, q]), bool(P[p, chi]),
+                   bool(P[q, chi]), bool(P[p, partner]),
+                   bool(P[q, partner]), bool(P[chi, partner]))
             if got != expect:
                 bad.append((chi, delta, "pattern", got, expect))
                 continue

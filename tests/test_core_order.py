@@ -8,9 +8,10 @@ from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
                                  StateSpace, bool_space, bool_meet, bool_join,
                                  bool_bullet, bool_bar, bool_leq,
                                  bool_meet_all, bool_bullet_all, bits,
-                                 inclusion_order, row_masks, unpack_masks)
+                                 inclusion_order, row_masks, transpose,
+                                 unpack_masks)
 from qlattice.realspaces import spin_space, simplex_space
-from qlattice.tensor import build_tensor
+from qlattice.tensor import build_tensor, indeterministic_tensor
 
 from test_ontic import _inclusion_space
 
@@ -192,13 +193,98 @@ def test_cover_matrix_against_brute_force(z2, two_qubit):
             space.covers[0] = 0
 
 
-def test_leq_is_the_only_dense_array(z2, two_qubit):
-    ts, comp = two_qubit
-    for space in (bool_space(), z2.space, ts.space, comp.space):
-        arrays = [name for name, value in vars(space).items()
-                  if isinstance(value, np.ndarray)]
-        assert arrays == ["leq"]
-        assert space.leq.shape == (space.n, space.n)
+def _dense_arrays(space):
+    return [name for name, value in vars(space).items()
+            if isinstance(value, np.ndarray)]
+
+
+def test_no_dense_array_until_leq_is_read():
+    # fresh spaces, so that no other test has read their leq yet
+    for na in (2, 3):
+        ts, comp = indeterministic_tensor(spin_space(na), spin_space(2))
+        rng = random.Random(na)
+        reals = [i for i in range(ts.space.n) if i != ts.space.bottom]
+        for _ in range(200):
+            comp.sharpening(rng.sample(reals, rng.randint(1, 3)))
+            i, j = rng.randrange(comp.space.n), rng.randrange(comp.space.n)
+            comp.join(i, j)
+            comp.meet(i, j)
+            ts.space.meet(i % ts.space.n, j % ts.space.n)
+            comp.space.upper_covers(i)
+        for space in (bool_space(), ts.space, comp.space):
+            assert _dense_arrays(space) == []
+        # the view, once read, is the order the masks were built from:
+        # inclusion of the completion's down-set keys, reverse inclusion of
+        # the tensor's cover sets
+        keys, covers = comp._keys, ts._covers
+        assert comp.space.leq.tolist() == [[a & ~b == 0 for b in keys]
+                                           for a in keys]
+        assert ts.space.leq.tolist() == [[b & ~a == 0 for b in covers]
+                                         for a in covers]
+        for space in (ts.space, comp.space):
+            assert space.leq is space.leq
+            assert _dense_arrays(space) == ["_leq"]
+            with pytest.raises(ValueError):
+                space.leq[0, 0] = False
+
+
+def test_constructor_takes_up_set_masks():
+    names = ["bot", "a", "b"]
+    space = StateSpace(names, [0b111, 0b010, 0b100])
+    assert space.down == [0b001, 0b011, 0b101]
+    assert space.below(0, 2) and not space.below(2, 0)
+    for up, message in (([0b111, 0b010], "2 up-set masks for 3 elements"),
+                        ([0b111, 0b010, 0b100, 0b1000],
+                         "4 up-set masks for 3 elements"),
+                        ([0b111, 0b1010, 0b100], "up-set of 'a' is not"),
+                        ([-1, 0b010, 0b100], "up-set of 'bot' is not"),
+                        (np.eye(3, dtype=bool), "up-set of 'bot' is not"),
+                        ([0b111, 0.5, 0b100], "up-set of 'a' is not")):
+        with pytest.raises(InputError) as err:
+            StateSpace(names, up)
+        assert str(err.value).startswith(message)
+
+
+def _dense_closure(mat):
+    """Reflexive-transitive closure of a boolean relation matrix, by
+    squaring until it stabilizes."""
+    n = mat.shape[0]
+    out = mat | np.eye(n, dtype=bool)
+    while True:
+        nxt = out | (out @ out)
+        if (nxt == out).all():
+            return out
+        out = nxt
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                       max_size=3 * n).map(lambda pairs: (n, pairs))),
+    st.booleans())
+@example((4, [(0, 1), (1, 2), (2, 3)]), False)
+@example((5, [(1, 2), (1, 3), (2, 4), (3, 4)]), True)
+@example((3, [(1, 2), (2, 1)]), True)
+def test_from_relation_closes_like_the_dense_product(relation, rooted):
+    n, pairs = relation
+    if rooted:
+        # e0 below everything, so that more draws are partial orders
+        pairs = pairs + [(0, k) for k in range(n)]
+    names = ["e%d" % i for i in range(n)]
+    mat = np.zeros((n, n), dtype=bool)
+    for a, b in pairs:
+        mat[a, b] = True
+    named = [(names[a], names[b]) for a, b in pairs]
+    try:
+        want = StateSpace(names, row_masks(_dense_closure(mat)))
+    except InputError as err:
+        with pytest.raises(InputError) as got:
+            StateSpace.from_relation(names, named)
+        assert str(got.value) == str(err)
+        return
+    space = StateSpace.from_relation(names, named)
+    assert space.up == want.up
+    assert space.covers == want.covers
 
 
 def test_order_masks_match_leq(z2, two_qubit):
@@ -221,7 +307,7 @@ def test_bits_and_inclusion_order():
     assert bits(1 << 70 | 1) == [0, 70]
     masks = [0b011, 0b001, 0b111, 0b100]
     want = [[set(bits(a)) <= set(bits(b)) for b in masks] for a in masks]
-    assert inclusion_order(masks).tolist() == want
+    assert inclusion_order(masks) == row_masks(np.array(want))
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,12 +315,15 @@ def test_bits_and_inclusion_order():
                 max_size=12))
 def test_inclusion_order_matches_pairwise_tests(masks):
     # zero masks, repeats and masks wider than a machine word included
-    want = [[a & ~b == 0 for b in masks] for a in masks]
-    got = inclusion_order(masks)
-    assert got.shape == (len(masks), len(masks))
-    assert got.tolist() == want
+    want = [sum(1 << j for j, b in enumerate(masks) if a & ~b == 0)
+            for a in masks]
+    assert inclusion_order(masks) == want
     width = max(masks, default=0).bit_length()
     assert row_masks(unpack_masks(masks, width)) == masks
+    # the columns of the masks, read bit by bit
+    assert transpose(masks, width) == [
+        sum(1 << i for i, m in enumerate(masks) if m >> x & 1)
+        for x in range(width)]
 
 
 def _oracle_meet_table(space):
@@ -368,9 +457,9 @@ def test_validation_errors_match_dense_oracle(rows, reflexive, antisymmetric):
         # a partial order with bottom may still lack a meet
         want = _oracle_missing_meet(leq)
     if want is None:
-        space = StateSpace(names, leq)
+        space = StateSpace(names, row_masks(leq))
         assert space.covers == _mask_rows(_brute_covers(space))
         return
     with pytest.raises(InputError) as err:
-        StateSpace(names, leq)
+        StateSpace(names, row_masks(leq))
     assert str(err.value) == want

@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from qlattice.core_order import InputError, bits
+from qlattice.core_order import InputError, bits, row_masks
 from qlattice.geometry import (_bron_kerbosch, _diagonal_witnesses,
                                _no_inner_colinearity, _quadrangles,
                                _third_points, verify_projective,
@@ -251,11 +251,13 @@ def _merged_chart(G, seed, size=24):
 
 
 def _asymmetric_perp(G, seed, density):
-    """A copy with a random, not symmetric, orthogonality matrix."""
+    """A copy with a random, not symmetric, orthogonality matrix, which the
+    reference reads as dense_perp and the copy as its mask rows."""
     H = copy.copy(G)
-    H.perp = np.random.default_rng(seed).random(G.perp.shape) < density
-    H.perp_rows, H.perp_cols = H._perp_masks()
-    assert (H.perp != H.perp.T).any()
+    n = G.completion.space.n
+    H.dense_perp = np.random.default_rng(seed).random((n, n)) < density
+    H.perp_rows, H.perp_cols = H._perp_masks(row_masks(H.dense_perp))
+    assert (H.dense_perp != H.dense_perp.T).any()
     return H
 
 
@@ -277,8 +279,8 @@ def test_incidence_tables_match_meets_and_covers(geo_wide, geo_narrow):
         H = _asymmetric_perp(G, 4, 0.3)
         for x in G.points:
             for y in G.points:
-                assert H.perp_rows[x] >> y & 1 == H.perp[x, y]
-                assert H.perp_cols[y] >> x & 1 == H.perp[x, y]
+                assert H.perp_rows[x] >> y & 1 == H.dense_perp[x, y]
+                assert H.perp_cols[y] >> x & 1 == H.dense_perp[x, y]
 
 
 def test_colinear_and_line_match_reference(geo_wide):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qlattice import ontic
-from qlattice.core_order import CapExceeded, StateSpace
+from qlattice.core_order import CapExceeded, StateSpace, row_masks
 from qlattice.realspaces import spin_space, simplex_space
 from qlattice.tensor import build_tensor
 from qlattice.ontic import (closure, closure_step, is_star_free,
@@ -281,7 +281,7 @@ def _inclusion_space(family):
         closed |= more
     elems = sorted(closed)
     leq = np.array([[a & ~b == 0 for b in elems] for a in elems])
-    return StateSpace(["s%d" % a for a in elems], leq)
+    return StateSpace(["s%d" % a for a in elems], row_masks(leq))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,20 +1,25 @@
+import random
 from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlattice import chu
-from qlattice.core_order import InputError, StateSpace
+from qlattice.core_order import InputError, StateSpace, row_masks
 from qlattice.realspaces import (make_space, bool_real_space, simplex_space,
                                  spin_space, is_deterministic,
                                  is_completely_indeterministic, is_linear,
                                  ortho_matrix, ortho_complement,
                                  orthoclosure, orthoclosed_sets,
-                                 RealStructureEmbedding, real_effects_of,
-                                 validate_embedding, validate_real)
+                                 RealSpace, RealStructureEmbedding,
+                                 real_effects_of, validate_embedding,
+                                 validate_real, _star_problems)
 from qlattice.ontic import build_completion
+from qlattice.tensor import build_tensor, indeterministic_tensor
 
+from geometry_reference import ortho_outer_product
 from test_core_order import _brute_covers
 from test_ontic import _inclusion_space
 
@@ -123,7 +128,7 @@ def test_orthoclosed_family_size(emb):
 
 def test_double_orthocomplement(emb):
     orth = ortho_matrix(emb)
-    n = orth.shape[0]
+    n = len(orth)
     for bits in range(1 << n):
         subset = frozenset(i for i in range(n) if bits >> i & 1)
         perp = ortho_complement(emb, subset, orth)
@@ -134,7 +139,7 @@ def test_double_orthocomplement(emb):
 
 def test_double_orthogonal_is_a_closure(emb):
     orth = ortho_matrix(emb)
-    n = orth.shape[0]
+    n = len(orth)
     for bits in range(1 << n):
         subset = frozenset(i for i in range(n) if bits >> i & 1)
         one, two = orthoclosure(emb, subset, orth)
@@ -152,7 +157,7 @@ def test_closed_sets_disjoint_from_their_complement(emb):
 _Z2C = build_completion(spin_space(2))
 _EMB = _Z2C.embedding
 _ORTH = ortho_matrix(_EMB)
-_N = _ORTH.shape[0]
+_N = len(_ORTH)
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,6 +167,23 @@ def test_orthocomplement_is_antitone(a, b):
     pa = ortho_complement(_EMB, small, _ORTH)
     pb = ortho_complement(_EMB, large, _ORTH)
     assert pb <= pa
+
+
+@pytest.mark.parametrize("na", [2, 3], ids=["z2z2", "z3z2"])
+def test_ortho_rows_match_outer_product_formula(na, two_qubit):
+    comp = two_qubit[1] if na == 2 \
+        else indeterministic_tensor(spin_space(3), spin_space(2))[1]
+    emb = comp.embedding
+    dense = ortho_outer_product(emb)
+    rows = ortho_matrix(emb)
+    assert rows == row_masks(dense)
+    # complements read off the rows against the columns of the matrix
+    rng = random.Random(na)
+    n = comp.space.n
+    for size in (0, 1, 1, 2, 2, 3, 5):
+        subset = rng.sample(range(n), size)
+        want = np.flatnonzero(dense[:, subset].all(axis=1)).tolist()
+        assert ortho_complement(emb, subset, rows) == frozenset(want)
 
 
 # -- star order reversal and effect separation against the leq and effect
@@ -255,3 +277,151 @@ def test_star_checks_match_oracles_on_drawn_embeddings(family, data):
         problems = validate_real(SimpleNamespace(space=space, star=star))
         assert _problems_of_kind(problems, "star not order-reversing") == \
             _oracle_order_reversal(space, star, nonbottom)
+
+
+# -- JSON round trips through the mask closure -------------------------------
+
+_JSON_SPACES = {
+    "bool": bool_real_space,
+    "spin2": lambda: spin_space(2),
+    "spin3": lambda: spin_space(3),
+    "spin4": lambda: spin_space(4),
+    "simplex3": lambda: simplex_space(3),
+    "z2z2": lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_SPACES))
+def test_json_round_trips_keep_masks_bottom_and_star(name):
+    rs = _JSON_SPACES[name]()
+    space = rs.space
+    for again in (StateSpace.from_json(space.to_json()),
+                  RealSpace.from_json(rs.to_json()).space):
+        assert again.names == space.names
+        assert again.up == space.up
+        assert again.bottom == space.bottom
+    assert RealSpace.from_json(rs.to_json()).star == rs.star
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"elements": ["a"]}, "space JSON needs 'elements' and 'leq' keys"),
+    ([], "space JSON needs 'elements' and 'leq' keys"),
+    ({"elements": ["a", "b"], "leq": [["a", "c"]]},
+     "leq pair ('a', 'c') uses an unknown element"),
+    ({"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]},
+     "antisymmetry fails for 'a', 'b'"),
+    ({"elements": ["a", "a"], "leq": []}, "duplicate element names: a"),
+    ({"elements": ["a", "b"], "leq": [["a", "b"]], "bottom": "b"},
+     "declared bottom 'b' is not the least element"),
+    ({"elements": ["o", "a", "b"], "leq": [["o", "a"], ["o", "b"]]},
+     "real space JSON needs a 'star' key"),
+    ({"elements": ["o", "a", "b"], "leq": [["o", "a"], ["o", "b"]],
+      "star": [["a", "c"]]}, "unknown element 'c'"),
+    ({"elements": ["o", "a", "b"], "leq": [["o", "a"], ["o", "b"]],
+      "star": [["a", "b"], ["b", "b"]]}, "star not involutive at 'a'"),
+])
+def test_malformed_json_raises_input_error(data, message):
+    with pytest.raises(InputError) as err:
+        RealSpace.from_json(data)
+    assert message in str(err.value)
+
+
+# -- the star axioms against an oracle that reads only leq --------------------
+
+def _oracle_star_problems(space, star, nonbottom, standalone):
+    """_star_problems, read off the dense order alone: every axiom is one
+    scan over elements or pairs, and each reports its first violation."""
+    leq, names, n = space.leq, space.names, space.n
+    bottom = next(i for i in range(n) if leq[i].all())
+    for i in nonbottom:
+        if i not in star:
+            return ["star undefined at %r" % names[i]], True
+        if standalone and not (0 <= star[i] < n and star[i] != bottom):
+            return ["star of %r leaves the non-bottom elements"
+                    % names[i]], True
+    problems = []
+    if standalone and bottom in star:
+        problems.append("star defined at the bottom element")
+    # each scan stops at its first violation, as the checks do
+    wrong = next((i for i in nonbottom if star[star[i]] != i), None)
+    if wrong is not None:
+        problems.append("star not involutive at %r" % names[wrong])
+    wrong = next(((i, j) for i in nonbottom for j in nonbottom
+                  if leq[i, j] and not leq[star[j], star[i]]), None)
+    if wrong is not None:
+        problems.append("star not order-reversing at (%r, %r)"
+                        % (names[wrong[0]], names[wrong[1]]))
+    wrong = next((i for i in nonbottom
+                  if any(leq[i, k] and leq[star[i], k] for k in range(n))),
+                 None)
+    if wrong is not None:
+        problems.append("no-common-upper-bound fails at (%r, %r)"
+                        % (names[wrong], names[star[wrong]]))
+    return problems, False
+
+
+def _star_mutations(star, nonbottom, bottom, standalone, rng):
+    """The star itself, then random maps, random involutive pairings, stars
+    with a fixed point, a star defined at the bottom, a star with a missing
+    image, and for a standalone space one with a stray image (only that
+    check looks for one)."""
+    yield dict(star)
+    for _ in range(12):
+        yield {i: rng.choice(nonbottom) for i in nonbottom}
+        shuffled = rng.sample(nonbottom, len(nonbottom))
+        paired = {}
+        for a, b in zip(shuffled[::2], shuffled[1::2]):
+            paired[a], paired[b] = b, a
+        if len(shuffled) % 2:
+            paired[shuffled[-1]] = shuffled[-1]
+        yield paired
+        fixed = dict(star)
+        i = rng.choice(nonbottom)
+        fixed[star[i]] = star[i]
+        fixed[i] = i
+        yield fixed
+    yield {**star, bottom: nonbottom[0]}
+    missing = dict(star)
+    del missing[rng.choice(nonbottom)]
+    yield missing
+    if standalone:
+        stray = dict(star)
+        stray[rng.choice(nonbottom)] = bottom
+        yield stray
+
+
+def _star_cases(completion):
+    for name, make in (("spin2", lambda: spin_space(2)),
+                       ("spin3", lambda: spin_space(3)),
+                       ("spin4", lambda: spin_space(4)),
+                       ("simplex3", lambda: simplex_space(3))):
+        rs = make()
+        space = rs.space
+        yield name, space, rs.star, [i for i in range(space.n)
+                                     if i != space.bottom], True
+    emb = completion.embedding
+    amb = emb.ambient
+    yield "completion", amb, emb.star, [r for r in emb.real
+                                           if r != amb.bottom], False
+
+
+_STAR_KINDS = ("star undefined", "star of", "star defined at the bottom",
+               "star not involutive", "star not order-reversing",
+               "no-common-upper-bound fails")
+
+
+def test_star_problems_match_leq_oracle(two_qubit):
+    rng = random.Random(11)
+    kinds = set()
+    for name, space, star, nonbottom, standalone in _star_cases(two_qubit[1]):
+        bottom = space.bottom
+        for mutated in _star_mutations(star, nonbottom, bottom, standalone,
+                                       rng):
+            want = _oracle_star_problems(space, mutated, nonbottom,
+                                         standalone)
+            got = _star_problems(space, mutated, nonbottom, standalone)
+            assert got == want, (name, mutated)
+            kinds.update(k for k in _STAR_KINDS for message in want[0]
+                         if message.startswith(k))
+    # every axiom is broken by some mutation
+    assert kinds == set(_STAR_KINDS)

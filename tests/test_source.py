@@ -45,3 +45,46 @@ def test_module_level_imports_are_used():
 def test_unused_import_check_sees_leftovers():
     tree = ast.parse("import numpy as np\nfrom .a import b, c\nc()\n")
     assert _unused_imports(tree) == ["b", "np"]
+
+
+# The functions that may read the dense order view `leq`: the verify
+# oracles, which check the masks against the matrix.  Library code reads
+# the order through the up- and down-set masks.
+_LEQ_READERS = {("verify.py", "_real_trace"),
+                ("verify.py", "check_completion_z2")}
+
+
+def _leq_readers(tree):
+    """The dotted names of the functions (empty at module level) that read
+    an attribute named leq, once per read."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute) and child.attr == "leq" \
+                    and isinstance(child.ctx, ast.Load):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_library_reads_the_order_through_masks():
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers.update((path.name, name) for name in _leq_readers(tree))
+    assert readers == _LEQ_READERS
+
+
+def test_leq_check_sees_subscripts_and_aliases():
+    tree = ast.parse("def f(s):\n    return s.leq[0, 1]\n"
+                     "class C:\n    def g(self, s):\n        m = s.leq\n"
+                     "        return m[0]\n"
+                     "s.leq = 1\n")
+    assert _leq_readers(tree) == ["f", "C.g"]
