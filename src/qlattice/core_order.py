@@ -8,13 +8,12 @@ absorbing) and an involution swapping Y and N.
 `StateSpace` is a finite meet-semilattice with a bottom element, given and
 stored as int bitmasks of up-sets, plus their transpose (the down-sets) and
 the upper covers; the order matrix `leq` is a view built on first read.
-Everything downstream (real structures, ontic completions, tensors) is
-built out of these.
+numpy is imported only by that view and by `row_masks`, so a process that
+never reads `leq` never loads it.  Everything downstream (real structures,
+ontic completions, tensors) is built out of these.
 """
 
 import json
-
-import numpy as np
 
 YES = "Y"
 NO = "N"
@@ -86,6 +85,7 @@ def bool_bullet_all(values):
 
 def row_masks(mat):
     """Each row of a boolean matrix as an int, bit j for column j."""
+    import numpy as np
     packed = np.packbits(mat, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -103,6 +103,7 @@ def bits(mask):
 def unpack_masks(masks, width):
     """A family of int masks as a boolean matrix, row i holding the low
     `width` bits of masks[i]: the inverse of row_masks."""
+    import numpy as np
     nbytes = (width + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
                                     for m in masks), dtype=np.uint8)

@@ -39,13 +39,11 @@ the pairs met by the input are one OR per member.  z is the least upper
 bound of its trace when every gap of z is met, and adding 1 at the bottom
 of z's block carries into its guard exactly then.  The bottom covers
 nothing: it is always fixed, and is the answer only for a bottom-only
-input.
+input.  The tables are read off the up-set, down-set and cover masks.
 """
 
-import numpy as np
-
 from .core_order import (InputError, CapExceeded, StateSpace, bits,
-                         inclusion_order, row_masks, unpack_masks)
+                         inclusion_order)
 from .realspaces import RealSpace, RealStructureEmbedding
 
 
@@ -61,39 +59,36 @@ def _step_tables(space):
     p meets down[u]; blocks, lows and guards hold the pair bits, the lowest
     bit of each block and the guard bits; owner maps g + 1 to the element
     whose guard is bit g, and keep[z] holds the guards of the elements not
-    below z.  The order matrix is unpacked here, not kept on the space."""
-    n = space.n
-    leq = unpack_masks(space.up, n)
+    below z.  All are read off the masks: sat[x] starts as the pairs whose
+    gap holds x, and since down[u] is u and the down-sets of what u covers,
+    bottom up, sat[u] and the guards below u OR in those of what u covers."""
+    n, down = space.n, space.down
     lower = [[] for _ in range(n)]
     for c, row in enumerate(space.covers):
         for z in bits(row):
             lower[z].append(c)
     order = sorted((z for z in range(n) if lower[z]),
-                   key=lambda z: space.down[z].bit_count())
-    tops, bottoms, columns, guard_at = [], [], [], []
+                   key=lambda z: down[z].bit_count())
+    sat, below = [0] * n, [0] * n
     blocks = lows = guards = width = 0
     owner = {}
     for z in order:
-        k = len(lower[z])
-        tops += [z] * k
-        bottoms += lower[z]
-        columns += range(width, width + k)
         lows |= 1 << width
-        blocks |= ((1 << k) - 1) << width
-        width += k
+        blocks |= ((1 << len(lower[z])) - 1) << width
+        for c in lower[z]:
+            for x in bits(down[z] & ~down[c]):
+                sat[x] |= 1 << width
+            width += 1
+        below[z] = 1 << width
         guards |= 1 << width
-        guard_at.append(width)
         width += 1
         owner[width] = z
-    # gap[p, x]: x lies below the top of pair p and not below its bottom;
-    # the gap meets down[u] when some gap element lies below u
-    gap = (leq[:, tops] & ~leq[:, bottoms]).T.astype(np.float32)
-    met = np.zeros((n, width), dtype=bool)
-    met[:, columns] = ((gap @ leq.astype(np.float32)) > 0).T
-    below = np.zeros((n, width), dtype=bool)
-    below[:, guard_at] = leq[order].T
-    keep = [guards & ~m for m in row_masks(below)]
-    return row_masks(met), blocks, lows, guards, owner, keep
+    for u in order:
+        for c in lower[u]:
+            sat[u] |= sat[c]
+            below[u] |= below[c]
+    keep = [guards & ~m for m in below]
+    return sat, blocks, lows, guards, owner, keep
 
 
 def closure_step(space, members):
@@ -236,12 +231,18 @@ class OnticCompletion(object):
         # first level of the search tries every pair, so the table is
         # complete before any union of three or more reals
         self._bad_pairs = [0] * real.n
+        bad = self._bad_pairs
         frontier = [down[i] for i in singles]
         candidates = 0
         while frontier:
             fresh = []
             for d in frontier:
                 anti = found[d]
+                # two ANDs are the pair test: no bad pair lies within the
+                # closed admissible d, nor within s and the reals below it
+                bad_of_d = 0
+                for m in anti:
+                    bad_of_d |= bad[m]
                 for s in singles:
                     if d >> s & 1:
                         continue
@@ -250,7 +251,10 @@ class OnticCompletion(object):
                         raise CapExceeded(
                             "completion candidate cap hit after %d elements"
                             % len(found))
-                    j = self._join(anti + (s,), d | down[s])
+                    if len(anti) == 1:  # the row grows at the first level
+                        bad_of_d = bad[anti[0]]
+                    j = self._join(anti + (s,), d | down[s],
+                                   bad[s] & d or bad_of_d & down[s])
                     if j is not None and j not in found:
                         found[j] = tuple(x for x in bits(j)
                                          if real.up[x] & j == 1 << x)
@@ -273,10 +277,10 @@ class OnticCompletion(object):
             return real.names[u[0]]
         return "{" + ",".join(real.names[i] for i in u) + "}"
 
-    def _join(self, members, below):
+    def _join(self, members, below, known_bad=None):
         """The closed down mask of the join of some reals whose down-sets
         OR to below, or None when their union is inadmissible; memoized on
-        below."""
+        below.  known_bad, when given, is the pair test's verdict."""
         if below in self._joins:
             return self._joins[below]
         bad = self._bad_pairs
@@ -286,7 +290,9 @@ class OnticCompletion(object):
         # lies below two distinct members (x and x* have no common upper
         # bound, so a single real is admissible), and their join is
         # inadmissible as well
-        if not any(bad[m] & below for m in members):
+        if known_bad is None:
+            known_bad = any(bad[m] & below for m in members)
+        if not known_bad:
             anti = sharpen(self.base, members)
             if anti is not None:
                 out = 0

@@ -10,15 +10,13 @@ The Bell pipeline builds the hidden state
     Sigma = (s1 (x) t1  meet  s2 (x) t2)  join  (s1* (x) bot  meet  bot (x) t1*),
 
 computes its four measurement marginals in the boolean tensor square, and
-scans the whole fourfold boolean simplex power for a global state matching
-all four at once.  Absence of such a state is Bell non-locality.  Sigma is
-closed on the tensor's real space and held as its canonical antichain, so
-the completion of the tensor is never enumerated.
+looks up a global state matching all four in a dict keyed by the marginals
+of the fourfold boolean simplex power's states.  Absence of such a state is
+Bell non-locality.  Sigma is closed on the tensor's real space and held as
+its canonical antichain, so the tensor's completion is never enumerated.
 """
 
 import functools
-
-import numpy as np
 
 from .core_order import YES, NO, BOT, InputError
 from . import chu
@@ -212,23 +210,22 @@ _MARGINAL_COORDS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 @functools.cache
 def _scan_table():
-    """The scan keys: entry m - 1 holds the four pair marginals of state
-    mask m of the fourfold boolean power, for every m, each a 4-bit mask of
-    the 2-factor power, packed low to high in the order of
-    _MARGINAL_COORDS.  Built on the first scan of a process (65,535 uint16
-    keys, 128 KB) by doubling: the keys of the masks with top bit k are
-    those of the masks below 1 << k ORed with the marginals of pure tuple k,
-    so no temporary is larger than the table."""
+    """The smallest state mask of the fourfold boolean power for each scan
+    key, its four pair marginals as 4-bit masks of the 2-factor power packed
+    low to high in the order of _MARGINAL_COORDS.  Built on the first scan
+    of a process (1,721 keys) by doubling: a mask with top bit k has the key
+    of the rest ORed with the marginals of pure tuple k.  Entries go in by
+    increasing mask, so the first one for a key is its smallest mask."""
     power = SimplexPower([bool_real_space()] * 4)
-    keys = np.zeros(1, dtype=np.uint16)
+    table = {0: 0}
     for k in range(power.count):
         bit = 0
         for slot, coords in enumerate(_MARGINAL_COORDS):
             bit |= power.project(1 << k, coords) << (4 * slot)
-        keys = np.concatenate((keys, keys | np.uint16(bit)))
-    keys = keys[1:]
-    keys.setflags(write=False)
-    return keys
+        for key, mask in list(table.items()):
+            table.setdefault(key | bit, mask | 1 << k)
+    del table[0]
+    return table
 
 
 def lambda_search(phi13, phi14, phi23, phi24, bb=None):
@@ -242,10 +239,7 @@ def lambda_search(phi13, phi14, phi23, phi24, bb=None):
     want = 0
     for slot, phi in enumerate((phi13, phi14, phi23, phi24)):
         want |= bb.cover_mask(phi) << (4 * slot)
-    hits = np.flatnonzero(_scan_table() == want)
-    if len(hits) == 0:
-        return None
-    return int(hits[0]) + 1
+    return _scan_table().get(want)
 
 
 def constructive_lambda(scenario, members, power=None):

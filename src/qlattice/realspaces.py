@@ -87,19 +87,19 @@ class RealStructureEmbedding(object):
 def _star_problems(space, star, nonbottom, standalone):
     """The star axioms shared by real spaces and real embeddings: star is
     defined on every non-bottom element, involutive, order-reversing, and
-    never has a common upper bound with its argument.  A standalone real
-    space also needs the star to map the non-bottom elements to themselves
-    and to leave the bottom alone.  Returns (violations, stopped): stopped
-    is set when a missing or stray image makes further checks meaningless."""
+    never has a common upper bound with its argument; its images are in
+    nonbottom, and a standalone real space leaves the bottom alone.  Returns
+    (violations, stopped): stopped is set when a missing or stray image
+    makes further checks meaningless."""
     names = space.names
     problems = []
+    inside = set(nonbottom)
     for i in nonbottom:
         if i not in star:
             return ["star undefined at %r" % names[i]], True
-        if standalone and (star[i] == space.bottom or star[i] < 0
-                           or star[i] >= space.n):
-            return ["star of %r leaves the non-bottom elements"
-                    % names[i]], True
+        if star[i] not in inside:
+            return ["star of %r leaves the non-bottom %s"
+                    % (names[i], "elements" if standalone else "reals")], True
     if standalone and space.bottom in star:
         problems.append("star defined at the bottom element")
     for i in nonbottom:

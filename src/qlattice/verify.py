@@ -160,40 +160,35 @@ def check_simplex_tensor():
 
 # -- 5. completion of the two-axis spin space ----------------------------------
 
-def _real_trace(comp, chi):
-    base = comp.base.space
-    return frozenset(r for r in range(base.n)
-                     if comp.space.leq[comp.embed(r), chi])
-
-
 def check_completion_z2():
     z2 = spin_space(2)
     comp = build_completion(z2)
     n = len(comp.elements)
     hidden = sum(1 for i in range(n) if comp.is_hidden(i))
-    traces = [_real_trace(comp, chi) for chi in range(n)]
+    # the order matrix, unpacked from the up-sets for the brute-force checks
+    leq = [[bool(row >> j & 1) for j in range(n)] for row in comp.space.up]
+    # the reals below each element
+    traces = [frozenset(r for r in range(z2.space.n)
+                        if leq[comp.embed(r)][chi]) for chi in range(n)]
     galois_bad = []
     for j, trace in enumerate(traces):
         lam = comp.sharpening(trace)
         for chi in range(n):
-            left = lam is not None and comp.space.leq[lam, chi]
+            left = lam is not None and leq[lam][chi]
             right = trace <= traces[chi]
             if left != right:
                 galois_bad.append((j, chi))
     order_bad = []
-    leq = comp.space.leq
     for i in range(n):
         for j in range(n):
-            lower = [k for k in range(n) if leq[k, i] and leq[k, j]]
+            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
             best = [k for k in lower
-                    if all(leq[m, k] for m in lower)]
+                    if all(leq[m][k] for m in lower)]
             if len(best) != 1 or best[0] != comp.meet(i, j):
                 order_bad.append(("meet", i, j))
-            upper = [k for k in range(n) if leq[i, k] and leq[j, k]]
-            least = [k for k in upper if all(leq[k, m] for m in upper)]
+            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            least = [k for k in upper if all(leq[k][m] for m in upper)]
             want = least[0] if len(least) == 1 else None
-            if not upper:
-                want = None
             if comp.join(i, j) != want:
                 order_bad.append(("join", i, j))
     ok = (n == 9 and hidden == 4 and not galois_bad and not order_bad)

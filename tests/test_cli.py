@@ -157,3 +157,34 @@ def test_geometry_json_is_the_incidence_object(geo_narrow):
     payload = json.loads(out.stdout)
     assert isinstance(payload, dict)
     assert payload == json.loads(json.dumps(export_incidence(geo_narrow)))
+
+
+_NUMPY_PROBE = """
+import json, sys
+import qlattice.cli
+from qlattice import ontic, realspaces, verify
+report = verify.run_suite()
+space = ontic.build_completion(realspaces.spin_space(2)).space
+before = "numpy" in sys.modules
+leq = space.leq
+print(json.dumps({
+    "pass": report["pass"], "numpy_before_leq": before,
+    "numpy_after_leq": "numpy" in sys.modules,
+    "type": type(leq).__module__ + "." + type(leq).__name__,
+    "dtype": str(leq.dtype), "writeable": bool(leq.flags.writeable),
+    "cached": space.leq is leq,
+    "matches_up": [[bool(row >> j & 1) for j in range(space.n)]
+                   for row in space.up] == leq.tolist()}))
+"""
+
+
+def test_command_path_leaves_numpy_unloaded():
+    # a fresh interpreter: the CLI import and the whole verify suite run on
+    # int masks, and only a read of the leq view loads numpy
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
+                         capture_output=True, text=True, env=ENV)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "pass": True, "numpy_before_leq": False, "numpy_after_leq": True,
+        "type": "numpy.ndarray", "dtype": "bool", "writeable": False,
+        "cached": True, "matches_up": True}

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qlattice import ontic
-from qlattice.core_order import CapExceeded, StateSpace, row_masks
+from qlattice.core_order import (CapExceeded, StateSpace, bits, bool_space,
+                                 row_masks)
 from qlattice.realspaces import spin_space, simplex_space
 from qlattice.tensor import build_tensor
 from qlattice.ontic import (closure, closure_step, is_star_free,
@@ -384,6 +385,54 @@ def test_closure_step_matches_scan_on_intersection_families(family, data):
     want = _scan_stepper(space)(members)
     assert closure_step(space, members) == want
     assert want == _oracle_step(space, members)
+
+
+def _dense_step_tables(space):
+    """The tables of ontic._step_tables by a float32 product over the dense
+    order: the gap of each cover pair as a row over the elements, times the
+    order matrix, gives the pairs whose gap meets each down-set."""
+    n = space.n
+    leq = space.leq
+    lower = [[] for _ in range(n)]
+    for c, row in enumerate(space.covers):
+        for z in bits(row):
+            lower[z].append(c)
+    order = sorted((z for z in range(n) if lower[z]),
+                   key=lambda z: space.down[z].bit_count())
+    tops, bottoms, columns, guard_at = [], [], [], []
+    blocks = lows = guards = width = 0
+    owner = {}
+    for z in order:
+        k = len(lower[z])
+        tops += [z] * k
+        bottoms += lower[z]
+        columns += range(width, width + k)
+        lows |= 1 << width
+        blocks |= ((1 << k) - 1) << width
+        width += k
+        guards |= 1 << width
+        guard_at.append(width)
+        width += 1
+        owner[width] = z
+    gap = (leq[:, tops] & ~leq[:, bottoms]).T.astype(np.float32)
+    met = np.zeros((n, width), dtype=bool)
+    met[:, columns] = ((gap @ leq.astype(np.float32)) > 0).T
+    below = np.zeros((n, width), dtype=bool)
+    below[:, guard_at] = leq[order].T
+    keep = [guards & ~m for m in row_masks(below)]
+    return row_masks(met), blocks, lows, guards, owner, keep
+
+
+_TABLE_SPACES = dict(
+    _STEP_SPACES, bool=bool_space,
+    **{"z2z2-completion": lambda: build_completion(
+        build_tensor(spin_space(2), spin_space(2)).real_space).space})
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_SPACES))
+def test_step_tables_match_dense_product(name):
+    space = _TABLE_SPACES[name]()
+    assert ontic._step_tables(space) == _dense_step_tables(space)
 
 
 def test_closure_step_memo_matches_scan_after_completion(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qlattice.core_order import InputError
@@ -177,3 +178,42 @@ def test_lambda_search_matches_projection_oracle(scenario, bool_square):
         found += want is not None
     assert best.get(tuple(pair_mask[m] for m in quads[0])) is None
     assert found >= 113
+
+
+def _numpy_scan_keys():
+    """The scan key of every state mask m, at entry m - 1, by doubling a
+    numpy array over all 65,535 masks: the keys of the masks with top bit k
+    are those below 1 << k ORed with the marginals of pure tuple k."""
+    power = SimplexPower([bool_real_space()] * 4)
+    keys = np.zeros(1, dtype=np.uint16)
+    for k in range(power.count):
+        bit = 0
+        for slot, coords in enumerate(quantum._MARGINAL_COORDS):
+            bit |= power.project(1 << k, coords) << (4 * slot)
+        keys = np.concatenate((keys, keys | np.uint16(bit)))
+    return keys[1:]
+
+
+def test_scan_table_matches_numpy_doubling_and_projection():
+    table = quantum._scan_table()
+    keys = _numpy_scan_keys()
+    assert len(keys) == 65535
+    first = {}
+    for index, key in enumerate(keys.tolist()):
+        first.setdefault(key, index + 1)
+    assert table == first
+    assert len(table) == 1721
+    # a seeded sample of masks, each keyed by projecting it directly: its
+    # key is in the table, and the table's mask is the smallest with it
+    power = SimplexPower([bool_real_space()] * 4)
+
+    def key_of(mask):
+        return sum(power.project(mask, c) << (4 * slot)
+                   for slot, c in enumerate(quantum._MARGINAL_COORDS))
+
+    rng = random.Random(29)
+    for mask in rng.sample(range(1, power.full + 1), 300):
+        key = key_of(mask)
+        assert key == keys[mask - 1]
+        best = table[key]
+        assert best <= mask and key_of(best) == key

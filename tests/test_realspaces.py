@@ -339,6 +339,9 @@ def _oracle_star_problems(space, star, nonbottom, standalone):
         if standalone and not (0 <= star[i] < n and star[i] != bottom):
             return ["star of %r leaves the non-bottom elements"
                     % names[i]], True
+        if not standalone and star[i] not in nonbottom:
+            return ["star of %r leaves the non-bottom reals"
+                    % names[i]], True
     problems = []
     if standalone and bottom in star:
         problems.append("star defined at the bottom element")
@@ -360,11 +363,11 @@ def _oracle_star_problems(space, star, nonbottom, standalone):
     return problems, False
 
 
-def _star_mutations(star, nonbottom, bottom, standalone, rng):
+def _star_mutations(star, nonbottom, bottom, strays, rng):
     """The star itself, then random maps, random involutive pairings, stars
     with a fixed point, a star defined at the bottom, a star with a missing
-    image, and for a standalone space one with a stray image (only that
-    check looks for one)."""
+    image, and one star for each stray image: an element outside the
+    non-bottom ones the star must map to."""
     yield dict(star)
     for _ in range(12):
         yield {i: rng.choice(nonbottom) for i in nonbottom}
@@ -384,9 +387,9 @@ def _star_mutations(star, nonbottom, bottom, standalone, rng):
     missing = dict(star)
     del missing[rng.choice(nonbottom)]
     yield missing
-    if standalone:
+    for outside in strays:
         stray = dict(star)
-        stray[rng.choice(nonbottom)] = bottom
+        stray[rng.choice(nonbottom)] = outside
         yield stray
 
 
@@ -398,11 +401,14 @@ def _star_cases(completion):
         rs = make()
         space = rs.space
         yield name, space, rs.star, [i for i in range(space.n)
-                                     if i != space.bottom], True
+                                     if i != space.bottom], True, \
+            [space.bottom]
     emb = completion.embedding
     amb = emb.ambient
+    hidden = next(i for i in range(amb.n) if not emb.is_real(i))
     yield "completion", amb, emb.star, [r for r in emb.real
-                                           if r != amb.bottom], False
+                                           if r != amb.bottom], False, \
+        [amb.bottom, hidden]
 
 
 _STAR_KINDS = ("star undefined", "star of", "star defined at the bottom",
@@ -413,10 +419,10 @@ _STAR_KINDS = ("star undefined", "star of", "star defined at the bottom",
 def test_star_problems_match_leq_oracle(two_qubit):
     rng = random.Random(11)
     kinds = set()
-    for name, space, star, nonbottom, standalone in _star_cases(two_qubit[1]):
+    for name, space, star, nonbottom, standalone, strays in \
+            _star_cases(two_qubit[1]):
         bottom = space.bottom
-        for mutated in _star_mutations(star, nonbottom, bottom, standalone,
-                                       rng):
+        for mutated in _star_mutations(star, nonbottom, bottom, strays, rng):
             want = _oracle_star_problems(space, mutated, nonbottom,
                                          standalone)
             got = _star_problems(space, mutated, nonbottom, standalone)
@@ -425,3 +431,18 @@ def test_star_problems_match_leq_oracle(two_qubit):
                          if message.startswith(k))
     # every axiom is broken by some mutation
     assert kinds == set(_STAR_KINDS)
+
+
+def test_embedding_star_leaving_the_reals_raises_input_error(two_qubit):
+    # a real's star sent to the bottom, or to a hidden element: neither has
+    # a star of its own, and the constructor names the stray image
+    emb = two_qubit[1].embedding
+    amb = emb.ambient
+    real = next(r for r in emb.real if r != amb.bottom)
+    hidden = next(i for i in range(amb.n) if not emb.is_real(i))
+    for outside in (amb.bottom, hidden):
+        star = {**emb.star, real: outside}
+        with pytest.raises(InputError) as err:
+            RealStructureEmbedding(amb, emb.real, star)
+        assert "star of %r leaves the non-bottom reals" % amb.names[real] \
+            in str(err.value)

@@ -47,11 +47,10 @@ def test_unused_import_check_sees_leftovers():
     assert _unused_imports(tree) == ["b", "np"]
 
 
-# The functions that may read the dense order view `leq`: the verify
-# oracles, which check the masks against the matrix.  Library code reads
-# the order through the up- and down-set masks.
-_LEQ_READERS = {("verify.py", "_real_trace"),
-                ("verify.py", "check_completion_z2")}
+# The functions that may read the dense order view `leq`: none.  Library
+# code, the verify oracles included, reads the order through the up- and
+# down-set masks; the view is for callers outside the package.
+_LEQ_READERS = set()
 
 
 def _leq_readers(tree):
@@ -88,3 +87,49 @@ def test_leq_check_sees_subscripts_and_aliases():
                      "        return m[0]\n"
                      "s.leq = 1\n")
     assert _leq_readers(tree) == ["f", "C.g"]
+
+
+def _module_level_numpy_imports(tree):
+    """The line numbers of the imports of numpy that run when the module is
+    imported: every one outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_src_imports_numpy_only_inside_functions():
+    # numpy is imported inside the functions that need it (the leq view
+    # and row_masks), never by importing the package
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _module_level_numpy_imports(
+            ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_numpy_import_check_sees_module_and_class_level():
+    tree = ast.parse("import numpy as np\n"
+                     "try:\n    from numpy.linalg import norm\n"
+                     "except ImportError:\n    pass\n"
+                     "class C:\n    import numpy\n"
+                     "def f():\n    import numpy as np\n"
+                     "import numpyish\n")
+    assert _module_level_numpy_imports(tree) == [1, 3, 7]

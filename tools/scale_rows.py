@@ -3,20 +3,23 @@
     python3 tools/scale_rows.py OUT.json
 
 The rows are the Z2⊗Z2 completion, the Z3⊗Z2 tensor and its completion,
-the Z3⊗Z3 and Z4⊗Z4 tensors, the Z3⊗Z2 geometry and the Z3⊗Z3 Bell
-scenario.  Each row runs in its
-own interpreter (this script with `--child NAME`), so no memo or allocator
-state carries from one row to the next; the child reports its wall time,
-the element count it built and its peak resident set size.  A completion
-row times the tensor and the completion together and also reports the
-tensor on its own.  The geometry row goes on to build the wide and narrow
-geometries over the completion and run verify_projective, verify_ortho and
-verify_invariants; it reports the time of that part on its own and of each
-verifier, the point counts, the verifiers' counts and pass flags, and a
-digest of the full reports.  The Bell row builds the tensor, the scenario
-and its report, as `qlattice bell` does, and reports the member count of
-sigma and the verdict, or the error that stopped it.  OUT.json gets one entry per row plus the host
-it ran on.
+the Z3⊗Z3 and Z4⊗Z4 tensors, the Z3⊗Z2 geometry, the Z3⊗Z3 Bell
+scenario and the CLI's verify suite.  Each row runs in its own interpreter
+(this script with `--child NAME`), so no memo or allocator state carries
+from one row to the next; the child reports its wall time, the element
+count it built (none for cli-verify) and its peak resident set size.  A
+completion row times the tensor and the completion together and also
+reports the tensor on its own.  The geometry row goes on to build the
+wide and narrow geometries over the completion and run verify_projective,
+verify_ortho and verify_invariants; it reports the time of that part on
+its own and of each verifier, the point counts, the verifiers' counts and
+pass flags, and a digest of the full reports.  The Bell row builds the
+tensor, the scenario and its report, as `qlattice bell` does, and reports
+the member count of sigma and the verdict, or the error that stopped it.
+The cli-verify row times `import qlattice.cli` and one run of the whole
+verify suite, as `qlattice verify --suite all` does, and reports whether
+numpy was loaded.
+OUT.json gets one entry per row plus the host it ran on.
 """
 
 import argparse
@@ -40,12 +43,15 @@ ROWS = {
     "z4z4-tensor": (4, 4, "tensor"),
     "z3z2-geometry": (3, 2, "geometry"),
     "z3z3-bell": (3, 3, "bell"),
+    "cli-verify": (None, None, "cli-verify"),
 }
 
 
 def run_row(name):
     """Build one row in this process and return its measurements."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    if name == "cli-verify":
+        return run_cli_verify()
     from qlattice.ontic import OnticCompletion
     from qlattice.realspaces import spin_space
     from qlattice.tensor import build_tensor
@@ -67,6 +73,23 @@ def run_row(name):
     out["peak_rss_mb"] = resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return out
+
+
+def run_cli_verify():
+    """The CLI import and the whole verify suite, timed apart, with the
+    suite's verdict."""
+    start = time.perf_counter()
+    import qlattice.cli  # noqa: F401
+    from qlattice import verify
+    imported = time.perf_counter()
+    report = verify.run_suite()
+    done = time.perf_counter()
+    return {"name": "cli-verify", "import_s": imported - start,
+            "verify_s": done - imported, "wall_s": done - start,
+            "pass": report["pass"],
+            "numpy_loaded": "numpy" in sys.modules,
+            "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def run_geometry(comp, ts):
@@ -131,7 +154,8 @@ def main():
         row = json.loads(done.stdout)
         rows.append(row)
         print("%-16s %6d elements %8.3f s %7.1f MB"
-              % (name, row["elements"], row["wall_s"], row["peak_rss_mb"]),
+              % (name, row.get("elements", 0), row["wall_s"],
+                 row["peak_rss_mb"]),
               file=sys.stderr)
     import numpy
     report = {
