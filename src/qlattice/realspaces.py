@@ -8,6 +8,7 @@ an ontic completion produces).
 """
 
 import json
+import numbers
 from itertools import combinations
 
 from .core_order import (BOT, CapExceeded, InputError, StateSpace, bits,
@@ -62,6 +63,12 @@ class RealStructureEmbedding(object):
 
     def __init__(self, ambient, real, star):
         self.ambient = ambient
+        real = list(real)
+        stray = [r for r in real if not isinstance(r, numbers.Integral)
+                 or not 0 <= r < ambient.n]
+        if stray:
+            raise InputError("real id %r is not an element of the ambient "
+                             "space" % (stray[0],))
         self.real = tuple(sorted(int(r) for r in real))
         self.real_mask = sum(1 << r for r in self.real)
         self.star = {int(k): int(v) for k, v in star.items()}

@@ -23,6 +23,11 @@ def two_qubit(z2):
 
 
 @pytest.fixture(scope="session")
+def z3z2():
+    return indeterministic_tensor(spin_space(3), spin_space(2))
+
+
+@pytest.fixture(scope="session")
 def geo_wide(two_qubit):
     ts, comp = two_qubit
     return build_geometry(comp, ts, variant="wide")
@@ -32,6 +37,12 @@ def geo_wide(two_qubit):
 def geo_narrow(two_qubit):
     ts, comp = two_qubit
     return build_geometry(comp, ts, variant="narrow")
+
+
+@pytest.fixture(scope="session")
+def geo_z3z2_wide(z3z2):
+    ts, comp = z3z2
+    return build_geometry(comp, ts, variant="wide")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
 """Per-call geometry verifiers, the reference for the mask tables of
 qlattice.geometry.
 
-Every incidence query here reads the completion's meet and cover rows, and
-every orthogonality query one entry of a dense perp matrix built here from
-the completion's leq (perp); nothing reads thru, pencil or the perp masks.
+Consistency is decided pair by pair from its definition (consistent), the
+reference for GeometrySet's consistency masks; the verifiers below read
+the masks through G.consistent.  Every incidence query here reads the
+completion's meet and cover rows, and every orthogonality query one entry
+of a dense perp matrix built here from the completion's leq (perp);
+nothing reads thru, pencil or the perp masks.
 The verifiers scan the consistency cover chart by chart and keep each
 quadrangle configuration and each exchange tuple in a set, as the geometry
 module once did, so their reports (counts and failure lists, in scan
@@ -38,6 +41,26 @@ def perp(G):
     dense = getattr(G, "dense_perp", None)
     return ortho_outer_product(G.completion.embedding) if dense is None \
         else dense
+
+
+def consistent(G, x, y):
+    """Consistency of two distinct points by its definition, pair by pair:
+    two pures whose coordinates differ in at most two factors; a hidden chi
+    and a pure sigma when sigma covers some component of chi; two hidden
+    points whose completion meet is a component they share."""
+    comp = G.completion
+    hx, hy = comp.is_hidden(x), comp.is_hidden(y)
+    if not hx and not hy:
+        cx, cy = (G.coords[comp.real_id(s)] for s in (x, y))
+        return sum(a != b for a, b in zip(cx, cy)) <= 2
+    if hx and hy:
+        shared = set(comp.components(x)) & set(comp.components(y))
+        m = comp.meet(x, y)
+        return any(comp.embed(e) == m for e in shared)
+    chi, sigma = (x, y) if hx else (y, x)
+    covers = comp.base.space.covers
+    return any(covers[e] >> comp.real_id(sigma) & 1
+               for e in comp.components(chi))
 
 
 def colinear(G, a, b, c):

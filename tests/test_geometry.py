@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qlattice.core_order import InputError, bits, row_masks
-from qlattice.geometry import (_bron_kerbosch, _diagonal_witnesses,
+from qlattice.geometry import (GeometrySet, _bron_kerbosch, _diagonal_witnesses,
                                _no_inner_colinearity, _quadrangles,
                                _third_points, verify_projective,
                                verify_ortho, verify_invariants,
@@ -25,6 +25,41 @@ def test_point_counts(geo_wide, geo_narrow):
     assert len(geo_wide.hidden_wide) == 96
     assert len(geo_wide.hidden_narrow) == 64
     assert geo_wide.hidden_narrow <= geo_wide.hidden_wide
+
+
+@pytest.mark.parametrize("name", ["geo_wide", "geo_narrow",
+                                  "geo_z3z2_wide"])
+def test_consistency_masks_match_definition(name, request):
+    G = request.getfixturevalue(name)
+    comp = G.completion
+    want = {p: 1 << p for p in G.points}
+    # (hidden x, hidden y) -> the verdicts met on such pairs
+    verdicts = {}
+    for x, y in combinations(G.points, 2):
+        hit = ref.consistent(G, x, y)
+        if hit:
+            want[x] |= 1 << y
+            want[y] |= 1 << x
+        kind = (comp.is_hidden(x), comp.is_hidden(y))
+        verdicts.setdefault(tuple(sorted(kind)), set()).add(hit)
+    assert G._cons == want
+    # every kind of pair meets both verdicts, except two pures, which are
+    # always consistent over two factors
+    assert verdicts == {(False, False): {True}, (False, True): {True, False},
+                        (True, True): {True, False}}
+
+
+def test_unknown_variant_raises_input_error(two_qubit):
+    ts, comp = two_qubit
+    with pytest.raises(InputError, match="unknown geometry variant"):
+        GeometrySet(comp, ts, variant="medium")
+
+
+def test_completion_over_another_tensor_raises_input_error(two_qubit, z3z2):
+    with pytest.raises(InputError, match="does not sit over the tensor"):
+        GeometrySet(two_qubit[1], z3z2[0])
+    with pytest.raises(InputError, match="does not sit over the tensor"):
+        GeometrySet(z3z2[1], two_qubit[0], variant="wide")
 
 
 def test_consistency_cover_counts(geo_wide, geo_narrow):

@@ -17,7 +17,7 @@ from qlattice.realspaces import (make_space, bool_real_space, simplex_space,
                                  real_effects_of, validate_embedding,
                                  validate_real, _star_problems)
 from qlattice.ontic import build_completion
-from qlattice.tensor import build_tensor, indeterministic_tensor
+from qlattice.tensor import build_tensor
 
 from geometry_reference import ortho_outer_product
 from test_core_order import _brute_covers
@@ -170,9 +170,8 @@ def test_orthocomplement_is_antitone(a, b):
 
 
 @pytest.mark.parametrize("na", [2, 3], ids=["z2z2", "z3z2"])
-def test_ortho_rows_match_outer_product_formula(na, two_qubit):
-    comp = two_qubit[1] if na == 2 \
-        else indeterministic_tensor(spin_space(3), spin_space(2))[1]
+def test_ortho_rows_match_outer_product_formula(na, two_qubit, z3z2):
+    comp = (two_qubit if na == 2 else z3z2)[1]
     emb = comp.embedding
     dense = ortho_outer_product(emb)
     rows = ortho_matrix(emb)
@@ -431,6 +430,14 @@ def test_star_problems_match_leq_oracle(two_qubit):
                          if message.startswith(k))
     # every axiom is broken by some mutation
     assert kinds == set(_STAR_KINDS)
+
+
+@pytest.mark.parametrize("stray", [99, -1])
+def test_embedding_real_outside_the_ambient_raises_input_error(stray):
+    rs = spin_space(2)
+    real = list(range(rs.space.n)) + [stray]
+    with pytest.raises(InputError, match="real id %d " % stray):
+        RealStructureEmbedding(rs.space, real, rs.star)
 
 
 def test_embedding_star_leaving_the_reals_raises_input_error(two_qubit):

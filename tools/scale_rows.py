@@ -12,8 +12,9 @@ completion row times the tensor and the completion together and also
 reports the tensor on its own.  The geometry row goes on to build the
 wide and narrow geometries over the completion and run verify_projective,
 verify_ortho and verify_invariants; it reports the time of that part on
-its own and of each verifier, the point counts, the verifiers' counts and
-pass flags, and a digest of the full reports.  The Bell row builds the
+its own (geometry_s), of the two geometry builds (build_s) and of each
+verifier, the point counts, the verifiers' counts and pass flags, and a
+digest of the full reports.  The Bell row builds the
 tensor, the scenario and its report, as `qlattice bell` does, and reports
 the member count of sigma and the verdict, or the error that stopped it.
 The cli-verify row times `import qlattice.cli` and one run of the whole
@@ -100,7 +101,8 @@ def run_geometry(comp, ts):
     start = time.perf_counter()
     wide = build_geometry(comp, ts, variant="wide")
     narrow = build_geometry(comp, ts, variant="narrow")
-    out = {"points": {"wide": len(wide), "narrow": len(narrow)}}
+    out = {"points": {"wide": len(wide), "narrow": len(narrow)},
+           "build_s": time.perf_counter() - start}
     reports = {}
     for key, verify, args in (
             ("projective", verify_projective, (wide,)),
