@@ -5,7 +5,6 @@ Exit codes: 0 success (all requested checks pass), 1 verification failure,
 """
 
 import json
-import os
 import sys
 
 import click
@@ -33,17 +32,6 @@ def _space(kind, n):
     except KeyError:
         raise InputError("unknown space kind %r" % (kind,))
     return make_space(mapped, n)
-
-
-def _cap(cap_elements):
-    override = os.environ.get("QLATTICE_CAP_OVERRIDE")
-    if override:
-        try:
-            return int(override)
-        except ValueError:
-            raise InputError("QLATTICE_CAP_OVERRIDE must be an integer, "
-                             "got %r" % override)
-    return cap_elements
 
 
 def _emit(payload, out, fmt="json"):
@@ -108,7 +96,7 @@ def tensor(factors, cap_elements, out, fmt):
         except ValueError:
             raise InputError("factor size in %r is not an integer" % item)
         parts.append(_space(kind, n))
-    ts = nfold_tensor(parts, cap=_cap(cap_elements))
+    ts = nfold_tensor(parts, cap=cap_elements)
     if fmt == "dot":
         _emit(ts.space.to_dot(), out, fmt="dot")
     else:
@@ -125,7 +113,7 @@ def tensor(factors, cap_elements, out, fmt):
 def complete(kind, n, cap_elements, out):
     """Ontic completion of a real space."""
     rs = _space(kind, n)
-    comp = build_completion(rs, cap=_cap(cap_elements))
+    comp = build_completion(rs, cap=cap_elements)
     hidden = [i for i in range(comp.space.n) if comp.is_hidden(i)]
     _emit({
         "elements": comp.space.n,
@@ -165,7 +153,7 @@ def geometry(na, nb, variant, cap_elements, out, fmt):
     """Point-line incidence geometry of a two-factor completion."""
     from .realspaces import spin_space
     left, right = spin_space(na), spin_space(nb)
-    ts, comp = indeterministic_tensor(left, right, cap=_cap(cap_elements))
+    ts, comp = indeterministic_tensor(left, right, cap=cap_elements)
     geo = build_geometry(comp, ts, variant=variant)
     if fmt == "dot":
         _emit(consistency_dot(geo), out, fmt="dot")

@@ -12,7 +12,7 @@ real state.
 from .core_order import BOT, NO, YES, InputError, CapExceeded, bits
 from . import chu
 from .realspaces import real_effects, is_deterministic, bool_real_space
-from .tensor import SimplexPower
+from .tensor import SimplexPower, global_section
 
 
 def _effect_key(l):
@@ -55,44 +55,36 @@ class JointMorphism(object):
         return _coordinate_value(self.power, self._images[idx], i)
 
 
+# a 1-coordinate marginal over a boolean factor: bit 0 for Y, bit 1 for N
+_ROW_MASK = {YES: 1, NO: 2, BOT: 3}
+
+
 def _coordinate_value(power, mask, i):
-    seen = set()
-    for k, t in enumerate(power.tuples):
-        if mask >> k & 1:
-            seen.add(t[i])
-    factor = power.factors[i]
-    pures = sorted(factor.space.pures())
-    if seen == set(pures):
-        return BOT
-    if len(seen) == 1:
-        name = factor.space.names[next(iter(seen))]
-        return name
-    raise InputError("mask with partial coordinate support")
+    _, (yes, no) = global_section(len(power.factors), [((i,), 3)])
+    seen = bool(mask & yes) | 2 * bool(mask & no)
+    if not seen:
+        raise InputError("mask with partial coordinate support")
+    return (YES, NO, BOT)[seen - 1]
 
 
 def _cylinder(power, values):
-    """Mask of the tuples compatible with a per-coordinate outcome row
-    (BOT is free)."""
-    return power.embed_factors([
-        set(pures) if v == BOT else {f.space.index(v)}
-        for f, pures, v in zip(power.factors, power.pure_lists, values)])
+    """Mask of the tuples compatible with a per-coordinate outcome row (BOT
+    is free), and the cells that a mask inside it must meet."""
+    return global_section(len(power.factors),
+                          [((i,), _ROW_MASK[v]) for i, v in enumerate(values)])
 
 
 def _masks_with_exact_projection(power, values):
-    """All masks whose coordinate projections reproduce the outcome row."""
-    cyl = bits(_cylinder(power, values))
+    """All masks whose coordinate projections reproduce the outcome row:
+    the nonempty subsets of the cylinder meeting every cell, in ascending
+    order of their picks over the cylinder's bits."""
+    cyl, need = _cylinder(power, values)
+    cyl = bits(cyl)
     if len(cyl) > 12:
         raise CapExceeded("joint image search over %d free tuples" % len(cyl))
-    out = []
-    for pick in range(1, 1 << len(cyl)):
-        mask = 0
-        for pos, k in enumerate(cyl):
-            if pick >> pos & 1:
-                mask |= 1 << k
-        if all(_coordinate_value(power, mask, i) == v
-               for i, v in enumerate(values)):
-            out.append(mask)
-    return out
+    masks = (sum(1 << k for pos, k in enumerate(cyl) if pick >> pos & 1)
+             for pick in range(1, 1 << len(cyl)))
+    return [mask for mask in masks if all(mask & cell for cell in need)]
 
 
 def find_joint_morphism(completion, effects):
@@ -115,7 +107,7 @@ def find_joint_morphism(completion, effects):
     rows = {p: [evaluate_on_completion(completion, l, p) for l in effects]
             for p in pures}
     if is_deterministic(completion.base):
-        masks = {p: _cylinder(power, rows[p]) for p in pures}
+        masks = {p: _cylinder(power, rows[p])[0] for p in pures}
         return JointMorphism(completion, effects, power, masks)
     choices = {p: _masks_with_exact_projection(power, rows[p]) for p in pures}
     order = sorted(pures)

@@ -29,10 +29,6 @@ class CapExceeded(RuntimeError):
     """A configured size cap was hit before the computation finished."""
 
 
-def bool_leq(x, y):
-    return x == y or x == BOT
-
-
 def bool_meet(x, y):
     return x if x == y else BOT
 
@@ -73,13 +69,6 @@ def bool_meet_all(values):
         out = v if out is None else bool_meet(out, v)
     if out is None:
         raise InputError("meet of an empty family of outcomes")
-    return out
-
-
-def bool_bullet_all(values):
-    out = YES
-    for v in values:
-        out = bool_bullet(out, v)
     return out
 
 
@@ -271,9 +260,6 @@ class StateSpace(object):
 
     def join(self, i, j):
         return self.sup((i, j))
-
-    def upper_covers(self, i):
-        return bits(self.covers[i])
 
     def covered_by(self, i, j):
         return bool(self.covers[i] >> j & 1)

@@ -480,7 +480,10 @@ def verify_projective(G):
     adds the popcount of seed & cons[s1].  "configs" counts the quadrangle
     configurations, the vertices of the pairings of _quadrangles under
     consistency.  The degenerate-triple axiom still runs chart by chart, as
-    its failure list repeats a pair for every chart that holds it."""
+    its failure list repeats a pair for every chart that holds it.  Wide
+    variant only: the general vy3 fails on the narrow family."""
+    if G.variant != "wide":
+        raise InputError("projective verification needs the wide variant")
     cliques = G.consistency_cover()
     thru, pencil = G.thru, G.pencil
     report = {}

@@ -10,10 +10,15 @@ The Bell pipeline builds the hidden state
     Sigma = (s1 (x) t1  meet  s2 (x) t2)  join  (s1* (x) bot  meet  bot (x) t1*),
 
 computes its four measurement marginals in the boolean tensor square, and
-looks up a global state matching all four in a dict keyed by the marginals
-of the fourfold boolean simplex power's states.  Absence of such a state is
-Bell non-locality.  Sigma is closed on the tensor's real space and held as
-its canonical antichain, so the tensor's completion is never enumerated.
+asks for a global state matching all four: a state of the fourfold boolean
+simplex power.  A state's marginal is a union over its outcome tuples, so
+the tuples whose every pair projection lies inside the wanted marginal form
+the largest candidate, and a global state exists exactly when that
+candidate reproduces every marginal (`tensor.global_section`; possibilistic
+non-locality in the sense of Abramsky and Brandenburger, New J. Phys. 13,
+113036, 2011).  Absence of such a state is Bell non-locality.  Sigma is
+closed on the tensor's real space and held as its canonical antichain, so
+the tensor's completion is never enumerated.
 """
 
 import functools
@@ -21,7 +26,8 @@ import functools
 from .core_order import YES, NO, BOT, InputError
 from . import chu
 from .realspaces import bool_real_space, spin_space, is_deterministic
-from .tensor import build_tensor, SimplexPower
+from .tensor import (build_tensor, SimplexPower, global_section,
+                     least_section)
 from .ontic import build_completion, sharpen
 from .contextuality import find_joint_morphism
 
@@ -202,44 +208,18 @@ def bell_marginals(scenario):
     return out
 
 
-# -- the global-state scan --------------------------------------------------
-
-# the four pair marginals 13, 14, 23, 24 as coordinates of the fourfold power
-_MARGINAL_COORDS = ((0, 2), (0, 3), (1, 2), (1, 3))
-
-
-@functools.cache
-def _scan_table():
-    """The smallest state mask of the fourfold boolean power for each scan
-    key, its four pair marginals as 4-bit masks of the 2-factor power packed
-    low to high in the order of _MARGINAL_COORDS.  Built on the first scan
-    of a process (1,721 keys) by doubling: a mask with top bit k has the key
-    of the rest ORed with the marginals of pure tuple k.  Entries go in by
-    increasing mask, so the first one for a key is its smallest mask."""
-    power = SimplexPower([bool_real_space()] * 4)
-    table = {0: 0}
-    for k in range(power.count):
-        bit = 0
-        for slot, coords in enumerate(_MARGINAL_COORDS):
-            bit |= power.project(1 << k, coords) << (4 * slot)
-        for key, mask in list(table.items()):
-            table.setdefault(key | bit, mask | 1 << k)
-    del table[0]
-    return table
-
+# -- the global-state test -------------------------------------------------
 
 def lambda_search(phi13, phi14, phi23, phi24, bb=None):
-    """Exhaustive scan of the fourfold boolean simplex power for a state
-    whose four pairwise traces match the given marginals.  Returns the
-    smallest matching mask, or None.  A cover mask of the boolean tensor
-    square is the element's mask in the 2-factor power, so the marginals
-    are packed as they are."""
+    """The smallest state of the fourfold boolean simplex power whose four
+    pair marginals are the given ones, as a mask, or None.  A cover mask of
+    the boolean tensor square is the element's mask in the 2-factor power,
+    so the marginals go to `global_section` as they are."""
     if bb is None:
         bb = bool_square()
-    want = 0
-    for slot, phi in enumerate((phi13, phi14, phi23, phi24)):
-        want |= bb.cover_mask(phi) << (4 * slot)
-    return _scan_table().get(want)
+    return least_section(*global_section(4, [
+        (coords, bb.cover_mask(phi)) for coords, phi in zip(
+            ((0, 2), (0, 3), (1, 2), (1, 3)), (phi13, phi14, phi23, phi24))]))
 
 
 def constructive_lambda(scenario, members, power=None):

@@ -24,6 +24,7 @@ listed as the product of the sorted pures of the two factors, exactly as
 simplex factors is also the element's mask in the 2-factor power.
 """
 
+import functools
 from itertools import product
 
 from .core_order import (InputError, CapExceeded, StateSpace, bits,
@@ -299,8 +300,8 @@ class SimplexPower(object):
 
     def __init__(self, factors):
         self.factors = list(factors)
-        self.pure_lists = [sorted(f.space.pures()) for f in self.factors]
-        self.tuples = list(product(*self.pure_lists))
+        self.tuples = list(product(*(sorted(f.space.pures())
+                                     for f in self.factors)))
         self._tuple_index = {t: k for k, t in enumerate(self.tuples)}
         self.count = len(self.tuples)
         if self.count > 30:
@@ -350,3 +351,52 @@ class SimplexPower(object):
                 parts.append("⊗".join(self.factors[i].space.names[t[i]]
                                       for i in range(len(self.factors))))
         return "{" + ",".join(parts) + "}"
+
+
+# -- global sections over binary settings -------------------------------------
+
+@functools.cache
+def _cells(k, coords):
+    """One mask over the 2**k outcome tuples of k binary settings for each
+    sub-tuple of coords, in product order: the tuples that read that
+    sub-tuple at coords, as an AND of one half mask per setting."""
+    full = (1 << (1 << k)) - 1
+    cells = [full]
+    for i in coords:
+        ones = sum(1 << t for t in range(1 << k) if t >> (k - 1 - i) & 1)
+        cells = [c & h for c in cells for h in (full ^ ones, ones)]
+    return tuple(cells)
+
+
+def global_section(k, marginals):
+    """S_max for marginals over k binary settings, and the cells it must
+    meet.  A state is a nonempty mask over the outcome tuples, bit
+    t = sum x_i 2**(k-1-i) for tuple x (Y is 0), as in `SimplexPower`.  A
+    marginal is (coords, mask), with mask over the sub-tuples of coords in
+    the same order (for a pair, the boolean tensor square's cover mask).  A
+    state's marginal is a union over its tuples, so every matching state
+    lies inside S_max, the tuples whose every projection is wanted, and one
+    exists exactly when S_max meets every wanted cell."""
+    s_max = (1 << (1 << k)) - 1
+    need = []
+    for coords, mask in marginals:
+        cells = [c for s, c in enumerate(_cells(k, tuple(coords)))
+                 if mask >> s & 1]
+        need += cells
+        s_max &= sum(cells)  # the cells are disjoint: the sum is the union
+    return s_max, need
+
+
+def least_section(s_max, cells):
+    """The smallest nonempty state inside s_max meeting every cell, or None.
+    Dropping from the top down each tuple whose cells the rest still meet
+    keeps just the lowest tuple of each cell that no kept tuple above it
+    meets, so the cells go by their lowest tuple, highest first."""
+    if not s_max or not all(s_max & cell for cell in cells):
+        return None
+    least = 0
+    for low, cell in sorted(((s_max & c & -(s_max & c), c) for c in cells),
+                            reverse=True):
+        if not least & cell:
+            least |= low
+    return least or s_max & -s_max

@@ -55,13 +55,12 @@ def test_cap_exceeded_exits_3():
 
 
 def test_cap_override_env():
+    # no environment variable overrides an explicit --cap-elements
     env = dict(ENV, QLATTICE_CAP_OVERRIDE="1000000")
     out = run_cli("complete", "--kind", "zprime", "--n", "2",
                   "--cap-elements", "3", env=env)
-    assert out.returncode == 0
-    payload = json.loads(out.stdout)
-    assert payload["elements"] == 9
-    assert payload["real"] == 5 and payload["hidden"] == 4
+    assert out.returncode == 3
+    assert "cap exceeded" in out.stderr
 
 
 def test_output_is_deterministic():
@@ -138,14 +137,9 @@ def test_bell_command_on_three_axes_closes_sigma_alone():
     assert payload["phi"] == small["phi"]
 
 
-# an empty QLATTICE_CAP_OVERRIDE counts as unset
-@pytest.mark.parametrize("factors, override", [
-    ("bool,bool", "abc"),
-    ("zprime:two,bool", ""),
-])
-def test_non_integer_numbers_exit_2(factors, override):
-    env = dict(ENV, QLATTICE_CAP_OVERRIDE=override)
-    out = run_cli("tensor", "--factors", factors, env=env)
+@pytest.mark.parametrize("factors", ["zprime:two,bool", "bool,zprime:1.5"])
+def test_non_integer_numbers_exit_2(factors):
+    out = run_cli("tensor", "--factors", factors)
     assert out.returncode == 2
     assert "input error:" in out.stderr
     assert "Traceback" not in out.stderr

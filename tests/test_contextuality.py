@@ -1,9 +1,17 @@
+from itertools import product
+
+import pytest
+
 from qlattice import chu
-from qlattice.realspaces import simplex_space, spin_space
+from qlattice.core_order import BOT, NO, YES, InputError
+from qlattice.realspaces import bool_real_space, simplex_space, spin_space
+from qlattice.tensor import SimplexPower
 from qlattice.ontic import build_completion
 from qlattice.contextuality import (find_joint_morphism, maximal_contexts,
                                     coherent_descriptions, verify_model_iso,
-                                    evaluate_on_completion)
+                                    evaluate_on_completion,
+                                    _coordinate_value, _cylinder,
+                                    _masks_with_exact_projection)
 
 
 def test_model_iso_on_completed_spin_pair(z2_completion):
@@ -72,3 +80,32 @@ def test_joint_morphism_for_one_sharp_effect(z2, z2_completion):
         for y in range(space.n):
             assert psi.apply(space.meet(x, y)) == psi.apply(x) | psi.apply(y)
         assert psi.marginal(0, x) == evaluate_on_completion(comp, la, x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_coordinate_helpers_match_projection_brute_force(k):
+    # every outcome row in {Y, N, BOT}^k and every mask, against
+    # SimplexPower.project onto each single coordinate (bit 0 Y, bit 1 N)
+    power = SimplexPower([bool_real_space()] * k)
+    proj = [[power.project(mask, (i,)) for i in range(k)]
+            for mask in range(power.full + 1)]
+    value = {1: YES, 2: NO, 3: BOT}
+    for mask in range(power.full + 1):
+        for i in range(k):
+            if proj[mask][i] == 0:
+                with pytest.raises(InputError):
+                    _coordinate_value(power, mask, i)
+            else:
+                assert _coordinate_value(power, mask, i) == \
+                    value[proj[mask][i]]
+    row_mask = {YES: 1, NO: 2, BOT: 3}
+    for row in product((YES, NO, BOT), repeat=k):
+        want = [row_mask[v] for v in row]
+        cylinder = sum(1 << t for t in range(power.count)
+                       if all(proj[1 << t][i] & want[i] for i in range(k)))
+        assert _cylinder(power, row)[0] == cylinder
+        # the search's candidate order is ascending picks over the
+        # cylinder's bits, which is ascending mask order
+        exact = [mask for mask in range(1, power.full + 1)
+                 if proj[mask] == want]
+        assert _masks_with_exact_projection(power, row) == exact

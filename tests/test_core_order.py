@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -6,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
                                  StateSpace, bool_space, bool_meet, bool_join,
-                                 bool_bullet, bool_bar, bool_leq,
-                                 bool_meet_all, bool_bullet_all, bits,
+                                 bool_bullet, bool_bar, bool_meet_all, bits,
                                  inclusion_order, row_masks, transpose,
                                  unpack_masks)
 from qlattice.realspaces import spin_space, simplex_space
@@ -64,8 +64,9 @@ def test_bullet_monoid_laws():
 def test_meet_all_and_bullet_all():
     assert bool_meet_all([YES, YES]) == YES
     assert bool_meet_all([YES, NO]) == BOT
-    assert bool_bullet_all([]) == YES
-    assert bool_bullet_all([YES, BOT, NO]) == NO
+    # the bullet fold starts from its unit Y, and N absorbs
+    assert functools.reduce(bool_bullet, [], YES) == YES
+    assert functools.reduce(bool_bullet, [YES, BOT, NO], YES) == NO
     with pytest.raises(InputError):
         bool_meet_all([])
 
@@ -77,14 +78,6 @@ def test_bool_space_shape():
     bot = space.bottom
     assert all(space.leq[bot, i] for i in range(3))
     assert len(space.pures()) == 2
-
-
-def test_bool_leq_matches_space():
-    space = bool_space()
-    for x in BOOL_VALUES:
-        for y in BOOL_VALUES:
-            assert bool_leq(x, y) == bool(space.leq[space.index(x),
-                                                    space.index(y)])
 
 
 def test_from_relation_rejects_missing_meet():
@@ -105,7 +98,7 @@ def test_covers_and_pures():
     space = simplex_space(3).space
     assert len(space.pures()) == 3
     for p in space.pures():
-        assert not space.upper_covers(p)
+        assert not bits(space.covers[p])
     bot = space.bottom
     for i in range(space.n):
         if i != bot:
@@ -210,7 +203,7 @@ def test_no_dense_array_until_leq_is_read():
             comp.join(i, j)
             comp.meet(i, j)
             ts.space.meet(i % ts.space.n, j % ts.space.n)
-            comp.space.upper_covers(i)
+            bits(comp.space.covers[i])
         for space in (bool_space(), ts.space, comp.space):
             assert _dense_arrays(space) == []
         # the view, once read, is the order the masks were built from:

@@ -116,6 +116,13 @@ def test_projective_axioms(geo_wide):
     assert restricted["paper_witness_hits"] == 384
 
 
+def test_projective_verification_rejects_the_narrow_variant(geo_narrow):
+    # the general quadrangle axiom fails on the narrow family (144 failures
+    # on Z2⊗Z2), so the report would be read as a failed theorem
+    with pytest.raises(InputError, match="needs the wide variant"):
+        verify_projective(geo_narrow)
+
+
 def test_ortho_axioms_and_structure(geo_narrow, geo_wide):
     report = verify_ortho(geo_narrow, wide=geo_wide)
     assert report["pass"]

@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlattice.core_order import InputError
 from qlattice.realspaces import (bool_real_space, simplex_space, spin_space)
-from qlattice.tensor import SimplexPower, build_tensor
+from qlattice.tensor import (SimplexPower, build_tensor, global_section,
+                             least_section)
 from qlattice.ontic import build_completion
 from qlattice import quantum
 
@@ -183,37 +186,102 @@ def test_lambda_search_matches_projection_oracle(scenario, bool_square):
 def _numpy_scan_keys():
     """The scan key of every state mask m, at entry m - 1, by doubling a
     numpy array over all 65,535 masks: the keys of the masks with top bit k
-    are those below 1 << k ORed with the marginals of pure tuple k."""
+    are those below 1 << k ORed with the marginals of pure tuple k.  A key
+    packs the pair marginals 13, 14, 23, 24 as 4-bit masks, low to high."""
     power = SimplexPower([bool_real_space()] * 4)
+    coords = ((0, 2), (0, 3), (1, 2), (1, 3))
     keys = np.zeros(1, dtype=np.uint16)
     for k in range(power.count):
         bit = 0
-        for slot, coords in enumerate(quantum._MARGINAL_COORDS):
-            bit |= power.project(1 << k, coords) << (4 * slot)
+        for slot, c in enumerate(coords):
+            bit |= power.project(1 << k, c) << (4 * slot)
         keys = np.concatenate((keys, keys | np.uint16(bit)))
     return keys[1:]
 
 
-def test_scan_table_matches_numpy_doubling_and_projection():
-    table = quantum._scan_table()
+def test_lambda_search_matches_numpy_doubling_and_projection(bool_square):
+    # every quadruple of boolean tensor square elements, against the
+    # smallest mask of each key from the numpy doubling and from projection
+    bb = bool_square
+    sub = SimplexPower([bool_real_space()] * 2)
+    pair_mask = [sum(sub.pure_mask(bb.pure_pairs[k]) for k in bb.cover_set(i))
+                 for i in range(len(bb))]
     keys = _numpy_scan_keys()
     assert len(keys) == 65535
     first = {}
     for index, key in enumerate(keys.tolist()):
         first.setdefault(key, index + 1)
-    assert table == first
-    assert len(table) == 1721
-    # a seeded sample of masks, each keyed by projecting it directly: its
-    # key is in the table, and the table's mask is the smallest with it
-    power = SimplexPower([bool_real_space()] * 4)
+    assert len(first) == 1721
+    best = _scan_oracle()
+    assert best == {tuple(key >> (4 * slot) & 15 for slot in range(4)): mask
+                    for key, mask in first.items()}
+    found = 0
+    for quad in product(range(len(bb)), repeat=4):
+        want = best.get(tuple(pair_mask[m] for m in quad))
+        assert quantum.lambda_search(*quad, bb=bb) == want
+        found += want is not None
+    assert found == 1721
 
-    def key_of(mask):
-        return sum(power.project(mask, c) << (4 * slot)
-                   for slot, c in enumerate(quantum._MARGINAL_COORDS))
 
-    rng = random.Random(29)
-    for mask in rng.sample(range(1, power.full + 1), 300):
-        key = key_of(mask)
-        assert key == keys[mask - 1]
-        best = table[key]
-        assert best <= mask and key_of(best) == key
+# -- the global-section routine over k binary settings ------------------------
+
+def _marginal(k, state, coords):
+    """Projection of a state mask over k binary settings onto coords, by a
+    plain loop over its tuples (tuple t reads bit k - 1 - i at setting i)."""
+    out = 0
+    for t in range(1 << k):
+        if state >> t & 1:
+            sub = 0
+            for i in coords:
+                sub = 2 * sub + (t >> (k - 1 - i) & 1)
+            out |= 1 << sub
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_projections_of_a_state_have_a_global_section(data):
+    # over 2-6 settings, where SimplexPower's 30-tuple cap rules it out
+    k = data.draw(st.integers(2, 6))
+    state = data.draw(st.integers(1, (1 << (1 << k)) - 1))
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    pairs = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                               max_size=8))
+    marginals = [(c, _marginal(k, state, c)) for c in pairs]
+    s_max, need = global_section(k, marginals)
+    assert all(s_max & cell for cell in need)
+    # S_max lies below the state in the power's order (it holds every
+    # tuple of the state) and has the same marginals
+    assert state & ~s_max == 0
+    assert [(c, _marginal(k, s_max, c)) for c in pairs] == marginals
+    least = least_section(s_max, need)
+    assert least is not None and least <= state
+    assert [(c, _marginal(k, least, c)) for c in pairs] == marginals
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_global_section_matches_subset_brute_force(data):
+    k = data.draw(st.integers(1, 3))
+    coords = st.permutations(range(k)).flatmap(
+        lambda p: st.integers(1, k).map(lambda m: tuple(p[:m])))
+    marginals = data.draw(st.lists(coords, max_size=4))
+    if data.draw(st.booleans()):
+        # the marginals of a drawn state, so that acceptances are common
+        state = data.draw(st.integers(1, (1 << (1 << k)) - 1))
+        marginals = [(c, _marginal(k, state, c)) for c in marginals]
+    else:
+        marginals = [(c, data.draw(st.integers(0, (1 << (1 << len(c))) - 1)))
+                     for c in marginals]
+    matching = [s for s in range(1, 1 << (1 << k))
+                if all(_marginal(k, s, c) == m for c, m in marginals)]
+    s_max, need = global_section(k, marginals)
+    least = least_section(s_max, need)
+    if not matching:
+        assert least is None
+    else:
+        assert least == min(matching)
+        union = 0
+        for s in matching:
+            union |= s
+        assert s_max == union
