@@ -341,10 +341,8 @@ def coherent_descriptions(completion, cover=None):
     """All coherent descriptions over the maximal cover, as Description
     objects (enumerated through per-pure state families)."""
     cover = maximal_contexts(completion) if cover is None else cover
-    out = []
-    for sigma in _coherent_states(completion):
-        out.append((sigma, Description.from_state(completion, cover, sigma)))
-    return cover, out
+    return cover, [(sigma, Description.from_state(completion, cover, sigma))
+                   for sigma in _coherent_states(completion)]
 
 
 def _family_coherent(completion, family):
@@ -407,13 +405,10 @@ def enumerate_families(completion):
 
 
 def _coherent_states(completion):
-    pures, families = enumerate_families(completion)
-    states = []
-    for fam in families:
-        sigma = completion.sharpening(fam.values())
-        if sigma is None:
-            raise InputError("coherent family with inadmissible join")
-        states.append(sigma)
+    states = [completion.sharpening(fam.values())
+              for fam in enumerate_families(completion)[1]]
+    if None in states:
+        raise InputError("coherent family with inadmissible join")
     return states
 
 
@@ -421,16 +416,12 @@ def verify_model_iso(completion):
     """The coherent-description model against the completed space: counts,
     bijectivity, meet preservation, and the contextuality verdict."""
     pures, families = enumerate_families(completion)
-    states = []
-    for fam in families:
-        sigma = completion.sharpening(fam.values())
-        states.append(sigma)
+    states = [completion.sharpening(fam.values()) for fam in families]
     ok_bijection = (None not in states
                     and len(set(states)) == len(states)
                     and len(states) == len(completion.elements))
     meet_hom = True
     space = completion.space
-    index_of = {s: i for i, s in enumerate(states)}
     for i, f1 in enumerate(families):
         for j, f2 in enumerate(families):
             met = {p: completion.base.space.meet(f1[p], f2[p]) for p in pures}

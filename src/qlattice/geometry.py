@@ -652,7 +652,6 @@ def _shares_coordinate(G, x, y):
 def _direct_diagonal_witness(G, quad):
     """The join of the two diagonal meets, when both meets are real."""
     comp = G.completion
-    s1, s2, s3, s4 = quad
     reals = [comp.real_id(s) for s in quad]
     if any(r is None for r in reals):
         return None

@@ -14,18 +14,19 @@ pair of reals has an inadmissible join, every union that contains the pair
 (or two reals above it) is inadmissible too, and the completion answers it
 without a closure.
 
-The completion keys its elements and its join memo by down-set; the closed
-down-sets form a closure system on the reals (Caspard and Monjardet, "The
-lattices of closure systems, closure operators, and implicational systems
-on a finite set: a survey", Discrete Applied Mathematics 127(2), 2003).
-This is exact.  The trace of z in a pre-closure step is D(z) ∩ D(U), so a
-closure depends on the union's down-set D(U) alone.  An element is the
-antichain of maximal reals of its closed down-set, so distinct elements
-have distinct keys.  Two incomparable reals are the maximal elements of
-their union's down-set, so the first level of the search meets every such
-pair as a two-member union, and the pair table fills as on antichains.
-The pair test is sound whichever members it looks at: a member and a real
-below the union that form a bad pair both lie in the union's down-set.
+The completion keys its elements, and its build's join memo, by down-set;
+the closed down-sets form a closure system on the reals (Caspard and
+Monjardet, "The lattices of closure systems, closure operators, and
+implicational systems on a finite set: a survey", Discrete Applied
+Mathematics 127(2), 2003).  This is exact.  The trace of z in a pre-closure
+step is D(z) ∩ D(U), so a closure depends on the union's down-set D(U)
+alone.  An element is the antichain of maximal reals of its closed
+down-set, so distinct elements have distinct keys.  Two incomparable reals
+are the maximal elements of their union's down-set, so the first level of
+the search meets every such pair as a two-member union, and the pair table
+fills as on antichains.  The pair test is sound whichever members it looks
+at: a member and a real below the union that form a bad pair both lie in
+the union's down-set.
 
 One pre-closure step is bit-sliced, in the manner of the bit-vector lattice
 encodings of Aït-Kaci, Boyer, Lincoln and Nasr ("Efficient implementation
@@ -41,6 +42,8 @@ of z's block carries into its guard exactly then.  The bottom covers
 nothing: it is always fixed, and is the answer only for a bottom-only
 input.  The tables are read off the up-set, down-set and cover masks.
 """
+
+from itertools import combinations
 
 from .core_order import (InputError, CapExceeded, StateSpace, bits,
                          inclusion_order)
@@ -179,13 +182,8 @@ def is_unbounded_star_free(rs, members):
     """Star-free and pairwise unbounded: the shape every member of the
     maximal candidate family has."""
     members = list(members)
-    if not is_star_free(rs, members):
-        return False
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            if rs.space.bounded((x, y)):
-                return False
-    return True
+    return is_star_free(rs, members) and not any(
+        map(rs.space.bounded, combinations(members, 2)))
 
 
 def sharpen(rs, members):
@@ -226,12 +224,11 @@ class OnticCompletion(object):
         # closed down mask -> canonical antichain
         found = {down[real.bottom]: (real.bottom,)}
         found.update((down[i], (i,)) for i in singles)
-        self._joins = {}
+        joins = {}  # the build's join memo, see _join
         # bit y of _bad_pairs[x]: the join of x and y is inadmissible; the
         # first level of the search tries every pair, so the table is
         # complete before any union of three or more reals
-        self._bad_pairs = [0] * real.n
-        bad = self._bad_pairs
+        bad = self._bad_pairs = [0] * real.n
         frontier = [down[i] for i in singles]
         candidates = 0
         while frontier:
@@ -253,7 +250,7 @@ class OnticCompletion(object):
                             % len(found))
                     if len(anti) == 1:  # the row grows at the first level
                         bad_of_d = bad[anti[0]]
-                    j = self._join(anti + (s,), d | down[s],
+                    j = self._join(joins, anti + (s,), d | down[s],
                                    bad[s] & d or bad_of_d & down[s])
                     if j is not None and j not in found:
                         found[j] = tuple(x for x in bits(j)
@@ -263,9 +260,11 @@ class OnticCompletion(object):
         keyed = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
         self.elements = [u for _, u in keyed]
         self._keys = [d for d, _ in keyed]
-        self._index = {d: k for k, d in enumerate(self._keys)}
+        index = {d: k for k, d in enumerate(self._keys)}
+        self._embedded = [index[d] for d in down]  # real id -> its element
         names = [self._name(u) for u in self.elements]
         self.space = StateSpace(names, inclusion_order(self._keys))
+        self._full = (1 << self.space.n) - 1
         reals = [i for i in range(real.n) if i != real.bottom]
         star = {self.embed(i): self.embed(rs.star_of(i)) for i in reals}
         self.embedding = RealStructureEmbedding(
@@ -277,21 +276,15 @@ class OnticCompletion(object):
             return real.names[u[0]]
         return "{" + ",".join(real.names[i] for i in u) + "}"
 
-    def _join(self, members, below, known_bad=None):
+    def _join(self, joins, members, below, known_bad):
         """The closed down mask of the join of some reals whose down-sets
         OR to below, or None when their union is inadmissible; memoized on
-        below.  known_bad, when given, is the pair test's verdict."""
-        if below in self._joins:
-            return self._joins[below]
+        below in the build's memo joins.  known_bad is the pair test's
+        verdict: a known inadmissible pair below the union decides it."""
+        if below in joins:
+            return joins[below]
         bad = self._bad_pairs
         out = None
-        # a known inadmissible pair below the union decides it.  Once the
-        # table is complete the members are enough to look at: such a pair
-        # lies below two distinct members (x and x* have no common upper
-        # bound, so a single real is admissible), and their join is
-        # inadmissible as well
-        if known_bad is None:
-            known_bad = any(bad[m] & below for m in members)
         if not known_bad:
             anti = sharpen(self.base, members)
             if anti is not None:
@@ -302,27 +295,31 @@ class OnticCompletion(object):
             a, b = (int(m) for m in members)
             bad[a] |= 1 << b
             bad[b] |= 1 << a
-        self._joins[below] = out
+        joins[below] = out
         return out
 
     # -- queries -----------------------------------------------------------
 
     def embed(self, real_id):
-        return self._index[self.base.space.down[real_id]]
+        return self._embedded[real_id]
 
     def components(self, idx):
         """The canonical antichain of maximal reals below an element."""
         return self.elements[idx]
 
     def sharpening(self, members):
-        """Least element dominating a set of reals, or None if inadmissible."""
-        members = tuple(members)
-        down = self.base.space.down
-        below = 0
+        """Least element dominating a set of reals U, or None if inadmissible,
+        read off the built order: one up-set AND per member, one lookup.
+        The elements are the closed admissible down-sets, by inclusion, and
+        real x embeds as D(x), so those above U are the keys holding D(U),
+        and each holds closure(U), the least closed set that does.  So the
+        least is closure(U) when it is admissible; when it is not, no key
+        exists, as a closed set holding closure(U) holds its x and x*."""
+        up, embedded = self.space.up, self._embedded
+        above = self._full
         for m in members:
-            below |= down[m]
-        d = self._join(members, below)
-        return None if d is None else self._index[d]
+            above &= up[embedded[m]]
+        return self.space._by_up[above] if above else None
 
     def real_id(self, idx):
         """The base element for a real completion element, else None."""
@@ -338,10 +335,9 @@ class OnticCompletion(object):
         return self.space.meet(i, j)
 
     def join(self, i, j):
-        """Canonical join, or None when the union is inadmissible."""
-        d = self._join(self.elements[i] + self.elements[j],
-                       self._keys[i] | self._keys[j])
-        return None if d is None else self._index[d]
+        """Canonical join, or None when inadmissible; read as in sharpening."""
+        above = self.space.up[i] & self.space.up[j]
+        return self.space._by_up[above] if above else None
 
     def serialize_element(self, idx):
         return sorted(self.base.space.names[i] for i in self.elements[idx])

@@ -27,8 +27,8 @@ simplex factors is also the element's mask in the 2-factor power.
 import functools
 from itertools import product
 
-from .core_order import (InputError, CapExceeded, StateSpace, bits,
-                         inclusion_order, bool_meet_all, bool_bullet)
+from .core_order import (YES, NO, InputError, CapExceeded, StateSpace, bits,
+                         inclusion_order, bool_bullet)
 from . import chu
 from .realspaces import RealSpace, is_deterministic, real_effects
 
@@ -50,7 +50,6 @@ class TensorSpace(object):
         self.right = right
         la, lb = left.space, right.space
         self.pure_pairs = [(pa, pb) for pa in la.pures() for pb in lb.pures()]
-        self._pair_index = {pp: k for k, pp in enumerate(self.pure_pairs)}
         # bit k of _up_left[x] (_up_right[y]) is set when the left (right)
         # pure of pure pair k lies above x (y)
         self._up_left = [sum(1 << k for k, (pa, _) in enumerate(self.pure_pairs)
@@ -152,11 +151,12 @@ class TensorSpace(object):
         covers = self._covers
         self._cover_index = {u: i for i, u in enumerate(covers)}
         full = (1 << len(self.pure_pairs)) - 1
-        # every closed rectangle: the pure pairs above x⊗y, for each pair
-        # of factor elements with a nonempty one
-        rects = [((x, y), ul & ur)
-                 for x, ul in enumerate(self._up_left)
-                 for y, ur in enumerate(self._up_right) if ul & ur]
+        # _rect[x][y]: the element x⊗y, whose cover set is the rectangle of
+        # the pure pairs above x and above y
+        self._rect = [[self._cover_index[ul & ur] for ur in self._up_right]
+                      for ul in self._up_left]
+        rects = [((x, y), covers[e]) for x, row in enumerate(self._rect)
+                 for y, e in enumerate(row)]
         names = [self._label(u, rects) for u in covers]
         # reverse inclusion of cover sets: inclusion of their complements
         space = StateSpace(names, inclusion_order([full ^ u for u in covers]))
@@ -193,9 +193,16 @@ class TensorSpace(object):
     # -- queries -----------------------------------------------------------
 
     def index_of(self, gens):
-        """Element id of the meet of the given generating pairs."""
-        u = self.normalize(gens)
-        return self._cover_index[u]
+        """Element id of the meet of the given generating pairs, read off
+        the built order: (x, y) is the element x⊗y (_rect), and the order is
+        reverse inclusion of cover sets, so the meet is the greatest lower
+        bound of the rectangles, whose down-set is the AND of theirs."""
+        down, rect, below = self.space.down, self._rect, -1
+        for a, b in gens:
+            below &= down[rect[a][b]]
+        if below < 0:
+            raise InputError("empty generator list")
+        return self.space._by_down[below]
 
     def cover_mask(self, idx):
         return self._covers[idx]
@@ -204,7 +211,7 @@ class TensorSpace(object):
         return frozenset(bits(self._covers[idx]))
 
     def pure_tensor(self, pa, pb):
-        return self._cover_index[1 << self._pair_index[(pa, pb)]]
+        return self._rect[pa][pb]
 
     def pure_pair_of(self, idx):
         u = self._covers[idx]
@@ -258,29 +265,33 @@ def indeterministic_tensor(rs_a, rs_b, cap=10 ** 6):
 
 def congruence_profile(ts, gens, effect_cap=4096):
     """The bullet-meet evaluation of a generator set against every real
-    effect pair, as a tuple in effect-pair order.
+    effect pair, as (Y mask, N mask), bit k for the k-th effect pair.
 
     It is the elementwise meet of the generators' columns, a column being
-    the bullet evaluation of one generating pair against every effect
-    pair; the effects and the columns are built once per tensor."""
+    the bullet evaluation of one generating pair against every effect pair:
+    outcomes meet to Y (N) when all are Y (N), so it is one AND per mask.
+    The effects and the columns are built once per tensor."""
     if ts._congruence is None:
         ts._congruence = (real_effects(ts.left), real_effects(ts.right), {})
     effects_a, effects_b, columns = ts._congruence
     if len(effects_a) * len(effects_b) > effect_cap:
         raise CapExceeded("congruence oracle over %d effect pairs"
                           % (len(effects_a) * len(effects_b)))
-    cols = []
+    yes = no = -1
     for a, b in gens:
         col = columns.get((a, b))
         if col is None:
+            outcomes = [bool_bullet(chu.evaluate(ts.left.space, la, a),
+                                    chu.evaluate(ts.right.space, lb, b))
+                        for la in effects_a for lb in effects_b]
             col = columns[(a, b)] = tuple(
-                bool_bullet(chu.evaluate(ts.left.space, la, a),
-                            chu.evaluate(ts.right.space, lb, b))
-                for la in effects_a for lb in effects_b)
-        cols.append(col)
-    if not cols:
+                sum(1 << k for k, v in enumerate(outcomes) if v == want)
+                for want in (YES, NO))
+        yes &= col[0]
+        no &= col[1]
+    if yes < 0:
         raise InputError("meet of an empty family of outcomes")
-    return tuple(map(bool_meet_all, zip(*cols)))
+    return yes, no
 
 
 def congruence_oracle(ts, gens1, gens2, effect_cap=4096):

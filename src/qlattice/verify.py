@@ -13,7 +13,7 @@ from .core_order import (YES, NO, BOT, BOOL_VALUES, InputError, StateSpace,
                          bool_space, bool_meet, bool_bullet, bool_bar)
 from .realspaces import (bool_real_space, simplex_space, spin_space,
                          ortho_matrix, ortho_complement, orthoclosed_sets)
-from .ontic import (closure, closure_step, is_admissible,
+from .ontic import (closure, closure_step, is_admissible, sharpen,
                     is_unbounded_star_free, build_completion)
 from .tensor import build_tensor, congruence_profile
 from .contextuality import verify_model_iso
@@ -170,9 +170,11 @@ def check_completion_z2():
     # the reals below each element
     traces = [frozenset(r for r in range(z2.space.n)
                         if leq[comp.embed(r)][chi]) for chi in range(n)]
+    # joins by the closure on the reals (sharpen), not off the built order
+    element_of = {u: k for k, u in enumerate(comp.elements)} | {None: None}
     galois_bad = []
     for j, trace in enumerate(traces):
-        lam = comp.sharpening(trace)
+        lam = element_of[sharpen(z2, trace)]
         for chi in range(n):
             left = lam is not None and leq[lam][chi]
             right = trace <= traces[chi]
@@ -189,7 +191,8 @@ def check_completion_z2():
             upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
             least = [k for k in upper if all(leq[k][m] for m in upper)]
             want = least[0] if len(least) == 1 else None
-            if comp.join(i, j) != want:
+            joined = sharpen(z2, comp.elements[i] + comp.elements[j])
+            if element_of[joined] != want:
                 order_bad.append(("join", i, j))
     ok = (n == 9 and hidden == 4 and not galois_bad and not order_bad)
     return {"pass": ok, "elements": n, "hidden": hidden,
@@ -208,7 +211,7 @@ def check_tensor_congruence(max_size=3):
     # generator sets are congruent exactly when their profiles are equal
     classes = {}
     for gens in gen_sets:
-        classes.setdefault(ts.index_of(list(gens)), []).append(
+        classes.setdefault(ts._cover_index[ts.normalize(gens)], []).append(
             congruence_profile(ts, gens))
     bad = []
     checked = 0

@@ -203,7 +203,7 @@ def test_sharpening_is_the_least_upper_bound(z2):
             want = _least_upper_bound(comp.space,
                                       [comp.embed(i) for i in sub])
             assert comp.sharpening(sub) == want
-            # the second call is answered from the join memo
+            # numpy ints index the same tables
             assert comp.sharpening([np.int64(i) for i in sub]) == want
 
 
@@ -540,7 +540,12 @@ def test_pair_pruning_matches_unpruned_search(make):
     # a second copy of the space, so that no step memo is shared
     elements, joins = _reference_completion(make())
     assert comp.elements == elements
-    assert comp._joins == joins
+    # every union the reference closed reads, off the built order, as the
+    # element keyed by its closed down-set, or None when it is inadmissible
+    element_of = {d: k for k, d in enumerate(comp._keys)}
+    for below, closed in joins.items():
+        want = None if closed is None else element_of[closed]
+        assert comp.sharpening(bits(below)) == want
     # u <= v when the down-set of u is inside the down-set of v
     leq = rs.space.leq
     down = np.array([leq[:, list(u)].any(axis=1) for u in elements])
@@ -555,3 +560,61 @@ def test_candidate_cap_counts_pruned_candidates():
     assert len(build_completion(rs, cap=20)) == 9
     with pytest.raises(CapExceeded):
         build_completion(rs, cap=19)
+
+
+def _joined_by_closure(comp, element_of, members):
+    """The element whose antichain ontic.sharpen gives the members, or None:
+    the join by the closure on the reals, not by the completion's order.
+    element_of maps each antichain of comp.elements to its id."""
+    anti = ontic.sharpen(comp.base, members)
+    return None if anti is None else element_of[anti]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spin_space(2), lambda: spin_space(3), lambda: simplex_space(3),
+    lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+], ids=["spin2", "spin3", "simplex3", "z2z2"])
+def test_join_matches_the_closure_on_every_pair(make):
+    comp = build_completion(make())
+    n = len(comp)
+    element_of = {u: k for k, u in enumerate(comp.elements)}
+    for i in range(n):
+        for j in range(n):
+            want = _joined_by_closure(comp, element_of,
+                                      comp.elements[i] + comp.elements[j])
+            assert comp.join(i, j) == want, (i, j)
+
+
+def test_reads_run_no_closure_and_keep_no_join_memo(monkeypatch):
+    ts = build_tensor(spin_space(2), spin_space(2))
+    rs = ts.real_space
+    comp = build_completion(rs)
+    rng = random.Random(3)
+    reals = range(rs.space.n)
+    cases = [rng.sample(reals, rng.randint(1, 4)) for _ in range(200)]
+    pairs = [(rng.randrange(len(comp)), rng.randrange(len(comp)))
+             for _ in range(200)]
+    gens = [rng.sample(ts.pure_pairs, rng.randint(1, 3)) for _ in range(200)]
+    element_of = {u: k for k, u in enumerate(comp.elements)}
+    want = ([_joined_by_closure(comp, element_of, c) for c in cases],
+            [_joined_by_closure(comp, element_of,
+                                comp.elements[i] + comp.elements[j])
+             for i, j in pairs],
+            [ts._cover_index[ts.normalize(g)] for g in gens])
+    assert {None} < set(want[0]) and {None} < set(want[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a read ran the build's machinery")
+
+    for name in ("closure", "closure_step", "sharpen"):
+        monkeypatch.setattr(ontic, name, refuse)
+    monkeypatch.setattr(type(ts), "_expand", refuse)
+    monkeypatch.setattr(type(ts), "normalize", refuse)
+    got = ([comp.sharpening(c) for c in cases],
+           [comp.join(i, j) for i, j in pairs],
+           [ts.index_of(g) for g in gens])
+    assert got == want
+    # no attribute keeps more entries than there are elements, as a join
+    # memo would (tens of thousands of unions here)
+    assert max(len(v) for v in vars(comp).values()
+               if isinstance(v, (dict, list))) == len(comp)

@@ -1,5 +1,6 @@
 import functools
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -387,3 +388,51 @@ def test_normalize_errors_match_reference():
             ts.normalize(gens)
         with pytest.raises(error):
             _reference_normalize(ts, gens)
+
+
+@pytest.mark.parametrize("left, right, sets", [
+    (lambda: spin_space(2), lambda: spin_space(2), 2625),
+    (lambda: spin_space(3), lambda: spin_space(2), 7175),
+    (bool_real_space, bool_real_space, 129),
+    (lambda: simplex_space(2), lambda: simplex_space(3), 1561),
+    (lambda: spin_space(2), bool_real_space, 575)],
+    ids=["z2z2", "z3z2", "bool-square", "s2s3", "z2bool"])
+def test_index_of_matches_normalize_on_small_generator_sets(left, right,
+                                                           sets):
+    # every set of at most three factor-element pairs, not only pure ones
+    ts = build_tensor(left(), right())
+    pairs = list(product(range(ts.left.space.n), range(ts.right.space.n)))
+    checked = 0
+    for r in (1, 2, 3):
+        for gens in combinations(pairs, r):
+            checked += 1
+            assert ts.index_of(gens) == ts._cover_index[ts.normalize(gens)]
+    assert checked == sets
+    with pytest.raises(InputError):
+        ts.index_of([])
+
+
+@pytest.mark.parametrize("left, right", [
+    (lambda: spin_space(2), lambda: spin_space(2)),
+    (lambda: spin_space(3), lambda: spin_space(2)),
+    (lambda: spin_space(2), lambda: spin_space(3)),
+    (lambda: spin_space(3), lambda: spin_space(3)),
+    (lambda: spin_space(4), lambda: spin_space(2)),
+    (bool_real_space, bool_real_space),
+    (lambda: spin_space(2), bool_real_space),
+    (lambda: simplex_space(2), lambda: simplex_space(3)),
+    (lambda: simplex_space(3), lambda: simplex_space(3)),
+    (lambda: spin_space(2), lambda: simplex_space(3))],
+    ids=["z2z2", "z3z2", "z2z3", "z3z3", "z4z2", "bool-square", "z2bool",
+         "s2s3", "s3s3", "z2s3"])
+def test_every_rectangle_is_an_element(left, right):
+    # x⊗y is the element whose cover set holds the pure pairs above x and
+    # above y, and the one the table gives
+    ts = build_tensor(left(), right())
+    la, lb = ts.left.space, ts.right.space
+    for x in range(la.n):
+        for y in range(lb.n):
+            rect = sum(1 << k for k, (pa, pb) in enumerate(ts.pure_pairs)
+                       if la.below(x, pa) and lb.below(y, pb))
+            assert ts.cover_mask(ts._rect[x][y]) == rect
+            assert ts.normalize([(x, y)]) == rect
