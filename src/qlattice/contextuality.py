@@ -341,8 +341,10 @@ def coherent_descriptions(completion, cover=None):
     """All coherent descriptions over the maximal cover, as Description
     objects (enumerated through per-pure state families)."""
     cover = maximal_contexts(completion) if cover is None else cover
-    return cover, [(sigma, Description.from_state(completion, cover, sigma))
-                   for sigma in _coherent_states(completion)]
+    out = []
+    for sigma in _coherent_states(completion):
+        out.append((sigma, Description.from_state(completion, cover, sigma)))
+    return cover, out
 
 
 def _family_coherent(completion, family):
@@ -405,10 +407,13 @@ def enumerate_families(completion):
 
 
 def _coherent_states(completion):
-    states = [completion.sharpening(fam.values())
-              for fam in enumerate_families(completion)[1]]
-    if None in states:
-        raise InputError("coherent family with inadmissible join")
+    pures, families = enumerate_families(completion)
+    states = []
+    for fam in families:
+        sigma = completion.sharpening(fam.values())
+        if sigma is None:
+            raise InputError("coherent family with inadmissible join")
+        states.append(sigma)
     return states
 
 
@@ -416,7 +421,10 @@ def verify_model_iso(completion):
     """The coherent-description model against the completed space: counts,
     bijectivity, meet preservation, and the contextuality verdict."""
     pures, families = enumerate_families(completion)
-    states = [completion.sharpening(fam.values()) for fam in families]
+    states = []
+    for fam in families:
+        sigma = completion.sharpening(fam.values())
+        states.append(sigma)
     ok_bijection = (None not in states
                     and len(set(states)) == len(states)
                     and len(states) == len(completion.elements))

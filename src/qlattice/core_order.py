@@ -63,15 +63,6 @@ def bool_bar(x):
     return BOT
 
 
-def bool_meet_all(values):
-    out = None
-    for v in values:
-        out = v if out is None else bool_meet(out, v)
-    if out is None:
-        raise InputError("meet of an empty family of outcomes")
-    return out
-
-
 def row_masks(mat):
     """Each row of a boolean matrix as an int, bit j for column j."""
     import numpy as np

@@ -43,8 +43,6 @@ nothing: it is always fixed, and is the answer only for a bottom-only
 input.  The tables are read off the up-set, down-set and cover masks.
 """
 
-from itertools import combinations
-
 from .core_order import (InputError, CapExceeded, StateSpace, bits,
                          inclusion_order)
 from .realspaces import RealSpace, RealStructureEmbedding
@@ -182,8 +180,13 @@ def is_unbounded_star_free(rs, members):
     """Star-free and pairwise unbounded: the shape every member of the
     maximal candidate family has."""
     members = list(members)
-    return is_star_free(rs, members) and not any(
-        map(rs.space.bounded, combinations(members, 2)))
+    if not is_star_free(rs, members):
+        return False
+    for i, x in enumerate(members):
+        for y in members[i + 1:]:
+            if rs.space.bounded((x, y)):
+                return False
+    return True
 
 
 def sharpen(rs, members):
@@ -225,10 +228,10 @@ class OnticCompletion(object):
         found = {down[real.bottom]: (real.bottom,)}
         found.update((down[i], (i,)) for i in singles)
         joins = {}  # the build's join memo, see _join
-        # bit y of _bad_pairs[x]: the join of x and y is inadmissible; the
-        # first level of the search tries every pair, so the table is
-        # complete before any union of three or more reals
-        bad = self._bad_pairs = [0] * real.n
+        # bit y of bad[x]: the join of x and y is inadmissible; the first
+        # level of the search tries every pair, so the table is complete
+        # before any union of three or more reals
+        bad = [0] * real.n
         frontier = [down[i] for i in singles]
         candidates = 0
         while frontier:
@@ -250,7 +253,7 @@ class OnticCompletion(object):
                             % len(found))
                     if len(anti) == 1:  # the row grows at the first level
                         bad_of_d = bad[anti[0]]
-                    j = self._join(joins, anti + (s,), d | down[s],
+                    j = self._join(joins, bad, anti + (s,), d | down[s],
                                    bad[s] & d or bad_of_d & down[s])
                     if j is not None and j not in found:
                         found[j] = tuple(x for x in bits(j)
@@ -260,15 +263,13 @@ class OnticCompletion(object):
         keyed = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
         self.elements = [u for _, u in keyed]
         self._keys = [d for d, _ in keyed]
-        index = {d: k for k, d in enumerate(self._keys)}
-        self._embedded = [index[d] for d in down]  # real id -> its element
         names = [self._name(u) for u in self.elements]
         self.space = StateSpace(names, inclusion_order(self._keys))
         self._full = (1 << self.space.n) - 1
         reals = [i for i in range(real.n) if i != real.bottom]
-        star = {self.embed(i): self.embed(rs.star_of(i)) for i in reals}
+        star = {i: rs.star_of(i) for i in reals}
         self.embedding = RealStructureEmbedding(
-            self.space, [self.embed(i) for i in reals + [real.bottom]], star)
+            self.space, reals + [real.bottom], star)
 
     def _name(self, u):
         real = self.base.space
@@ -276,14 +277,14 @@ class OnticCompletion(object):
             return real.names[u[0]]
         return "{" + ",".join(real.names[i] for i in u) + "}"
 
-    def _join(self, joins, members, below, known_bad):
+    def _join(self, joins, bad, members, below, known_bad):
         """The closed down mask of the join of some reals whose down-sets
         OR to below, or None when their union is inadmissible; memoized on
         below in the build's memo joins.  known_bad is the pair test's
-        verdict: a known inadmissible pair below the union decides it."""
+        verdict: a known inadmissible pair below the union decides it; an
+        inadmissible pair of members is recorded in the pair table bad."""
         if below in joins:
             return joins[below]
-        bad = self._bad_pairs
         out = None
         if not known_bad:
             anti = sharpen(self.base, members)
@@ -301,7 +302,8 @@ class OnticCompletion(object):
     # -- queries -----------------------------------------------------------
 
     def embed(self, real_id):
-        return self._embedded[real_id]
+        """Real i is element i: the singletons sort first, by id."""
+        return real_id
 
     def components(self, idx):
         """The canonical antichain of maximal reals below an element."""
@@ -315,18 +317,14 @@ class OnticCompletion(object):
         and each holds closure(U), the least closed set that does.  So the
         least is closure(U) when it is admissible; when it is not, no key
         exists, as a closed set holding closure(U) holds its x and x*."""
-        up, embedded = self.space.up, self._embedded
-        above = self._full
-        for m in members:
-            above &= up[embedded[m]]
+        up, above = self.space.up, self._full
+        for m in members:  # real m is element m, see embed
+            above &= up[m]
         return self.space._by_up[above] if above else None
 
     def real_id(self, idx):
         """The base element for a real completion element, else None."""
-        u = self.elements[idx]
-        if len(u) == 1:
-            return u[0]
-        return None
+        return idx if idx < self.base.space.n else None
 
     def is_hidden(self, idx):
         return not self.embedding.is_real(idx)

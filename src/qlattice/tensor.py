@@ -50,6 +50,7 @@ class TensorSpace(object):
         self.right = right
         la, lb = left.space, right.space
         self.pure_pairs = [(pa, pb) for pa in la.pures() for pb in lb.pures()]
+        self._pair_index = {pp: k for k, pp in enumerate(self.pure_pairs)}
         # bit k of _up_left[x] (_up_right[y]) is set when the left (right)
         # pure of pure pair k lies above x (y)
         self._up_left = [sum(1 << k for k, (pa, _) in enumerate(self.pure_pairs)
@@ -211,7 +212,7 @@ class TensorSpace(object):
         return frozenset(bits(self._covers[idx]))
 
     def pure_tensor(self, pa, pb):
-        return self._rect[pa][pb]
+        return self._cover_index[1 << self._pair_index[(pa, pb)]]
 
     def pure_pair_of(self, idx):
         u = self._covers[idx]

@@ -141,7 +141,9 @@ def _is_simplex_tensor(ts):
         if ups in seen:
             return False
         seen.add(ups)
-        if ts.index_of([ts.pure_pairs[k] for k in ups]) != idx:
+        # by the expansion formula, not the built order
+        gens = [ts.pure_pairs[k] for k in ups]
+        if ts._cover_index.get(ts.normalize(gens)) != idx:
             return False
     return True
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
                                  StateSpace, bool_space, bool_meet, bool_join,
-                                 bool_bullet, bool_bar, bool_meet_all, bits,
+                                 bool_bullet, bool_bar, bits,
                                  inclusion_order, row_masks, transpose,
                                  unpack_masks)
 from qlattice.realspaces import spin_space, simplex_space
@@ -62,13 +62,11 @@ def test_bullet_monoid_laws():
 
 
 def test_meet_all_and_bullet_all():
-    assert bool_meet_all([YES, YES]) == YES
-    assert bool_meet_all([YES, NO]) == BOT
+    assert functools.reduce(bool_meet, [YES, YES]) == YES
+    assert functools.reduce(bool_meet, [YES, NO, YES]) == BOT
     # the bullet fold starts from its unit Y, and N absorbs
     assert functools.reduce(bool_bullet, [], YES) == YES
     assert functools.reduce(bool_bullet, [YES, BOT, NO], YES) == NO
-    with pytest.raises(InputError):
-        bool_meet_all([])
 
 
 def test_bool_space_shape():

@@ -155,6 +155,26 @@ def test_embedding_preserves_order(z2, z2_completion):
                 bool(comp.space.leq[comp.embed(i), comp.embed(j)])
 
 
+@pytest.mark.parametrize("name", ["z2", "simplex3", "z2z2"])
+def test_real_i_is_element_i(name, request):
+    # embed, real_id and sharpening read this: the singletons, the reals
+    # with the bottom, sort first and by id; every other element is hidden
+    if name == "z2z2":
+        comp = request.getfixturevalue("two_qubit")[1]
+    elif name == "z2":
+        comp = request.getfixturevalue("z2_completion")
+    else:
+        comp = build_completion(simplex_space(3))
+    n = comp.base.space.n
+    assert comp.elements[:n] == [(i,) for i in range(n)]
+    assert all(len(u) > 1 for u in comp.elements[n:])
+    assert [comp.embed(i) for i in range(n)] == list(range(n))
+    assert [comp.real_id(k) for k in range(len(comp))] == \
+        list(range(n)) + [None] * (len(comp) - n)
+    assert [comp.is_hidden(k) for k in range(len(comp))] == \
+        [False] * n + [True] * (len(comp) - n)
+
+
 def test_lift_identity(z2, z2_completion):
     comp = z2_completion
     lifted = lift_morphism(comp, comp, lambda i: i)

@@ -57,8 +57,9 @@ def test_extra_generator_agrees_with_oracle(two_qubit, z2):
     bot = z2.space.bottom
     base = [(a, a), (b, b)]
     extra = base + [(a, bot)]
-    assert (ts.index_of(base) == ts.index_of(extra)) == \
-        congruence_oracle(ts, base, extra)
+    same = ts.normalize(base) == ts.normalize(extra)
+    assert same == congruence_oracle(ts, base, extra)
+    assert (ts.index_of(base) == ts.index_of(extra)) == same
 
 
 def test_bottom_pair_is_the_tensor_bottom(two_qubit, z2):
@@ -100,6 +101,8 @@ def test_meet_matches_pooled_generators(two_qubit):
         m = ts.meet(i, j)
         pooled = [ts.pure_pairs[k] for k in ts.cover_set(i)] + \
             [ts.pure_pairs[k] for k in ts.cover_set(j)]
+        # the expansion formula on the pooled list, and the built order
+        assert m == ts._cover_index[ts.normalize(pooled)]
         assert m == ts.index_of(pooled)
         assert ts.cover_set(m) >= (ts.cover_set(i) | ts.cover_set(j))
 

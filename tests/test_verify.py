@@ -2,6 +2,7 @@ import pytest
 
 from qlattice.core_order import InputError
 from qlattice import verify
+from qlattice.tensor import TensorSpace
 
 
 def test_suite_slugs_are_unique():
@@ -33,3 +34,12 @@ def test_run_suite_drops_shared_inputs():
     report = verify.run_suite(["covering-preservation", "non-completeness"])
     assert report["pass"]
     assert verify._shared == {}
+
+
+def test_simplex_tensor_check_reads_the_expansion_formula(monkeypatch):
+    # one pure pair too many in every expansion must fail the check
+    assert verify.check_simplex_tensor()["pass"]
+    expand = TensorSpace._expand
+    monkeypatch.setattr(TensorSpace, "_expand",
+                        lambda self, gens: expand(self, gens) | 1)
+    assert not verify.check_simplex_tensor()["pass"]
