@@ -12,7 +12,7 @@ import click
 from .core_order import InputError, CapExceeded
 from .realspaces import make_space, classify
 from .ontic import build_completion
-from .tensor import nfold_tensor, indeterministic_tensor
+from .tensor import ELEMENT_CAP, nfold_tensor, indeterministic_tensor
 from .contextuality import maximal_contexts
 from .geometry import build_geometry, export_incidence, consistency_dot
 from . import quantum
@@ -81,7 +81,7 @@ def build(kind, n, out, fmt):
 @cli.command()
 @click.option("--factors", required=True,
               help="comma list of kind:size factors, e.g. zprime:2,zprime:2")
-@click.option("--cap-elements", type=int, default=10 ** 5)
+@click.option("--cap-elements", type=int, default=ELEMENT_CAP)
 @click.option("--out", default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]),
               default="json")

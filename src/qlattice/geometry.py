@@ -517,32 +517,26 @@ def verify_projective(G):
                                 key=lambda t: (t[2], t[3], t[0], t[1])),
         "tuples": tuples}
 
-    quadrangles = list(_quadrangles(G, cons))
-    nondegen_bad = []
-    configs = 0
-    for quad, pairings in quadrangles:
-        flagged = quad & ~G._pure_mask and _quad_is_generic(G, quad)
-        for p1, p2, lams in pairings:
-            configs += lams.bit_count()
-            if flagged:
-                nondegen_bad.extend((lam,) + p1 + p2 for lam in bits(lams))
-    report["nondegeneracy"] = {"pass": not nondegen_bad,
-                               "failures": _scan_order(charts, nondegen_bad),
-                               "configs": configs}
-
-    vy3 = _verify_quadrangle_axiom(G, quadrangles, charts)
-    report.update(vy3)
+    report.update(_verify_quadrangles(G, charts))
     report["pass"] = all(v["pass"] for v in report.values()
                          if isinstance(v, dict))
     return report
 
 
-def _verify_quadrangle_axiom(G, quadrangles, charts):
+def _verify_quadrangles(G, charts):
+    """Nondegeneracy and the quadrangle axiom, general and restricted, in
+    one walk over the quadrangles under consistency; no list of them is
+    kept, and _scan_order sorts each failure list."""
     narrow_mask = G._pure_mask | sum(1 << p for p in G.hidden_narrow)
-    general_bad, restricted_bad = [], []
-    n_general = n_restricted = n_starred = 0
+    nondegen_bad, general_bad, restricted_bad = [], [], []
+    configs = n_general = n_restricted = n_starred = 0
     general_hits = restricted_hits = 0
-    for quad, pairings in quadrangles:
+    for quad, pairings in _quadrangles(G, G._cons):
+        flagged = quad & ~G._pure_mask and _quad_is_generic(G, quad)
+        for p1, p2, lams in pairings:
+            configs += lams.bit_count()
+            if flagged:
+                nondegen_bad.extend((lam,) + p1 + p2 for lam in bits(lams))
         if not _no_inner_colinearity(G, quad):
             continue
         starred = None
@@ -585,6 +579,9 @@ def _verify_quadrangle_axiom(G, quadrangles, charts):
                 if direct is not None and direct in hits:
                     restricted_hits += len(five)
     return {
+        "nondegeneracy": {"pass": not nondegen_bad,
+                          "failures": _scan_order(charts, nondegen_bad),
+                          "configs": configs},
         "vy3": {"pass": not general_bad,
                 "failures": _scan_order(charts, general_bad),
                 "configs": n_general,

@@ -14,14 +14,17 @@ pair of reals has an inadmissible join, every union that contains the pair
 (or two reals above it) is inadmissible too, and the completion answers it
 without a closure.
 
-The completion keys its elements, and its build's join memo, by down-set;
-the closed down-sets form a closure system on the reals (Caspard and
-Monjardet, "The lattices of closure systems, closure operators, and
-implicational systems on a finite set: a survey", Discrete Applied
-Mathematics 127(2), 2003).  This is exact.  The trace of z in a pre-closure
-step is D(z) ∩ D(U), so a closure depends on the union's down-set D(U)
-alone.  An element is the antichain of maximal reals of its closed
-down-set, so distinct elements have distinct keys.  Two incomparable reals
+The completion keys its elements by down-set; the closed down-sets form a
+closure system on the reals (Caspard and Monjardet, "The lattices of
+closure systems, closure operators, and implicational systems on a finite
+set: a survey", Discrete Applied Mathematics 127(2), 2003).  This is exact.
+The trace of z in a pre-closure step is D(z) ∩ D(U), so a closure depends
+on the union's down-set D(U) alone.  An element is the antichain of maximal
+reals of its closed down-set, so distinct elements have distinct keys.  A
+closed set is its own closure, so a union whose down-set is already a key
+adds nothing and the search skips it without a closure (the fact behind
+NextClosure: Ganter, "Two basic algorithms in concept analysis", ICFCA
+2010); it keeps no join memo, even during the build.  Two incomparable reals
 are the maximal elements of their union's down-set, so the first level of
 the search meets every such pair as a two-member union, and the pair table
 fills as on antichains.  The pair test is sound whichever members it looks
@@ -227,7 +230,6 @@ class OnticCompletion(object):
         # closed down mask -> canonical antichain
         found = {down[real.bottom]: (real.bottom,)}
         found.update((down[i], (i,)) for i in singles)
-        joins = {}  # the build's join memo, see _join
         # bit y of bad[x]: the join of x and y is inadmissible; the first
         # level of the search tries every pair, so the table is complete
         # before any union of three or more reals
@@ -253,12 +255,22 @@ class OnticCompletion(object):
                             % len(found))
                     if len(anti) == 1:  # the row grows at the first level
                         bad_of_d = bad[anti[0]]
-                    j = self._join(joins, bad, anti + (s,), d | down[s],
-                                   bad[s] & d or bad_of_d & down[s])
-                    if j is not None and j not in found:
-                        found[j] = tuple(x for x in bits(j)
-                                         if real.up[x] & j == 1 << x)
-                        fresh.append(j)
+                    if d | down[s] in found:  # a closed key is its own join
+                        continue
+                    j = None
+                    if not (bad[s] & d or bad_of_d & down[s]):
+                        j = sharpen(rs, anti + (s,))
+                    if j is None:
+                        if len(anti) == 1:
+                            bad[anti[0]] |= 1 << s
+                            bad[s] |= 1 << anti[0]
+                        continue
+                    key = 0
+                    for x in j:
+                        key |= down[x]
+                    if key not in found:
+                        found[key] = j
+                        fresh.append(key)
             frontier = fresh
         keyed = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
         self.elements = [u for _, u in keyed]
@@ -276,28 +288,6 @@ class OnticCompletion(object):
         if len(u) == 1:
             return real.names[u[0]]
         return "{" + ",".join(real.names[i] for i in u) + "}"
-
-    def _join(self, joins, bad, members, below, known_bad):
-        """The closed down mask of the join of some reals whose down-sets
-        OR to below, or None when their union is inadmissible; memoized on
-        below in the build's memo joins.  known_bad is the pair test's
-        verdict: a known inadmissible pair below the union decides it; an
-        inadmissible pair of members is recorded in the pair table bad."""
-        if below in joins:
-            return joins[below]
-        out = None
-        if not known_bad:
-            anti = sharpen(self.base, members)
-            if anti is not None:
-                out = 0
-                for x in anti:
-                    out |= self.base.space.down[x]
-        if out is None and len(members) == 2:
-            a, b = (int(m) for m in members)
-            bad[a] |= 1 << b
-            bad[b] |= 1 << a
-        joins[below] = out
-        return out
 
     # -- queries -----------------------------------------------------------
 

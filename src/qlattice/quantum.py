@@ -26,8 +26,8 @@ import functools
 from .core_order import YES, NO, BOT, InputError
 from . import chu
 from .realspaces import bool_real_space, spin_space, is_deterministic
-from .tensor import (build_tensor, SimplexPower, global_section,
-                     least_section)
+from .tensor import (ELEMENT_CAP, build_tensor, SimplexPower,
+                     global_section, least_section)
 from .ontic import build_completion, sharpen
 from .contextuality import find_joint_morphism
 
@@ -42,7 +42,7 @@ def bool_square():
 
 # -- broadcasting -----------------------------------------------------------
 
-def diagonal_broadcast(rs, cap=10 ** 5):
+def diagonal_broadcast(rs, cap=ELEMENT_CAP):
     """The copy morphism on a deterministic space: each real state goes to
     the meet of w (x) w over the pures w above it.  Returns the self-tensor
     and the forward map; raises when a trace identity fails."""

@@ -13,8 +13,9 @@ proper splits S of UL[lm[S]] | UR[rm[full ^ S]], where lm[S] and rm[S] are
 the left and right meets of the generators in S.
 
 Every element is a meet of pure tensors, so the enumeration reaches each
-one from a pure tensor by meeting in one pure pair at a time: one
-`normalize` call per element and pure pair outside its cover set.
+one from a pure tensor by meeting in one pure pair at a time: at most one
+expansion per element and pure pair outside its cover set, cached for the
+build only.
 
 A pair of simplex factors takes a fast path where every nonempty set of pure
 tensors is an element; `SimplexPower` extends that to n-fold powers as plain
@@ -32,6 +33,10 @@ from .core_order import (YES, NO, InputError, CapExceeded, StateSpace, bits,
 from . import chu
 from .realspaces import RealSpace, is_deterministic, real_effects
 
+# the default element cap of a tensor build; StateSpace validation is
+# quadratic in the element count, so this keeps a default build in seconds
+ELEMENT_CAP = 10 ** 4
+
 
 def _reduce_generators(space_a, space_b, gens):
     """Drop duplicate pairs and pairs refined componentwise by another."""
@@ -45,7 +50,7 @@ def _reduce_generators(space_a, space_b, gens):
 class TensorSpace(object):
     """The minimal tensor of two real spaces, fully enumerated."""
 
-    def __init__(self, left, right, cap=10 ** 5):
+    def __init__(self, left, right, cap=ELEMENT_CAP):
         self.left = left
         self.right = right
         la, lb = left.space, right.space
@@ -57,7 +62,6 @@ class TensorSpace(object):
                              if up >> pa & 1) for up in la.up]
         self._up_right = [sum(1 << k for k, (_, pb) in enumerate(self.pure_pairs)
                               if up >> pb & 1) for up in lb.up]
-        self._norm_cache = {}
         # real effects of both factors and generator columns, built by the
         # first congruence_profile call
         self._congruence = None
@@ -72,12 +76,8 @@ class TensorSpace(object):
     def normalize(self, gens):
         """Cover mask (bit k for pure pair k) of the meet of the given
         generating pairs."""
-        key = tuple(_reduce_generators(self.left.space, self.right.space,
-                                       gens))
-        hit = self._norm_cache.get(key)
-        if hit is None:
-            hit = self._norm_cache[key] = self._expand(key)
-        return hit
+        return self._expand(_reduce_generators(self.left.space,
+                                               self.right.space, gens))
 
     def _expand(self, gens):
         """The expansion formula on masks.  lm[S] and rm[S] are the left
@@ -116,14 +116,8 @@ class TensorSpace(object):
         self._covers = list(range(1, count + 1))
 
     def _enumerate_general(self, cap):
-        # Every element is a meet of pure tensors, so each one is reached
-        # from a pure tensor by meeting in one pure pair at a time.  The
-        # pure pair k added to u lies outside u's cover set, so no generator
-        # of u refines it and it refines none of them: the sorted tuple is
-        # already the reduced one that normalize keys its cache on, and the
-        # search reads the cache by it without reducing it again.
         pure_pairs = self.pure_pairs
-        cache = self._norm_cache
+        cache = {}  # generator tuple -> cover mask, for this build only
         gens_of = {}
         queue = []
         for k, pp in enumerate(pure_pairs):
@@ -243,11 +237,11 @@ class TensorSpace(object):
         return len(self._covers)
 
 
-def build_tensor(rs_a, rs_b, cap=10 ** 5):
+def build_tensor(rs_a, rs_b, cap=ELEMENT_CAP):
     return TensorSpace(rs_a, rs_b, cap=cap)
 
 
-def nfold_tensor(factors, cap=10 ** 5):
+def nfold_tensor(factors, cap=ELEMENT_CAP):
     """Left fold of pairwise products; returns the final TensorSpace."""
     if len(factors) < 2:
         raise InputError("n-fold tensor needs at least two factors")

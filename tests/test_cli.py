@@ -16,10 +16,10 @@ ENV = dict(os.environ, PYTHONIOENCODING="utf-8",
                if p))
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "qlattice.cli"] + list(args),
                           capture_output=True, text=True,
-                          env=env or ENV)
+                          env=env or ENV, timeout=timeout)
 
 
 def test_build_spin_space():
@@ -50,6 +50,17 @@ def test_missing_option_exits_2():
 def test_cap_exceeded_exits_3():
     out = run_cli("complete", "--kind", "zprime", "--n", "2",
                   "--cap-elements", "3")
+    assert out.returncode == 3
+    assert "cap exceeded" in out.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("tensor", "--factors", "z:2,z:7"),
+    ("broadcast", "--kind", "simplex", "--n", "4")], ids=["z2z7", "s4s4"])
+def test_default_tensor_cap_stops_large_simplex_tensors(args):
+    # 16,383 and 65,535 elements: the default cap refuses them before any
+    # enumeration, so the verb exits 3 at once instead of running minutes
+    out = run_cli(*args, timeout=30)
     assert out.returncode == 3
     assert "cap exceeded" in out.stderr
 

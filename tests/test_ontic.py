@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qlattice import ontic
 from qlattice.core_order import (CapExceeded, StateSpace, bits, bool_space,
                                  row_masks)
-from qlattice.realspaces import spin_space, simplex_space
+from qlattice.realspaces import bool_real_space, spin_space, simplex_space
 from qlattice.tensor import build_tensor
 from qlattice.ontic import (closure, closure_step, is_star_free,
                             is_unbounded_star_free, is_admissible,
@@ -551,9 +551,12 @@ def _reference_completion(rs):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: spin_space(2), lambda: spin_space(3), lambda: simplex_space(3),
+    lambda: spin_space(2), lambda: spin_space(3), lambda: spin_space(4),
+    lambda: simplex_space(3),
     lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
-], ids=["spin2", "spin3", "simplex3", "z2z2"])
+    lambda: build_tensor(spin_space(2), bool_real_space()).real_space,
+    lambda: build_tensor(spin_space(3), bool_real_space()).real_space,
+], ids=["spin2", "spin3", "spin4", "simplex3", "z2z2", "z2bool", "z3bool"])
 def test_pair_pruning_matches_unpruned_search(make):
     rs = make()
     comp = build_completion(rs)

@@ -20,6 +20,10 @@ the member count of sigma and the verdict, or the error that stopped it.
 The cli-verify row times `import qlattice.cli` and one run of the whole
 verify suite, as `qlattice verify --suite all` does, and reports whether
 numpy was loaded.
+Each row runs REPEATS times, each time in a fresh process.  A timing
+(every `*_s` field) is the median of the runs; `wall_s_min` and
+`peak_rss_mb_min` add the minimum, and `peak_rss_mb` is the median too.
+Every other field must agree across the runs, or the script stops.
 OUT.json gets one entry per row plus the host it ran on.
 """
 
@@ -29,11 +33,13 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPEATS = 3
 
 # name: (spin axes of the left factor, of the right factor, last stage)
 ROWS = {
@@ -139,6 +145,27 @@ def run_bell(ts):
             "nonlocal": report["nonlocal"]}
 
 
+def repeat_row(name, env):
+    """Run one row REPEATS times in fresh processes; timings and peak RSS
+    become medians, with the minimum of wall_s and peak_rss_mb."""
+    runs = [json.loads(subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", name],
+        env=env, capture_output=True, text=True, check=True).stdout)
+        for _ in range(REPEATS)]
+    measured = [k for k in runs[0] if k.endswith("_s") or k == "peak_rss_mb"]
+    for run in runs[1:]:
+        for key in set(run) | set(runs[0]):
+            if key not in measured and run.get(key) != runs[0].get(key):
+                raise SystemExit("row %s: %s differs between runs"
+                                 % (name, key))
+    row = dict(runs[0])
+    for key in measured:
+        row[key] = statistics.median(run[key] for run in runs)
+    for key in ("wall_s", "peak_rss_mb"):
+        row[key + "_min"] = min(run[key] for run in runs)
+    return row
+
+
 def main():
     if sys.argv[1:2] == ["--child"]:
         print(json.dumps(run_row(sys.argv[2])))
@@ -150,14 +177,12 @@ def main():
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     rows = []
     for name in ROWS:
-        done = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", name],
-            env=env, capture_output=True, text=True, check=True)
-        row = json.loads(done.stdout)
+        row = repeat_row(name, env)
         rows.append(row)
-        print("%-16s %6d elements %8.3f s %7.1f MB"
+        print("%-16s %6d elements %8.3f s (min %.3f) %7.1f MB (min %.1f)"
               % (name, row.get("elements", 0), row["wall_s"],
-                 row["peak_rss_mb"]),
+                 row["wall_s_min"], row["peak_rss_mb"],
+                 row["peak_rss_mb_min"]),
               file=sys.stderr)
     import numpy
     report = {
@@ -165,6 +190,7 @@ def main():
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(),
                  "numpy": numpy.__version__},
+        "repeats": REPEATS,
         "rows": rows,
     }
     with open(args.out, "w") as fh:
