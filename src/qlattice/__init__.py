@@ -7,7 +7,7 @@ from .core_order import (YES, NO, BOT, BOOL_VALUES, InputError, CapExceeded,
 from .realspaces import (RealSpace, RealStructureEmbedding, make_space,
                          bool_real_space, simplex_space, spin_space, classify)
 from .ontic import OnticCompletion, build_completion, closure, is_admissible
-from .tensor import (TensorSpace, build_tensor, nfold_tensor, SimplexPower,
+from .tensor import (TensorSpace, build_tensor, nfold_tensor,
                      indeterministic_tensor)
 from .contextuality import (find_joint_morphism, maximal_contexts,
                             coherent_descriptions, verify_model_iso)

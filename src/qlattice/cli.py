@@ -11,7 +11,7 @@ import click
 
 from .core_order import InputError, CapExceeded
 from .realspaces import make_space, classify
-from .ontic import build_completion
+from .ontic import CANDIDATE_CAP, build_completion
 from .tensor import ELEMENT_CAP, nfold_tensor, indeterministic_tensor
 from .contextuality import maximal_contexts
 from .geometry import build_geometry, export_incidence, consistency_dot
@@ -108,7 +108,7 @@ def tensor(factors, cap_elements, out, fmt):
 @cli.command()
 @click.option("--kind", required=True)
 @click.option("--n", type=int, default=None)
-@click.option("--cap-elements", type=int, default=10 ** 6)
+@click.option("--cap-elements", type=int, default=CANDIDATE_CAP)
 @click.option("--out", default=None)
 def complete(kind, n, cap_elements, out):
     """Ontic completion of a real space."""
@@ -145,7 +145,7 @@ def contexts(kind, n, out):
 @click.option("--nb", type=int, default=2)
 @click.option("--variant", type=click.Choice(["narrow", "wide"]),
               default="narrow")
-@click.option("--cap-elements", type=int, default=10 ** 6)
+@click.option("--cap-elements", type=int, default=CANDIDATE_CAP)
 @click.option("--out", default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]),
               default="json")

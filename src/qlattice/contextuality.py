@@ -11,34 +11,32 @@ real state.
 
 from .core_order import BOT, NO, YES, InputError, CapExceeded, bits
 from . import chu
-from .realspaces import real_effects, is_deterministic, bool_real_space
-from .tensor import SimplexPower, global_section
+from .realspaces import real_effects, is_deterministic
+from .tensor import global_section
 
 
 def _effect_key(l):
     return (-1 if l.yes is None else l.yes, -1 if l.no is None else l.no)
 
 
-def embedded_effect(completion, l):
-    """A real effect of the base, as an effect on the completed space."""
-    emb = lambda part: None if part is None else completion.embed(part)
-    return chu.Effect(emb(l.yes), emb(l.no))
-
-
 def evaluate_on_completion(completion, l, idx):
-    return chu.evaluate(completion.space, embedded_effect(completion, l), idx)
+    """A real effect of the base at a completed state: real i is element i
+    of the completion, so the effect's parts are already element ids."""
+    return chu.evaluate(completion.space, l, idx)
 
 
 # -- joint morphisms --------------------------------------------------------
 
 class JointMorphism(object):
-    """A meet-preserving map from a completed space into a simplex power
-    whose coordinate marginals realize the given effects."""
+    """A meet-preserving map from a completed space into the states over k
+    binary settings, one per effect, whose coordinate marginals realize the
+    effects.  A state is a mask over the 2**k outcome tuples, encoded as in
+    `tensor.global_section`."""
 
-    def __init__(self, completion, effects, power, pure_masks):
+    def __init__(self, completion, effects, k, pure_masks):
         self.completion = completion
         self.effects = list(effects)
-        self.power = power
+        self.k = k
         space = completion.space
         self._images = []
         for x in range(space.n):
@@ -52,37 +50,37 @@ class JointMorphism(object):
 
     def marginal(self, i, idx):
         """Outcome of the i-th effect at a state, read off the joint image."""
-        return _coordinate_value(self.power, self._images[idx], i)
+        return _coordinate_value(self.k, self._images[idx], i)
 
 
 # a 1-coordinate marginal over a boolean factor: bit 0 for Y, bit 1 for N
 _ROW_MASK = {YES: 1, NO: 2, BOT: 3}
 
 
-def _coordinate_value(power, mask, i):
-    _, (yes, no) = global_section(len(power.factors), [((i,), 3)])
+def _coordinate_value(k, mask, i):
+    _, (yes, no) = global_section(k, [((i,), 3)])
     seen = bool(mask & yes) | 2 * bool(mask & no)
     if not seen:
         raise InputError("mask with partial coordinate support")
     return (YES, NO, BOT)[seen - 1]
 
 
-def _cylinder(power, values):
+def _cylinder(k, values):
     """Mask of the tuples compatible with a per-coordinate outcome row (BOT
     is free), and the cells that a mask inside it must meet."""
-    return global_section(len(power.factors),
-                          [((i,), _ROW_MASK[v]) for i, v in enumerate(values)])
+    return global_section(k, [((i,), _ROW_MASK[v])
+                              for i, v in enumerate(values)])
 
 
-def _masks_with_exact_projection(power, values):
+def _masks_with_exact_projection(k, values):
     """All masks whose coordinate projections reproduce the outcome row:
     the nonempty subsets of the cylinder meeting every cell, in ascending
     order of their picks over the cylinder's bits."""
-    cyl, need = _cylinder(power, values)
+    cyl, need = _cylinder(k, values)
     cyl = bits(cyl)
     if len(cyl) > 12:
         raise CapExceeded("joint image search over %d free tuples" % len(cyl))
-    masks = (sum(1 << k for pos, k in enumerate(cyl) if pick >> pos & 1)
+    masks = (sum(1 << t for pos, t in enumerate(cyl) if pick >> pos & 1)
              for pick in range(1, 1 << len(cyl)))
     return [mask for mask in masks if all(mask & cell for cell in need)]
 
@@ -102,20 +100,21 @@ def find_joint_morphism(completion, effects):
     if not space.generated_by_pures():
         raise InputError("space not generated by its maximal elements")
     k = len(effects)
-    power = SimplexPower([bool_real_space()] * k)
+    if k > 4:  # the images are masks over 2**k outcome tuples
+        raise CapExceeded("joint morphism over %d effects" % k)
     pures = list(space.maximals)
     rows = {p: [evaluate_on_completion(completion, l, p) for l in effects]
             for p in pures}
     if is_deterministic(completion.base):
-        masks = {p: _cylinder(power, rows[p])[0] for p in pures}
-        return JointMorphism(completion, effects, power, masks)
-    choices = {p: _masks_with_exact_projection(power, rows[p]) for p in pures}
+        masks = {p: _cylinder(k, rows[p])[0] for p in pures}
+        return JointMorphism(completion, effects, k, masks)
+    choices = {p: _masks_with_exact_projection(k, rows[p]) for p in pures}
     order = sorted(pures)
     assignment = {}
 
     def backtrack(pos):
         if pos == len(order):
-            psi = JointMorphism(completion, effects, power, assignment)
+            psi = JointMorphism(completion, effects, k, assignment)
             if _verify_joint(psi):
                 return psi
             return None
@@ -134,7 +133,6 @@ def find_joint_morphism(completion, effects):
 def _verify_joint(psi):
     completion = psi.completion
     space = completion.space
-    power = psi.power
     for x in range(space.n):
         for y in range(x, space.n):
             if psi.apply(space.meet(x, y)) != psi.apply(x) | psi.apply(y):
@@ -143,7 +141,7 @@ def _verify_joint(psi):
         for i, l in enumerate(psi.effects):
             want = evaluate_on_completion(completion, l, x)
             try:
-                got = _coordinate_value(power, psi.apply(x), i)
+                got = _coordinate_value(psi.k, psi.apply(x), i)
             except InputError:
                 return False
             if got != want:

@@ -50,6 +50,9 @@ from .core_order import (InputError, CapExceeded, StateSpace, bits,
                          inclusion_order)
 from .realspaces import RealSpace, RealStructureEmbedding
 
+# the default cap on the join candidates that a completion build tries
+CANDIDATE_CAP = 10 ** 6
+
 
 class LiftError(InputError):
     """A morphism image fails admissibility and cannot be lifted."""
@@ -217,7 +220,7 @@ class OnticCompletion(object):
     by their closed down masks, and the order is inclusion of those masks.
     """
 
-    def __init__(self, rs, cap=10 ** 6):
+    def __init__(self, rs, cap=CANDIDATE_CAP):
         if not isinstance(rs, RealSpace):
             raise InputError("completion needs a RealSpace")
         self.base = rs
@@ -334,7 +337,7 @@ class OnticCompletion(object):
         return len(self.elements)
 
 
-def build_completion(rs, cap=10 ** 6):
+def build_completion(rs, cap=CANDIDATE_CAP):
     return OnticCompletion(rs, cap=cap)
 
 

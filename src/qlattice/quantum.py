@@ -23,11 +23,10 @@ the tensor's completion is never enumerated.
 
 import functools
 
-from .core_order import YES, NO, BOT, InputError
+from .core_order import YES, NO, BOT, InputError, bits
 from . import chu
 from .realspaces import bool_real_space, spin_space, is_deterministic
-from .tensor import (ELEMENT_CAP, build_tensor, SimplexPower,
-                     global_section, least_section)
+from .tensor import ELEMENT_CAP, build_tensor, global_section, least_section
 from .ontic import build_completion, sharpen
 from .contextuality import find_joint_morphism
 
@@ -222,27 +221,36 @@ def lambda_search(phi13, phi14, phi23, phi24, bb=None):
             ((0, 2), (0, 3), (1, 2), (1, 3)), (phi13, phi14, phi23, phi24))]))
 
 
-def constructive_lambda(scenario, members, power=None):
+def constructive_lambda(scenario, members):
     """The paper's witness for a real bipartite state, given as its one-member
     antichain (r,): the meet over the state's pure-pair generators of
-    f1(w) (x) f2(w) (x) g1(w') (x) g2(w')."""
+    f1(w) (x) f2(w) (x) g1(w') (x) g2(w').  Each term is the cylinder of
+    the tuples that read its four values (either outcome at BOT), and a meet
+    of states is the union of their tuples."""
     ts = scenario.ts
     if len(members) != 1:
         raise InputError("constructive witness needs a real state")
     rid = members[0]
-    if power is None:
-        power = SimplexPower([bool_real_space()] * 4)
     maps = [_bool_image(scenario.left, scenario.phi[0]),
             _bool_image(scenario.left, scenario.phi[1]),
             _bool_image(scenario.right, scenario.rho[0]),
             _bool_image(scenario.right, scenario.rho[1])]
-    bool_pures = ({0}, {1}, {0, 1})
     mask = 0
     for k in ts.cover_set(rid):
         p, q = ts.pure_pairs[k]
         values = (maps[0][p], maps[1][p], maps[2][q], maps[3][q])
-        mask |= power.embed_factors([bool_pures[v] for v in values])
+        # the row mask of a coordinate: bit 0 for Y, bit 1 for N
+        mask |= global_section(4, [((i,), (1, 2, 3)[v])
+                                   for i, v in enumerate(values)])[0]
     return mask
+
+
+def _tuple_names(k, mask):
+    """A state over k binary settings named by its outcome tuples, in
+    product order: tuple t reads bit k - 1 - i at setting i, Y being 0."""
+    return "{" + ",".join("⊗".join("YN"[t >> (k - 1 - i) & 1]
+                                   for i in range(k))
+                          for t in bits(mask)) + "}"
 
 
 def bell_report(scenario):
@@ -250,10 +258,9 @@ def bell_report(scenario):
     bb = bool_square()
     phi = bell_marginals(scenario)
     lam = lambda_search(phi["13"], phi["14"], phi["23"], phi["24"])
-    power = SimplexPower([bool_real_space()] * 4)
     return {
         "sigma": scenario.serialize_sigma(),
         "phi": {k: bb.space.names[v] for k, v in sorted(phi.items())},
-        "lambda": None if lam is None else power.name(lam),
+        "lambda": None if lam is None else _tuple_names(4, lam),
         "nonlocal": lam is None,
     }

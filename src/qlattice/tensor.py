@@ -18,20 +18,19 @@ expansion per element and pure pair outside its cover set, cached for the
 build only.
 
 A pair of simplex factors takes a fast path where every nonempty set of pure
-tensors is an element; `SimplexPower` extends that to n-fold powers as plain
-bitmasks without ever materializing a dense order matrix.  Pure pairs are
-listed as the product of the sorted pures of the two factors, exactly as
-`SimplexPower` lists its pure tuples, so a cover mask of a tensor of two
-simplex factors is also the element's mask in the 2-factor power.
+tensors is an element.  Pure pairs are listed as the product of the sorted
+pures of the two factors, which is the product order of outcome tuples in
+`global_section`, so a cover mask of a tensor of two simplex factors is also
+the element's mask over the tuples of its two coordinates.
 """
 
 import functools
-from itertools import product
 
 from .core_order import (YES, NO, InputError, CapExceeded, StateSpace, bits,
                          inclusion_order, bool_bullet)
 from . import chu
 from .realspaces import RealSpace, is_deterministic, real_effects
+from .ontic import CANDIDATE_CAP, OnticCompletion
 
 # the default element cap of a tensor build; StateSpace validation is
 # quadratic in the element count, so this keeps a default build in seconds
@@ -251,9 +250,8 @@ def nfold_tensor(factors, cap=ELEMENT_CAP):
     return out
 
 
-def indeterministic_tensor(rs_a, rs_b, cap=10 ** 6):
+def indeterministic_tensor(rs_a, rs_b, cap=CANDIDATE_CAP):
     """Ontic completion of the minimal tensor."""
-    from .ontic import OnticCompletion
     ts = build_tensor(rs_a, rs_b)
     return ts, OnticCompletion(ts.real_space, cap=cap)
 
@@ -296,69 +294,6 @@ def congruence_oracle(ts, gens1, gens2, effect_cap=4096):
             == congruence_profile(ts, gens2, effect_cap))
 
 
-class SimplexPower(object):
-    """n-fold tensor power of simplex factors, as bitmasks over pure tuples.
-
-    Element masks are nonzero ints; bit t is set when pure tuple t lies
-    above the element.  Order is mask superset, meet is bitwise or, join is
-    bitwise and when nonzero, star is complement.
-    """
-
-    def __init__(self, factors):
-        self.factors = list(factors)
-        self.tuples = list(product(*(sorted(f.space.pures())
-                                     for f in self.factors)))
-        self._tuple_index = {t: k for k, t in enumerate(self.tuples)}
-        self.count = len(self.tuples)
-        if self.count > 30:
-            raise CapExceeded("simplex power over %d pure tuples" % self.count)
-        self.full = (1 << self.count) - 1
-
-    def pure_mask(self, t):
-        return 1 << self._tuple_index[tuple(t)]
-
-    def leq(self, x, y):
-        return x | y == x
-
-    def meet(self, x, y):
-        return x | y
-
-    def join(self, x, y):
-        z = x & y
-        return z if z else None
-
-    def star(self, x):
-        if x == self.full:
-            raise InputError("star of the bottom element")
-        return self.full ^ x
-
-    def embed_factors(self, masks_per_factor):
-        """Tensor of one per-factor pure set each: the product mask."""
-        out = 0
-        for k, t in enumerate(self.tuples):
-            if all(t[i] in masks_per_factor[i] for i in range(len(self.factors))):
-                out |= 1 << k
-        return out
-
-    def project(self, mask, coords):
-        """Partial trace onto the chosen coordinates, as a mask of the
-        corresponding SimplexPower."""
-        sub = SimplexPower([self.factors[i] for i in coords])
-        out = 0
-        for k, t in enumerate(self.tuples):
-            if mask >> k & 1:
-                out |= sub.pure_mask(tuple(t[i] for i in coords))
-        return out
-
-    def name(self, mask):
-        parts = []
-        for k, t in enumerate(self.tuples):
-            if mask >> k & 1:
-                parts.append("⊗".join(self.factors[i].space.names[t[i]]
-                                      for i in range(len(self.factors))))
-        return "{" + ",".join(parts) + "}"
-
-
 # -- global sections over binary settings -------------------------------------
 
 @functools.cache
@@ -377,7 +312,7 @@ def _cells(k, coords):
 def global_section(k, marginals):
     """S_max for marginals over k binary settings, and the cells it must
     meet.  A state is a nonempty mask over the outcome tuples, bit
-    t = sum x_i 2**(k-1-i) for tuple x (Y is 0), as in `SimplexPower`.  A
+    t = sum x_i 2**(k-1-i) for tuple x (Y is 0), in product order.  A
     marginal is (coords, mask), with mask over the sub-tuples of coords in
     the same order (for a pair, the boolean tensor square's cover mask).  A
     state's marginal is a union over its tuples, so every matching state

@@ -3,15 +3,16 @@ from itertools import product
 import pytest
 
 from qlattice import chu
-from qlattice.core_order import BOT, NO, YES, InputError
-from qlattice.realspaces import bool_real_space, simplex_space, spin_space
-from qlattice.tensor import SimplexPower
+from qlattice.core_order import BOT, NO, YES, CapExceeded, InputError
+from qlattice.realspaces import real_effects, simplex_space
 from qlattice.ontic import build_completion
 from qlattice.contextuality import (find_joint_morphism, maximal_contexts,
                                     coherent_descriptions, verify_model_iso,
                                     evaluate_on_completion,
                                     _coordinate_value, _cylinder,
                                     _masks_with_exact_projection)
+
+from section_reference import marginal
 
 
 def test_model_iso_on_completed_spin_pair(z2_completion):
@@ -82,30 +83,37 @@ def test_joint_morphism_for_one_sharp_effect(z2, z2_completion):
         assert psi.marginal(0, x) == evaluate_on_completion(comp, la, x)
 
 
+def test_joint_morphism_caps_the_effect_count(z2_completion):
+    # five effects would need 32 outcome tuples; the search stops at four
+    # effects (16 tuples), before any search
+    effects = real_effects(z2_completion.base)[:5]
+    assert len(set(effects)) == 5
+    with pytest.raises(CapExceeded):
+        find_joint_morphism(z2_completion, effects)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_coordinate_helpers_match_projection_brute_force(k):
-    # every outcome row in {Y, N, BOT}^k and every mask, against
-    # SimplexPower.project onto each single coordinate (bit 0 Y, bit 1 N)
-    power = SimplexPower([bool_real_space()] * k)
-    proj = [[power.project(mask, (i,)) for i in range(k)]
-            for mask in range(power.full + 1)]
+    # every outcome row in {Y, N, BOT}^k and every mask, against the
+    # plain-loop marginal onto each single coordinate (bit 0 Y, bit 1 N)
+    full = (1 << (1 << k)) - 1
+    proj = [[marginal(k, mask, (i,)) for i in range(k)]
+            for mask in range(full + 1)]
     value = {1: YES, 2: NO, 3: BOT}
-    for mask in range(power.full + 1):
+    for mask in range(full + 1):
         for i in range(k):
             if proj[mask][i] == 0:
                 with pytest.raises(InputError):
-                    _coordinate_value(power, mask, i)
+                    _coordinate_value(k, mask, i)
             else:
-                assert _coordinate_value(power, mask, i) == \
-                    value[proj[mask][i]]
+                assert _coordinate_value(k, mask, i) == value[proj[mask][i]]
     row_mask = {YES: 1, NO: 2, BOT: 3}
     for row in product((YES, NO, BOT), repeat=k):
         want = [row_mask[v] for v in row]
-        cylinder = sum(1 << t for t in range(power.count)
+        cylinder = sum(1 << t for t in range(1 << k)
                        if all(proj[1 << t][i] & want[i] for i in range(k)))
-        assert _cylinder(power, row)[0] == cylinder
+        assert _cylinder(k, row)[0] == cylinder
         # the search's candidate order is ascending picks over the
         # cylinder's bits, which is ascending mask order
-        exact = [mask for mask in range(1, power.full + 1)
-                 if proj[mask] == want]
-        assert _masks_with_exact_projection(power, row) == exact
+        exact = [mask for mask in range(1, full + 1) if proj[mask] == want]
+        assert _masks_with_exact_projection(k, row) == exact

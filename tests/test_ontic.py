@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import combinations
 
@@ -583,6 +584,19 @@ def test_candidate_cap_counts_pruned_candidates():
     assert len(build_completion(rs, cap=20)) == 9
     with pytest.raises(CapExceeded):
         build_completion(rs, cap=19)
+
+
+def test_candidate_cap_defaults_read_one_constant():
+    # the library builders and the CLI verbs that build a completion
+    from qlattice import cli, tensor
+    builders = (ontic.OnticCompletion, build_completion,
+                tensor.indeterministic_tensor)
+    defaults = [inspect.signature(f).parameters["cap"].default
+                for f in builders]
+    defaults += [p.default for verb in (cli.complete, cli.geometry)
+                 for p in verb.params if p.name == "cap_elements"]
+    assert defaults == [ontic.CANDIDATE_CAP] * 5
+    assert ontic.CANDIDATE_CAP == 10 ** 6
 
 
 def _joined_by_closure(comp, element_of, members):

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qlattice.core_order import InputError
 from qlattice.realspaces import (bool_real_space, simplex_space, spin_space)
-from qlattice.tensor import (SimplexPower, build_tensor, global_section,
-                             least_section)
+from qlattice.tensor import build_tensor, global_section, least_section
 from qlattice.ontic import build_completion
 from qlattice import quantum
+
+from section_reference import marginal
 
 
 def test_broadcast_dichotomy_verdicts():
@@ -95,10 +96,8 @@ def test_bell_report_is_nonlocal(scenario):
 def test_real_states_admit_global_states(scenario, bool_square):
     bb = bool_square
     ts = scenario.ts
-    power = SimplexPower([bool_real_space()] * 4)
-    rng = random.Random(9)
-    sample = rng.sample(range(ts.space.n), 12)
-    for rid in sample:
+    assert ts.space.n == 113
+    for rid in range(ts.space.n):
         phi = {}
         for a in (1, 2):
             for b in (3, 4):
@@ -108,12 +107,31 @@ def test_real_states_admit_global_states(scenario, bool_square):
         lam = quantum.lambda_search(phi["13"], phi["14"], phi["23"],
                                     phi["24"], bb=bb)
         assert lam is not None
-        built = quantum.constructive_lambda(scenario, (rid,), power)
+        built = quantum.constructive_lambda(scenario, (rid,))
         # the constructive witness reproduces all four marginals too
         for coords, key in (((0, 2), "13"), ((0, 3), "14"),
                             ((1, 2), "23"), ((1, 3), "24")):
             want = bb.cover_mask(phi[key])
-            assert power.project(built, coords) == want
+            assert marginal(4, built, coords) == want
+
+
+def test_lambda_names_list_the_outcome_tuples():
+    # product order: the first setting is the high bit, and Y comes first
+    assert quantum._tuple_names(4, 1) == "{Y⊗Y⊗Y⊗Y}"
+    assert quantum._tuple_names(4, 2) == "{Y⊗Y⊗Y⊗N}"
+    assert quantum._tuple_names(4, 0x8001) == "{Y⊗Y⊗Y⊗Y,N⊗N⊗N⊗N}"
+    full = quantum._tuple_names(4, 0xffff)
+    assert len(full) == 129
+    assert full == "{" + ",".join("⊗".join(t)
+                                  for t in product("YN", repeat=4)) + "}"
+
+
+def test_bell_report_names_a_global_state(scenario, monkeypatch):
+    # no scenario over spin pairs is local, so the named branch is forced
+    monkeypatch.setattr(quantum, "lambda_search", lambda *phi: 0x8001)
+    report = quantum.bell_report(scenario)
+    assert report["lambda"] == "{Y⊗Y⊗Y⊗Y,N⊗N⊗N⊗N}"
+    assert not report["nonlocal"]
 
 
 def test_constructive_lambda_rejects_hidden_states(scenario):
@@ -130,24 +148,24 @@ def test_scenario_validation(z2, scenario):
 
 def _scan_oracle():
     """Smallest state mask of the fourfold boolean simplex power for each
-    quadruple of pair marginals (13, 14, 23, 24), from SimplexPower.project:
-    a projection is the union of the projections of the mask's bits."""
-    power = SimplexPower([bool_real_space()] * 4)
+    quadruple of pair marginals (13, 14, 23, 24), from the plain-loop
+    marginal: a projection is the union of the projections of the mask's
+    bits."""
+    full = (1 << 16) - 1
     coords = ((0, 2), (0, 3), (1, 2), (1, 3))
-    single = [[power.project(1 << k, c) for c in coords]
-              for k in range(power.count)]
+    single = [[marginal(4, 1 << t, c) for c in coords] for t in range(16)]
     rng = random.Random(3)
-    for mask in rng.sample(range(1, power.full + 1), 200):
-        bits = [k for k in range(power.count) if mask >> k & 1]
+    for mask in rng.sample(range(1, full + 1), 200):
+        bits = [t for t in range(16) if mask >> t & 1]
         for slot, c in enumerate(coords):
             union = 0
-            for k in bits:
-                union |= single[k][slot]
-            assert power.project(mask, c) == union
-    proj = [None] * (power.full + 1)
+            for t in bits:
+                union |= single[t][slot]
+            assert marginal(4, mask, c) == union
+    proj = [None] * (full + 1)
     proj[0] = (0, 0, 0, 0)
     best = {}
-    for mask in range(1, power.full + 1):
+    for mask in range(1, full + 1):
         low = (mask & -mask).bit_length() - 1
         rest = proj[mask & (mask - 1)]
         proj[mask] = tuple(r | s for r, s in zip(rest, single[low]))
@@ -155,15 +173,17 @@ def _scan_oracle():
     return best
 
 
+def _pair_masks(bb):
+    """Each boolean tensor square element as a state over two settings,
+    from the values of its pure pairs (pure 0 is Y, pure 1 is N)."""
+    return [sum(1 << (2 * a + b) for a, b in
+                (bb.pure_pairs[k] for k in bb.cover_set(i)))
+            for i in range(len(bb))]
+
+
 def test_lambda_search_matches_projection_oracle(scenario, bool_square):
     bb = bool_square
-    sub = SimplexPower([bool_real_space()] * 2)
-    pair_mask = {}
-    for idx in range(len(bb)):
-        mask = 0
-        for k in bb.cover_set(idx):
-            mask |= sub.pure_mask(bb.pure_pairs[k])
-        pair_mask[idx] = mask
+    pair_mask = _pair_masks(bb)
     best = _scan_oracle()
     bell = quantum.bell_marginals(scenario)
     quads = [tuple(bell[k] for k in ("13", "14", "23", "24"))]
@@ -188,13 +208,12 @@ def _numpy_scan_keys():
     numpy array over all 65,535 masks: the keys of the masks with top bit k
     are those below 1 << k ORed with the marginals of pure tuple k.  A key
     packs the pair marginals 13, 14, 23, 24 as 4-bit masks, low to high."""
-    power = SimplexPower([bool_real_space()] * 4)
     coords = ((0, 2), (0, 3), (1, 2), (1, 3))
     keys = np.zeros(1, dtype=np.uint16)
-    for k in range(power.count):
+    for k in range(16):
         bit = 0
         for slot, c in enumerate(coords):
-            bit |= power.project(1 << k, c) << (4 * slot)
+            bit |= marginal(4, 1 << k, c) << (4 * slot)
         keys = np.concatenate((keys, keys | np.uint16(bit)))
     return keys[1:]
 
@@ -203,9 +222,7 @@ def test_lambda_search_matches_numpy_doubling_and_projection(bool_square):
     # every quadruple of boolean tensor square elements, against the
     # smallest mask of each key from the numpy doubling and from projection
     bb = bool_square
-    sub = SimplexPower([bool_real_space()] * 2)
-    pair_mask = [sum(sub.pure_mask(bb.pure_pairs[k]) for k in bb.cover_set(i))
-                 for i in range(len(bb))]
+    pair_mask = _pair_masks(bb)
     keys = _numpy_scan_keys()
     assert len(keys) == 65535
     first = {}
@@ -225,38 +242,25 @@ def test_lambda_search_matches_numpy_doubling_and_projection(bool_square):
 
 # -- the global-section routine over k binary settings ------------------------
 
-def _marginal(k, state, coords):
-    """Projection of a state mask over k binary settings onto coords, by a
-    plain loop over its tuples (tuple t reads bit k - 1 - i at setting i)."""
-    out = 0
-    for t in range(1 << k):
-        if state >> t & 1:
-            sub = 0
-            for i in coords:
-                sub = 2 * sub + (t >> (k - 1 - i) & 1)
-            out |= 1 << sub
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_projections_of_a_state_have_a_global_section(data):
-    # over 2-6 settings, where SimplexPower's 30-tuple cap rules it out
+    # over 2-6 settings, up to 64 outcome tuples
     k = data.draw(st.integers(2, 6))
     state = data.draw(st.integers(1, (1 << (1 << k)) - 1))
     pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
     pairs = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
                                max_size=8))
-    marginals = [(c, _marginal(k, state, c)) for c in pairs]
+    marginals = [(c, marginal(k, state, c)) for c in pairs]
     s_max, need = global_section(k, marginals)
     assert all(s_max & cell for cell in need)
     # S_max lies below the state in the power's order (it holds every
     # tuple of the state) and has the same marginals
     assert state & ~s_max == 0
-    assert [(c, _marginal(k, s_max, c)) for c in pairs] == marginals
+    assert [(c, marginal(k, s_max, c)) for c in pairs] == marginals
     least = least_section(s_max, need)
     assert least is not None and least <= state
-    assert [(c, _marginal(k, least, c)) for c in pairs] == marginals
+    assert [(c, marginal(k, least, c)) for c in pairs] == marginals
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,12 +273,12 @@ def test_global_section_matches_subset_brute_force(data):
     if data.draw(st.booleans()):
         # the marginals of a drawn state, so that acceptances are common
         state = data.draw(st.integers(1, (1 << (1 << k)) - 1))
-        marginals = [(c, _marginal(k, state, c)) for c in marginals]
+        marginals = [(c, marginal(k, state, c)) for c in marginals]
     else:
         marginals = [(c, data.draw(st.integers(0, (1 << (1 << len(c))) - 1)))
                      for c in marginals]
     matching = [s for s in range(1, 1 << (1 << k))
-                if all(_marginal(k, s, c) == m for c, m in marginals)]
+                if all(marginal(k, s, c) == m for c, m in marginals)]
     s_max, need = global_section(k, marginals)
     least = least_section(s_max, need)
     if not matching:

@@ -5,6 +5,8 @@ import warnings
 import qlattice
 
 SRC = pathlib.Path(qlattice.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+TOOLS = TESTS.parent / "tools"
 
 
 def test_modules_compile_without_warnings():
@@ -32,13 +34,15 @@ def _unused_imports(tree):
 
 
 def test_module_level_imports_are_used():
+    # the package (its __init__ re-exports), the tests and the tools
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py")) + sorted(TOOLS.glob("*.py"))
+    assert len(paths) > len(list(SRC.glob("*.py")))
     unused = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         if names:
-            unused[path.name] = names
+            unused[path.parent.name + "/" + path.name] = names
     assert unused == {}
 
 

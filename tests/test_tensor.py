@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qlattice.core_order import CapExceeded, InputError, bits
 from qlattice.realspaces import (bool_real_space, simplex_space, spin_space,
                                  is_deterministic)
-from qlattice.tensor import (build_tensor, nfold_tensor, SimplexPower,
-                             congruence_oracle)
+from qlattice.tensor import build_tensor, nfold_tensor, congruence_oracle
 
 from test_core_order import _oracle_meet_table
 
@@ -138,46 +137,6 @@ def test_serialize_element_roundtrip(two_qubit):
     for idx in (0, 1, ts.space.n - 1, ts.space.bottom):
         data = ts.serialize_element(idx)
         assert data
-
-
-# -- mask-encoded simplex powers ----------------------------------------------
-
-_POWER = SimplexPower([bool_real_space()] * 3)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, _POWER.full), st.integers(1, _POWER.full))
-def test_power_meet_join_laws(x, y):
-    m = _POWER.meet(x, y)
-    assert _POWER.leq(m, x) and _POWER.leq(m, y)
-    j = _POWER.join(x, y)
-    if j is not None:
-        assert _POWER.leq(x, j) and _POWER.leq(y, j)
-    else:
-        assert x & y == 0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, _POWER.full - 1))
-def test_power_star_involution(x):
-    # full mask is the bottom element, whose star is undefined
-    assert _POWER.star(_POWER.star(x)) == x
-
-
-def test_power_embed_project_roundtrip():
-    power = SimplexPower([bool_real_space()] * 4)
-    sub = SimplexPower([bool_real_space()] * 2)
-    factors = [{0}, {0, 1}, {1}, {0}]
-    mask = power.embed_factors(factors)
-    for coords in ((0, 1), (2, 3), (0, 3)):
-        want = sub.embed_factors([factors[c] for c in coords])
-        assert power.project(mask, coords) == want
-
-
-def test_power_pure_masks_are_singleton_bits():
-    for t in _POWER.tuples:
-        mask = _POWER.pure_mask(t)
-        assert mask and mask & (mask - 1) == 0
 
 
 def test_cover_mask_bits_are_the_pure_tensors_above(two_qubit):
