@@ -14,6 +14,11 @@ from . import chu
 from .realspaces import real_effects, is_deterministic
 from .tensor import global_section
 
+# the most effects that a joint morphism is searched over, and so the most
+# generators that a compatibility check takes: the images are masks over
+# 2**k outcome tuples
+EFFECT_CAP = 4
+
 
 def _effect_key(l):
     return (-1 if l.yes is None else l.yes, -1 if l.no is None else l.no)
@@ -100,7 +105,7 @@ def find_joint_morphism(completion, effects):
     if not space.generated_by_pures():
         raise InputError("space not generated by its maximal elements")
     k = len(effects)
-    if k > 4:  # the images are masks over 2**k outcome tuples
+    if k > EFFECT_CAP:
         raise CapExceeded("joint morphism over %d effects" % k)
     pures = list(space.maximals)
     rows = {p: [evaluate_on_completion(completion, l, p) for l in effects]
@@ -250,14 +255,14 @@ def reduce_generators(space, effects):
     return basis
 
 
-def is_compatible(completion, effects, cap=6):
+def is_compatible(completion, effects):
     if is_deterministic(completion.base):
         return True
     base = completion.base.space
     gens = reduce_generators(base, effects)
     if len(gens) <= 1:
         return True
-    if len(gens) > cap:
+    if len(gens) > EFFECT_CAP:
         raise CapExceeded("compatibility check over %d generators" % len(gens))
     return find_joint_morphism(completion, gens) is not None
 

@@ -156,9 +156,9 @@ class StateSpace(object):
         self._by_down = {d: k for k, d in enumerate(self.down)}
         self.covers = tuple(self._validate())
         self.bottom = self.up.index((1 << self.n) - 1)
-        # ontic.closure_step's results by input down-set, and its bit
-        # tables, built on the first memo miss
-        self._steps = {}
+        # ontic's closed-set index, left by a completion of this space, and
+        # closure_step's bit tables, built on the first step
+        self._closed = None
         self._step_tables = None
         self.maximals = tuple(i for i, row in enumerate(self.covers)
                               if not row)

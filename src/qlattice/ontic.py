@@ -8,28 +8,21 @@ never puts a starred element below another member; the completed space
 consists of exactly the canonical admissible antichains, ordered by
 "every member refines into some member".
 
-Admissibility is only lost as a union grows: the closure is monotone, and a
-closed set holding both x and x* holds them in every larger one.  So once a
-pair of reals has an inadmissible join, every union that contains the pair
-(or two reals above it) is inadmissible too, and the completion answers it
-without a closure.
-
-The completion keys its elements by down-set; the closed down-sets form a
-closure system on the reals (Caspard and Monjardet, "The lattices of
-closure systems, closure operators, and implicational systems on a finite
-set: a survey", Discrete Applied Mathematics 127(2), 2003).  This is exact.
-The trace of z in a pre-closure step is D(z) ∩ D(U), so a closure depends
-on the union's down-set D(U) alone.  An element is the antichain of maximal
-reals of its closed down-set, so distinct elements have distinct keys.  A
-closed set is its own closure, so a union whose down-set is already a key
-adds nothing and the search skips it without a closure (the fact behind
-NextClosure: Ganter, "Two basic algorithms in concept analysis", ICFCA
-2010); it keeps no join memo, even during the build.  Two incomparable reals
-are the maximal elements of their union's down-set, so the first level of
-the search meets every such pair as a two-member union, and the pair table
-fills as on antichains.  The pair test is sound whichever members it looks
-at: a member and a real below the union that form a bad pair both lie in
-the union's down-set.
+A pre-closure step reads the trace D(z) ∩ D(U) of each z, so it depends on
+D(U) alone, and it is extensive and monotone on down-sets: closure(U) is
+the least closed down-set holding D(U), and the closed down-sets form a
+closure system on the reals (Caspard and Monjardet, Discrete Applied
+Mathematics 127(2), 2003).  An upper cover C' of a closed set C is
+closure(C ∪ ↓s) for any s minimal in C' − C, and such an s is minimal
+outside C (the upper-neighbour step of Lindig, "Fast concept analysis",
+ICCS 2000).  So the completion lists every closed set by a breadth-first
+search from the bottom alone that joins each set only with its minimal
+outside reals.  The admissible sets and the reals are its elements, keyed
+by down-set.  The search leaves a closed-set index on the real space: the
+closed sets by size, a linear extension of inclusion, their antichains,
+and per real the mask of the sets that hold it.  Then closure(U) is the
+lowest bit of the AND of the members' masks, exact for every input; a
+space with no index iterates the steps.
 
 One pre-closure step is bit-sliced, in the manner of the bit-vector lattice
 encodings of Aït-Kaci, Boyer, Lincoln and Nasr ("Efficient implementation
@@ -47,7 +40,7 @@ input.  The tables are read off the up-set, down-set and cover masks.
 """
 
 from .core_order import (InputError, CapExceeded, StateSpace, bits,
-                         inclusion_order)
+                         inclusion_order, transpose)
 from .realspaces import RealSpace, RealStructureEmbedding
 
 # the default cap on the join candidates that a completion build tries
@@ -118,14 +111,8 @@ def closure_step(space, members):
     bottom-only input.  Blocks run bottom up, so the highest guard left is
     a maximal fixed element; each one found clears the guards of everything
     below it.  The work is one OR per member, one carry, and a few big-int
-    operations per element returned.  Steps are memoized on the input's
-    down-set; the tables are built on a space's first memo miss."""
-    below = 0
-    for u in members:
-        below |= space.down[u]
-    out = space._steps.get(below)
-    if out is not None:
-        return out
+    operations per element returned; the tables are built on a space's
+    first step."""
     if space._step_tables is None:
         space._step_tables = _step_tables(space)
     sat, blocks, lows, guards, owner, keep = space._step_tables
@@ -138,27 +125,42 @@ def closure_step(space, members):
         z = owner[fixed.bit_length()]
         found.append(z)
         fixed &= keep[z]
-    out = tuple(sorted(found)) or (space.bottom,)
-    space._steps[below] = out
-    return out
+    return tuple(sorted(found)) or (space.bottom,)
 
 
-def closure(space, members):
-    """The iterated pre-closure, up to its fixed point."""
+def _checked(space, members):
+    """The members as sorted distinct ids: nonempty, and the bottom only
+    alone."""
     members = sorted(set(int(m) for m in members))
     if not members:
         raise InputError("closure of an empty set")
     if space.bottom in members and len(members) > 1:
         raise InputError("bottom element inside a closure argument")
-    if members == [space.bottom]:
-        return (space.bottom,)
-    current = tuple(members)
+    return members
+
+
+def closure_by_steps(space, members):
+    """The iterated pre-closure, up to its fixed point: closure on a space
+    with no closed-set index, and the oracle that reads none."""
+    current = tuple(_checked(space, members))
     for _ in range(space.n + 1):
         nxt = closure_step(space, current)
         if nxt == current:
             return current
         current = nxt
     raise InputError("closure failed to stabilize")
+
+
+def closure(space, members):
+    """The canonical antichain of the least closed set holding the
+    members' down-sets, read off the closed-set index when there is one."""
+    if space._closed is None:
+        return closure_by_steps(space, members)
+    rows, antichains = space._closed
+    above = -1
+    for m in _checked(space, members):
+        above &= rows[m]
+    return antichains[(above & -above).bit_length() - 1]
 
 
 def is_star_free(rs, members):
@@ -195,14 +197,15 @@ def is_unbounded_star_free(rs, members):
     return True
 
 
-def sharpen(rs, members):
+def sharpen(rs, members, close=closure):
     """The canonical antichain of the closure of the non-bottom members, or
-    None when it is not star-free; the bottom alone for no such member."""
+    None when it is not star-free; the bottom alone for no such member.
+    The oracles pass close=closure_by_steps, which reads no index."""
     space = rs.space
     members = [m for m in members if m != space.bottom]
     if not members:
         return (space.bottom,)
-    out = closure(space, members)
+    out = close(space, members)
     return out if is_star_free(rs, out) else None
 
 
@@ -214,10 +217,11 @@ class OnticCompletion(object):
     """The completed space over a real structure, fully enumerated.
 
     Elements are canonical admissible antichains of non-bottom reals; the
-    bottom is the singleton of the real bottom.  The enumeration closes the
-    real singletons under binary joins, which reaches every canonical
-    antichain (each one is the join of its own members).  Elements are keyed
-    by their closed down masks, and the order is inclusion of those masks.
+    bottom is the singleton of the real bottom.  The search lists every
+    closed set by upper covers (see the module docstring), counting each
+    join of a closed set and a minimal outside real as a candidate, and
+    leaves the closed-set index on the real space.  Elements are keyed by
+    their closed down masks, and the order is inclusion of those masks.
     """
 
     def __init__(self, rs, cap=CANDIDATE_CAP):
@@ -225,49 +229,26 @@ class OnticCompletion(object):
             raise InputError("completion needs a RealSpace")
         self.base = rs
         real = rs.space
-        down = real.down
-        # bottom up, so that small inadmissible pairs are recorded first and
-        # decide more of the larger unions without a closure
-        singles = sorted((i for i in range(real.n) if i != real.bottom),
-                         key=lambda i: (down[i].bit_count(), i))
-        # closed down mask -> canonical antichain
-        found = {down[real.bottom]: (real.bottom,)}
-        found.update((down[i], (i,)) for i in singles)
-        # bit y of bad[x]: the join of x and y is inadmissible; the first
-        # level of the search tries every pair, so the table is complete
-        # before any union of three or more reals
-        bad = [0] * real.n
-        frontier = [down[i] for i in singles]
+        down, bottom = real.down, real.bottom
+        strict = [d ^ 1 << s for s, d in enumerate(down)]
+        full = (1 << real.n) - 1
+        # closed down mask -> canonical antichain, from the least closed set
+        found = {down[bottom]: (bottom,)}
+        frontier = [down[bottom]]
         candidates = 0
         while frontier:
             fresh = []
             for d in frontier:
-                anti = found[d]
-                # two ANDs are the pair test: no bad pair lies within the
-                # closed admissible d, nor within s and the reals below it
-                bad_of_d = 0
-                for m in anti:
-                    bad_of_d |= bad[m]
-                for s in singles:
-                    if d >> s & 1:
+                anti = found[d] if d != down[bottom] else ()
+                for s in bits(full & ~d):
+                    if strict[s] & ~d:  # s is not minimal outside d
                         continue
                     candidates += 1
                     if candidates > cap:
                         raise CapExceeded(
-                            "completion candidate cap hit after %d elements"
-                            % len(found))
-                    if len(anti) == 1:  # the row grows at the first level
-                        bad_of_d = bad[anti[0]]
-                    if d | down[s] in found:  # a closed key is its own join
-                        continue
-                    j = None
-                    if not (bad[s] & d or bad_of_d & down[s]):
-                        j = sharpen(rs, anti + (s,))
-                    if j is None:
-                        if len(anti) == 1:
-                            bad[anti[0]] |= 1 << s
-                            bad[s] |= 1 << anti[0]
-                        continue
+                            "completion candidate cap hit after %d closed "
+                            "sets" % len(found))
+                    j = closure_by_steps(real, anti + (s,))
                     key = 0
                     for x in j:
                         key |= down[x]
@@ -275,16 +256,25 @@ class OnticCompletion(object):
                         found[key] = j
                         fresh.append(key)
             frontier = fresh
-        keyed = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
+        self.candidates = candidates
+        # by size, a linear extension of inclusion; bit k of a real's row
+        # is set when closed set k holds it
+        closed = sorted(found.items(), key=lambda kv: (kv[0].bit_count(),
+                                                       kv[1]))
+        real._closed = (transpose([d for d, _ in closed], real.n),
+                        [anti for _, anti in closed])
+        keyed = sorted(((d, u) for d, u in closed
+                        if len(u) == 1 or is_star_free(rs, u)),
+                       key=lambda kv: (len(kv[1]), kv[1]))
         self.elements = [u for _, u in keyed]
         self._keys = [d for d, _ in keyed]
         names = [self._name(u) for u in self.elements]
         self.space = StateSpace(names, inclusion_order(self._keys))
         self._full = (1 << self.space.n) - 1
-        reals = [i for i in range(real.n) if i != real.bottom]
+        reals = [i for i in range(real.n) if i != bottom]
         star = {i: rs.star_of(i) for i in reals}
         self.embedding = RealStructureEmbedding(
-            self.space, reals + [real.bottom], star)
+            self.space, reals + [bottom], star)
 
     def _name(self, u):
         real = self.base.space

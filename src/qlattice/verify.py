@@ -13,7 +13,7 @@ from .core_order import (YES, NO, BOT, BOOL_VALUES, InputError, StateSpace,
                          bool_space, bool_meet, bool_bullet, bool_bar)
 from .realspaces import (bool_real_space, simplex_space, spin_space,
                          ortho_matrix, ortho_complement, orthoclosed_sets)
-from .ontic import (closure, closure_step, is_admissible, sharpen,
+from .ontic import (closure_by_steps, closure_step, sharpen,
                     is_unbounded_star_free, build_completion)
 from .tensor import build_tensor, congruence_profile
 from .contextuality import verify_model_iso
@@ -93,8 +93,9 @@ def check_preclosure_counterexample():
 # -- 3. closure idempotency ----------------------------------------------------
 
 def _idempotent_on(space, members):
-    first = closure(space, members)
-    return closure(space, first) == first
+    # by the steps, not the closed-set index that a completion leaves
+    first = closure_by_steps(space, members)
+    return closure_by_steps(space, first) == first
 
 
 def check_closure_idempotency(samples=1000, seed=20240901):
@@ -172,11 +173,12 @@ def check_completion_z2():
     # the reals below each element
     traces = [frozenset(r for r in range(z2.space.n)
                         if leq[comp.embed(r)][chi]) for chi in range(n)]
-    # joins by the closure on the reals (sharpen), not off the built order
+    # joins by the steps of the closure on the reals, not off the built
+    # order or the closed-set index
     element_of = {u: k for k, u in enumerate(comp.elements)} | {None: None}
     galois_bad = []
     for j, trace in enumerate(traces):
-        lam = element_of[sharpen(z2, trace)]
+        lam = element_of[sharpen(z2, trace, closure_by_steps)]
         for chi in range(n):
             left = lam is not None and leq[lam][chi]
             right = trace <= traces[chi]
@@ -193,7 +195,8 @@ def check_completion_z2():
             upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
             least = [k for k in upper if all(leq[k][m] for m in upper)]
             want = least[0] if len(least) == 1 else None
-            joined = sharpen(z2, comp.elements[i] + comp.elements[j])
+            joined = sharpen(z2, comp.elements[i] + comp.elements[j],
+                             closure_by_steps)
             if element_of[joined] != want:
                 order_bad.append(("join", i, j))
     ok = (n == 9 and hidden == 4 and not galois_bad and not order_bad)
@@ -358,7 +361,7 @@ def check_non_completeness():
             continue
         if not is_unbounded_star_free(rs, (p, q)):
             continue
-        if is_admissible(rs, (p, q)):
+        if sharpen(rs, (p, q), closure_by_steps) is not None:
             continue
         chain = [tuple(sorted((p, q)))]
         current = chain[0]

@@ -136,8 +136,8 @@ def test_bell_command_reports_nonlocal():
 
 
 def test_bell_command_on_three_axes_closes_sigma_alone():
-    # sigma is closed on the tensor, so the 3x3 completion, which the
-    # candidate cap stops, is never enumerated
+    # sigma is closed on the tensor, so the 3x3 completion, tens of seconds
+    # of work, is never enumerated
     out = run_cli("bell", "--na", "3", "--nb", "3")
     assert out.returncode == 0, out.stderr
     payload = json.loads(out.stdout)

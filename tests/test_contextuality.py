@@ -4,11 +4,12 @@ import pytest
 
 from qlattice import chu
 from qlattice.core_order import BOT, NO, YES, CapExceeded, InputError
-from qlattice.realspaces import real_effects, simplex_space
+from qlattice.realspaces import real_effects, simplex_space, spin_space
 from qlattice.ontic import build_completion
-from qlattice.contextuality import (find_joint_morphism, maximal_contexts,
-                                    coherent_descriptions, verify_model_iso,
-                                    evaluate_on_completion,
+from qlattice.contextuality import (EFFECT_CAP, find_joint_morphism,
+                                    is_compatible, maximal_contexts,
+                                    coherent_descriptions, reduce_generators,
+                                    verify_model_iso, evaluate_on_completion,
                                     _coordinate_value, _cylinder,
                                     _masks_with_exact_projection)
 
@@ -90,6 +91,18 @@ def test_joint_morphism_caps_the_effect_count(z2_completion):
     assert len(set(effects)) == 5
     with pytest.raises(CapExceeded):
         find_joint_morphism(z2_completion, effects)
+
+
+def test_compatibility_check_stops_at_the_joint_morphism_bound():
+    # the sharp effects l(p, p*) of spin 5 reduce to five generators, one
+    # more than a joint morphism is searched over
+    z5 = spin_space(5)
+    comp = build_completion(z5)
+    effects = [chu.make_effect(z5.space, p, z5.star_of(p))
+               for p in z5.space.pures()]
+    assert len(reduce_generators(z5.space, effects)) == EFFECT_CAP + 1 == 5
+    with pytest.raises(CapExceeded, match="compatibility check over 5"):
+        is_compatible(comp, effects)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -11,9 +11,10 @@ from qlattice.core_order import (CapExceeded, StateSpace, bits, bool_space,
                                  row_masks)
 from qlattice.realspaces import bool_real_space, spin_space, simplex_space
 from qlattice.tensor import build_tensor
-from qlattice.ontic import (closure, closure_step, is_star_free,
-                            is_unbounded_star_free, is_admissible,
-                            build_completion, lift_morphism)
+from qlattice.ontic import (closure, closure_by_steps, closure_step,
+                            is_star_free, is_unbounded_star_free,
+                            is_admissible, build_completion, lift_morphism)
+from qlattice import verify
 from qlattice.verify import counterexample_lattice
 
 
@@ -273,13 +274,15 @@ def _oracle_step(space, members):
     below some member)."""
     leq = space.leq
     below = leq[:, list(members)].any(axis=1)
-    fixed = []
-    for z in range(space.n):
-        upper = leq[below & leq[:, z]].all(axis=0)
-        if leq[z, upper].all():
-            fixed.append(z)
-    return tuple(z for z in fixed
-                 if not any(leq[z, w] for w in fixed if w != z))
+    # trace[z, y]: y lies below z and below some member; k bounds the trace
+    # of z unless a y of the trace is not below k, and z is the least upper
+    # bound when it lies below every bound
+    trace = (leq & below[:, None]).T.astype(np.float32)
+    upper = (trace @ (~leq).astype(np.float32)) == 0
+    fixed = ~(upper & ~leq).any(axis=1)
+    strictly = leq & ~np.eye(space.n, dtype=bool)
+    return tuple(int(z) for z in np.flatnonzero(
+        fixed & ~(strictly & fixed).any(axis=1)))
 
 
 def _oracle_closure(space, members):
@@ -378,7 +381,7 @@ _STEP_SPACES = {
 
 @pytest.mark.parametrize("name", sorted(_STEP_SPACES))
 def test_closure_step_matches_scan(name):
-    # a fresh space, so that every first call is a memo miss
+    # a fresh space, so that the first call builds the tables
     space = _STEP_SPACES[name]()
     scan = _scan_stepper(space)
     bottom = space.bottom
@@ -391,7 +394,7 @@ def test_closure_step_matches_scan(name):
                                  rng.randint(1, min(6, space.n))))
     for members in inputs:
         assert closure_step(space, members) == scan(members), members
-        # the second call is a memo read with the same answer
+        # the second call reuses the tables, with the same answer
         assert closure_step(space, members) == scan(members), members
 
 
@@ -456,27 +459,120 @@ def test_step_tables_match_dense_product(name):
     assert ontic._step_tables(space) == _dense_step_tables(space)
 
 
-def test_closure_step_memo_matches_scan_after_completion(monkeypatch):
-    def make():
-        return build_tensor(spin_space(2), spin_space(2)).real_space
-    rs = make()
+_INDEX_SPACES = {
+    "spin2": lambda: spin_space(2),
+    "spin3": lambda: spin_space(3),
+    "simplex3": lambda: simplex_space(3),
+    "z2z2": lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+}
+
+
+def _index_inputs(name):
+    """A completed space and the closure inputs of the differential test:
+    the bottom alone and every set of reals on the small spaces; the bottom
+    alone, every 1- and 2-member set of reals and 2,000 seeded random
+    1-6-member sets on Z2xZ2.  Every closed set is the closure of one of
+    them."""
+    rs = _INDEX_SPACES[name]()
     build_completion(rs)
-    # the same completion with the scan in place of the kernel
-    ref = make()
-    scan = _scan_stepper(ref.space)
+    space = rs.space
+    others = [i for i in range(space.n) if i != space.bottom]
+    sizes = (1, 2) if name == "z2z2" else range(1, len(others) + 1)
+    inputs = [(space.bottom,)] + [sub for r in sizes
+                                  for sub in combinations(others, r)]
+    if name == "z2z2":
+        rng = random.Random(21)
+        inputs += [rng.sample(others, rng.randint(1, 6)) for _ in range(2000)]
+    return space, inputs
 
-    def scan_step(space, members):
-        below = 0
-        for u in members:
-            below |= space.down[u]
-        if below not in space._steps:
-            space._steps[below] = scan(members)
-        return space._steps[below]
 
-    monkeypatch.setattr(ontic, "closure_step", scan_step)
-    build_completion(ref)
-    assert len(rs.space._steps) == 7313
-    assert rs.space._steps == ref.space._steps
+@pytest.mark.parametrize("name", sorted(_INDEX_SPACES))
+def test_index_closure_matches_steps_and_oracle(name):
+    space, inputs = _index_inputs(name)
+    assert space._closed is not None
+    for sub in inputs:
+        want = closure_by_steps(space, sub)
+        assert closure(space, sub) == want == _oracle_closure(space, sub), sub
+
+
+@pytest.mark.parametrize("name", sorted(_INDEX_SPACES))
+def test_dropping_a_closed_set_fails_the_differential_test(name):
+    # each closed set in turn is taken out of every real's row.  The top,
+    # every real, is the last set, and an empty AND reads as the last set
+    # too, so dropping it changes no answer
+    space, inputs = _index_inputs(name)
+    want = [closure_by_steps(space, sub) for sub in inputs]
+    rows, antichains = space._closed
+    assert antichains[-1] == tuple(space.maximals)
+    for k in range(len(antichains) - 1):
+        space._closed = [r & ~(1 << k) for r in rows], antichains
+        assert any(closure(space, sub) != w
+                   for sub, w in zip(inputs, want)), k
+    space._closed = rows, antichains
+    assert [closure(space, sub) for sub in inputs] == want
+
+
+@pytest.mark.parametrize("make, closed, admissible", [
+    (lambda: build_tensor(spin_space(2), spin_space(2)).real_space, 234, 217),
+    (lambda: build_tensor(spin_space(3), spin_space(2)).real_space,
+     1080, 1031),
+], ids=["z2z2", "z3z2"])
+def test_closed_set_counts(make, closed, admissible):
+    rs = make()
+    comp = build_completion(rs)
+    assert (len(rs.space._closed[1]), len(comp)) == (closed, admissible)
+
+
+def test_real_space_keeps_no_more_entries_than_closed_sets():
+    # the index is the one thing a build leaves on the real space, and it
+    # holds one row per real and one antichain per closed set; no memo of
+    # steps or joins outlives the build
+    rs = build_tensor(spin_space(2), spin_space(2)).real_space
+    build_completion(rs)
+    bound = len(rs.space._closed[1])
+    sizes = []
+    for value in vars(rs.space).values():
+        for part in (value,) + (value if isinstance(value, tuple) else ()):
+            if isinstance(part, (dict, list, tuple, set, frozenset)):
+                sizes.append(len(part))
+    assert bound == 234 and 0 < max(sizes) <= bound
+
+
+class _RefusedIndex(object):
+    """A closed-set index that fails on any read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("an oracle read the closed-set index")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = _refuse
+
+
+def test_oracles_read_no_closed_set_index(monkeypatch):
+    # every space's index reads as one that refuses, while a build still
+    # stores its own
+    monkeypatch.setattr(
+        StateSpace, "_closed",
+        property(lambda self: _RefusedIndex(),
+                 lambda self, value: self.__dict__.update(_closed=value)),
+        raising=False)
+    rs = spin_space(3)
+    comp = build_completion(rs)
+    with pytest.raises(AssertionError, match="closed-set index"):
+        closure(rs.space, [0])
+    for check in (verify.check_closure_idempotency,
+                  verify.check_completion_z2,
+                  verify.check_non_completeness):
+        assert check()["pass"] is True, check.__name__
+    element_of = {u: k for k, u in enumerate(comp.elements)}
+    for i in range(len(comp)):
+        for j in range(len(comp)):
+            assert _joined_by_closure(comp, element_of, comp.elements[i]
+                                      + comp.elements[j]) == comp.join(i, j)
+    others = [i for i in range(rs.space.n) if i != rs.space.bottom]
+    for sub in combinations(others, 2):
+        assert _oracle_closure(rs.space, sub) == \
+            closure_by_steps(rs.space, sub)
+        assert _oracle_step(rs.space, sub) == closure_step(rs.space, sub)
 
 
 @pytest.mark.parametrize("rs", [spin_space(2), spin_space(3),
@@ -504,9 +600,9 @@ def test_completion_matches_brute_force_antichains(rs):
 
 
 def _reference_completion(rs):
-    """The completion's breadth-first search with no pair table: every
-    union of an element and a real not below it is closed with the public
-    closure and tested with is_star_free.  Returns the elements in the
+    """The completion as a breadth-first search over admissible unions:
+    every union of an element and a real not below it is closed by the
+    steps and tested with is_star_free.  Returns the elements in the
     completion's order and the join memo, from the union's down-set (read
     off leq) to the closed down-set, or None when the union is
     inadmissible."""
@@ -535,7 +631,7 @@ def _reference_completion(rs):
                 merged = tuple(sorted(set(u) | set(s)))
                 below = down_of(merged)
                 if below not in joins:
-                    out = closure(space, merged)
+                    out = closure_by_steps(space, merged)
                     joins[below] = None
                     if is_star_free(rs, out):
                         joins[below] = down_of(out)
@@ -561,7 +657,7 @@ def _reference_completion(rs):
 def test_pair_pruning_matches_unpruned_search(make):
     rs = make()
     comp = build_completion(rs)
-    # a second copy of the space, so that no step memo is shared
+    # a second copy of the space, which has no closed-set index
     elements, joins = _reference_completion(make())
     assert comp.elements == elements
     # every union the reference closed reads, off the built order, as the
@@ -578,12 +674,13 @@ def test_pair_pruning_matches_unpruned_search(make):
 
 
 def test_candidate_cap_counts_pruned_candidates():
-    # spin(2) takes 20 join candidates: the cap counts candidates, those
-    # answered without a closure included
+    # spin(2) takes 32 join candidates, one per closed set and minimal real
+    # outside it, over its 16 closed sets
     rs = spin_space(2)
-    assert len(build_completion(rs, cap=20)) == 9
+    comp = build_completion(rs, cap=32)
+    assert (len(comp), comp.candidates) == (9, 32)
     with pytest.raises(CapExceeded):
-        build_completion(rs, cap=19)
+        build_completion(spin_space(2), cap=31)
 
 
 def test_candidate_cap_defaults_read_one_constant():
@@ -601,9 +698,10 @@ def test_candidate_cap_defaults_read_one_constant():
 
 def _joined_by_closure(comp, element_of, members):
     """The element whose antichain ontic.sharpen gives the members, or None:
-    the join by the closure on the reals, not by the completion's order.
-    element_of maps each antichain of comp.elements to its id."""
-    anti = ontic.sharpen(comp.base, members)
+    the join by the steps of the closure on the reals, not by the
+    completion's order or the closed-set index.  element_of maps each
+    antichain of comp.elements to its id."""
+    anti = ontic.sharpen(comp.base, members, closure_by_steps)
     return None if anti is None else element_of[anti]
 
 

@@ -3,13 +3,15 @@
     python3 tools/scale_rows.py OUT.json
 
 The rows are the Z2⊗Z2 completion, the Z3⊗Z2 tensor and its completion,
-the Z3⊗Z3 and Z4⊗Z4 tensors, the Z3⊗Z2 geometry, the Z3⊗Z3 Bell
-scenario and the CLI's verify suite.  Each row runs in its own interpreter
-(this script with `--child NAME`), so no memo or allocator state carries
-from one row to the next; the child reports its wall time, the element
-count it built (none for cli-verify) and its peak resident set size.  A
-completion row times the tensor and the completion together and also
-reports the tensor on its own.  The geometry row goes on to build the
+the Z3⊗Z3 tensor and its completion, the Z4⊗Z4 tensor, the Z3⊗Z2
+geometry, the Z3⊗Z3 Bell scenario and the CLI's verify suite.  Each row
+runs in its own interpreter (this script with `--child NAME`), so no memo
+or allocator state carries from one row to the next; the child reports its
+wall time, the element count it built (none for cli-verify) and its peak
+resident set size.  A completion row times the tensor and the completion
+together and also reports the tensor on its own, with the completion's
+hidden elements, its element count per antichain size, its closed sets and
+the join candidates its search tried.  The geometry row goes on to build the
 wide and narrow geometries over the completion and run verify_projective,
 verify_ortho and verify_invariants; it reports the time of that part on
 its own (geometry_s), of the two geometry builds (build_s) and of each
@@ -28,6 +30,7 @@ OUT.json gets one entry per row plus the host it ran on.
 """
 
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -47,6 +50,7 @@ ROWS = {
     "z3z2-tensor": (3, 2, "tensor"),
     "z3z2-completion": (3, 2, "completion"),
     "z3z3-tensor": (3, 3, "tensor"),
+    "z3z3-completion": (3, 3, "completion"),
     "z4z4-tensor": (4, 4, "tensor"),
     "z3z2-geometry": (3, 2, "geometry"),
     "z3z3-bell": (3, 3, "bell"),
@@ -71,6 +75,12 @@ def run_row(name):
     if stage in ("completion", "geometry"):
         comp = OnticCompletion(ts.real_space)
         elements = comp.space.n
+    if stage == "completion":
+        sizes = collections.Counter(len(u) for u in comp.elements)
+        out.update(hidden=sum(map(comp.is_hidden, range(elements))),
+                   antichain_sizes={str(k): sizes[k] for k in sorted(sizes)},
+                   closed_sets=len(ts.real_space.space._closed[1]),
+                   candidates=comp.candidates)
     if stage == "geometry":
         out.update(run_geometry(comp, ts))
     if stage == "bell":
