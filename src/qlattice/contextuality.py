@@ -14,10 +14,7 @@ from . import chu
 from .realspaces import real_effects, is_deterministic
 from .tensor import global_section
 
-# the most effects that a joint morphism is searched over, and so the most
-# generators that a compatibility check takes: the images are masks over
-# 2**k outcome tuples
-EFFECT_CAP = 4
+EFFECT_CAP = 4  # most effects, or generators, a joint morphism is over
 
 
 def _effect_key(l):

@@ -9,20 +9,23 @@ consists of exactly the canonical admissible antichains, ordered by
 "every member refines into some member".
 
 A pre-closure step reads the trace D(z) ∩ D(U) of each z, so it depends on
-D(U) alone, and it is extensive and monotone on down-sets: closure(U) is
-the least closed down-set holding D(U), and the closed down-sets form a
-closure system on the reals (Caspard and Monjardet, Discrete Applied
-Mathematics 127(2), 2003).  An upper cover C' of a closed set C is
-closure(C ∪ ↓s) for any s minimal in C' − C, and such an s is minimal
-outside C (the upper-neighbour step of Lindig, "Fast concept analysis",
-ICCS 2000).  So the completion lists every closed set by a breadth-first
-search from the bottom alone that joins each set only with its minimal
-outside reals.  The admissible sets and the reals are its elements, keyed
-by down-set.  The search leaves a closed-set index on the real space: the
-closed sets by size, a linear extension of inclusion, their antichains,
-and per real the mask of the sets that hold it.  Then closure(U) is the
-lowest bit of the AND of the members' masks, exact for every input; a
-space with no index iterates the steps.
+D(U) alone; it is extensive and monotone on down-sets, so closure(U) is the
+least closed down-set holding D(U), and the closed down-sets form a closure
+system (Caspard and Monjardet, Discrete Appl. Math. 127(2), 2003).  An
+upper cover C' of a closed set C is closure(C ∪ ↓s) for any s minimal in
+C' − C, which is minimal outside C (Lindig, "Fast concept analysis", ICCS
+2000).  As star reverses the order, a closed set is admissible when it
+holds no real with its star, so admissible covers reach every admissible
+one: the completion lists them by a breadth-first search that joins each
+only with its minimal outside reals.  It goes on from the inadmissible
+joins met while they are no more numerous than the elements and the cap
+holds (spin(n) has 4^n closed sets, 3^n admissible), and leaves what it
+listed on the real space as a closed-set index: by size, a linear extension
+of inclusion, their antichains and per real the mask of the sets holding
+it.  Being all closed sets or the admissible ones, the index is
+down-closed, so the least indexed set holding D(U) is closure(U) when there
+is one: one AND per member and the lowest set bit; else closure takes the
+steps, as on a space with no completion.
 
 One pre-closure step is bit-sliced, in the manner of the bit-vector lattice
 encodings of Aït-Kaci, Boyer, Lincoln and Nasr ("Efficient implementation
@@ -38,6 +41,8 @@ of z's block carries into its guard exactly then.  The bottom covers
 nothing: it is always fixed, and is the answer only for a bottom-only
 input.  The tables are read off the up-set, down-set and cover masks.
 """
+
+from itertools import combinations
 
 from .core_order import (InputError, CapExceeded, StateSpace, bits,
                          inclusion_order, transpose)
@@ -129,9 +134,8 @@ def closure_step(space, members):
 
 
 def _checked(space, members):
-    """The members as sorted distinct ids: nonempty, and the bottom only
-    alone."""
-    members = sorted(set(int(m) for m in members))
+    """The members as sorted distinct ids; nonempty, the bottom only alone."""
+    members = sorted(set(map(int, members)))
     if not members:
         raise InputError("closure of an empty set")
     if space.bottom in members and len(members) > 1:
@@ -140,27 +144,26 @@ def _checked(space, members):
 
 
 def closure_by_steps(space, members):
-    """The iterated pre-closure, up to its fixed point: closure on a space
-    with no closed-set index, and the oracle that reads none."""
+    """The iterated pre-closure: closure on a space with no completion, and
+    the oracle that reads no index.  Each step grows the down-set."""
     current = tuple(_checked(space, members))
-    for _ in range(space.n + 1):
-        nxt = closure_step(space, current)
-        if nxt == current:
-            return current
-        current = nxt
-    raise InputError("closure failed to stabilize")
+    nxt = closure_step(space, current)
+    while nxt != current:
+        current, nxt = nxt, closure_step(space, nxt)
+    return current
 
 
 def closure(space, members):
-    """The canonical antichain of the least closed set holding the
-    members' down-sets, read off the closed-set index when there is one."""
-    if space._closed is None:
-        return closure_by_steps(space, members)
-    rows, antichains = space._closed
-    above = -1
-    for m in _checked(space, members):
-        above &= rows[m]
-    return antichains[(above & -above).bit_length() - 1]
+    """The antichain of the least closed set holding the members' down-sets,
+    off the closed-set index when one of its sets holds them, else by steps."""
+    if space._closed is not None:
+        rows, antichains = space._closed
+        above = -1
+        for m in _checked(space, members):
+            above &= rows[m]
+        if above:
+            return antichains[(above & -above).bit_length() - 1]
+    return closure_by_steps(space, members)
 
 
 def is_star_free(rs, members):
@@ -188,40 +191,69 @@ def is_unbounded_star_free(rs, members):
     """Star-free and pairwise unbounded: the shape every member of the
     maximal candidate family has."""
     members = list(members)
-    if not is_star_free(rs, members):
-        return False
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            if rs.space.bounded((x, y)):
-                return False
-    return True
+    return is_star_free(rs, members) and not any(
+        rs.space.bounded(pair) for pair in combinations(members, 2))
 
 
-def sharpen(rs, members, close=closure):
+def sharpen(rs, members):
     """The canonical antichain of the closure of the non-bottom members, or
-    None when it is not star-free; the bottom alone for no such member.
-    The oracles pass close=closure_by_steps, which reads no index."""
-    space = rs.space
-    members = [m for m in members if m != space.bottom]
-    if not members:
-        return (space.bottom,)
-    out = close(space, members)
-    return out if is_star_free(rs, out) else None
+    None when it is not star-free; the bottom alone for no such member."""
+    bottom = rs.space.bottom
+    out = closure(rs.space, [m for m in members if m != bottom] or [bottom])
+    return out if out == (bottom,) or is_star_free(rs, out) else None
 
 
 def is_admissible(rs, members):
     return sharpen(rs, members) is not None
 
 
+def _closed_sets(rs, cap):
+    """The admissible closed sets by down mask, the others or None when the
+    search stops short of them, and the candidates tried, one per listed set
+    and real minimal outside it; past cap on the admissible sets it raises."""
+    real = rs.space
+    down, bottom = real.down, real.bottom
+    full = (1 << real.n) - 1
+    found, over = {down[bottom]: (bottom,)}, {}
+    frontier = [down[bottom]]
+    candidates = 0
+    for listed in found, over:
+        while frontier:
+            fresh = []
+            for d in frontier:
+                anti = listed[d] if d != down[bottom] else ()
+                for s in bits(full & ~d):
+                    if down[s] & ~d != 1 << s:  # s is not minimal outside d
+                        continue
+                    if candidates == cap or (listed is over
+                                             and len(over) > len(found)):
+                        if listed is found:
+                            raise CapExceeded("completion candidate cap hit "
+                                              "after %d elements" % len(found))
+                        return found, None, candidates
+                    candidates += 1
+                    if d | down[s] in found or d | down[s] in over:
+                        continue  # a closed set is its own closure
+                    j = closure_by_steps(real, anti + (s,))
+                    home = found if is_star_free(rs, j) else over
+                    key = 0
+                    for x in j:
+                        key |= down[x]
+                    if key not in home:
+                        home[key] = j
+                        if home is listed:
+                            fresh.append(key)
+            frontier = fresh
+        frontier = list(over)
+    return found, over, candidates
+
+
 class OnticCompletion(object):
     """The completed space over a real structure, fully enumerated.
 
     Elements are canonical admissible antichains of non-bottom reals; the
-    bottom is the singleton of the real bottom.  The search lists every
-    closed set by upper covers (see the module docstring), counting each
-    join of a closed set and a minimal outside real as a candidate, and
-    leaves the closed-set index on the real space.  Elements are keyed by
-    their closed down masks, and the order is inclusion of those masks.
+    bottom is the singleton of the real bottom.  They are keyed by their
+    closed down masks, and the order is inclusion of those masks.
     """
 
     def __init__(self, rs, cap=CANDIDATE_CAP):
@@ -229,52 +261,21 @@ class OnticCompletion(object):
             raise InputError("completion needs a RealSpace")
         self.base = rs
         real = rs.space
-        down, bottom = real.down, real.bottom
-        strict = [d ^ 1 << s for s, d in enumerate(down)]
-        full = (1 << real.n) - 1
-        # closed down mask -> canonical antichain, from the least closed set
-        found = {down[bottom]: (bottom,)}
-        frontier = [down[bottom]]
-        candidates = 0
-        while frontier:
-            fresh = []
-            for d in frontier:
-                anti = found[d] if d != down[bottom] else ()
-                for s in bits(full & ~d):
-                    if strict[s] & ~d:  # s is not minimal outside d
-                        continue
-                    candidates += 1
-                    if candidates > cap:
-                        raise CapExceeded(
-                            "completion candidate cap hit after %d closed "
-                            "sets" % len(found))
-                    j = closure_by_steps(real, anti + (s,))
-                    key = 0
-                    for x in j:
-                        key |= down[x]
-                    if key not in found:
-                        found[key] = j
-                        fresh.append(key)
-            frontier = fresh
-        self.candidates = candidates
-        # by size, a linear extension of inclusion; bit k of a real's row
-        # is set when closed set k holds it
-        closed = sorted(found.items(), key=lambda kv: (kv[0].bit_count(),
-                                                       kv[1]))
+        found, over, self.candidates = _closed_sets(rs, cap)
+        closed = sorted({**found, **(over or {})}.items(),
+                        key=lambda kv: (kv[0].bit_count(), kv[1]))
         real._closed = (transpose([d for d, _ in closed], real.n),
                         [anti for _, anti in closed])
-        keyed = sorted(((d, u) for d, u in closed
-                        if len(u) == 1 or is_star_free(rs, u)),
-                       key=lambda kv: (len(kv[1]), kv[1]))
+        keyed = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
         self.elements = [u for _, u in keyed]
         self._keys = [d for d, _ in keyed]
         names = [self._name(u) for u in self.elements]
         self.space = StateSpace(names, inclusion_order(self._keys))
         self._full = (1 << self.space.n) - 1
-        reals = [i for i in range(real.n) if i != bottom]
+        reals = [i for i in range(real.n) if i != real.bottom]
         star = {i: rs.star_of(i) for i in reals}
         self.embedding = RealStructureEmbedding(
-            self.space, reals + [bottom], star)
+            self.space, reals + [real.bottom], star)
 
     def _name(self, u):
         real = self.base.space
@@ -334,7 +335,6 @@ def build_completion(rs, cap=CANDIDATE_CAP):
 def lift_morphism(comp_a, comp_b, f):
     """Lift a meet-preserving real map f (base-A id -> base-B id) to the
     completions; raises LiftError when some image antichain is inadmissible."""
-    real_b = comp_b.base.space
     forward = []
     for idx in range(len(comp_a.elements)):
         image = [f(w) for w in comp_a.components(idx)]

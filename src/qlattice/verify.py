@@ -13,7 +13,7 @@ from .core_order import (YES, NO, BOT, BOOL_VALUES, InputError, StateSpace,
                          bool_space, bool_meet, bool_bullet, bool_bar)
 from .realspaces import (bool_real_space, simplex_space, spin_space,
                          ortho_matrix, ortho_complement, orthoclosed_sets)
-from .ontic import (closure_by_steps, closure_step, sharpen,
+from .ontic import (closure_by_steps, closure_step, is_star_free,
                     is_unbounded_star_free, build_completion)
 from .tensor import build_tensor, congruence_profile
 from .contextuality import verify_model_iso
@@ -93,7 +93,6 @@ def check_preclosure_counterexample():
 # -- 3. closure idempotency ----------------------------------------------------
 
 def _idempotent_on(space, members):
-    # by the steps, not the closed-set index that a completion leaves
     first = closure_by_steps(space, members)
     return closure_by_steps(space, first) == first
 
@@ -163,6 +162,14 @@ def check_simplex_tensor():
 
 # -- 5. completion of the two-axis spin space ----------------------------------
 
+def _sharpen_by_steps(rs, members):
+    """ontic.sharpen by the closure's steps, not off a completion's order."""
+    bottom = rs.space.bottom
+    out = closure_by_steps(rs.space, [m for m in members if m != bottom]
+                           or [bottom])
+    return out if out == (bottom,) or is_star_free(rs, out) else None
+
+
 def check_completion_z2():
     z2 = spin_space(2)
     comp = build_completion(z2)
@@ -173,12 +180,11 @@ def check_completion_z2():
     # the reals below each element
     traces = [frozenset(r for r in range(z2.space.n)
                         if leq[comp.embed(r)][chi]) for chi in range(n)]
-    # joins by the steps of the closure on the reals, not off the built
-    # order or the closed-set index
+    # joins by the closure's steps on the reals, not off the built order
     element_of = {u: k for k, u in enumerate(comp.elements)} | {None: None}
     galois_bad = []
     for j, trace in enumerate(traces):
-        lam = element_of[sharpen(z2, trace, closure_by_steps)]
+        lam = element_of[_sharpen_by_steps(z2, trace)]
         for chi in range(n):
             left = lam is not None and leq[lam][chi]
             right = trace <= traces[chi]
@@ -195,8 +201,7 @@ def check_completion_z2():
             upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
             least = [k for k in upper if all(leq[k][m] for m in upper)]
             want = least[0] if len(least) == 1 else None
-            joined = sharpen(z2, comp.elements[i] + comp.elements[j],
-                             closure_by_steps)
+            joined = _sharpen_by_steps(z2, comp.elements[i] + comp.elements[j])
             if element_of[joined] != want:
                 order_bad.append(("join", i, j))
     ok = (n == 9 and hidden == 4 and not galois_bad and not order_bad)
@@ -361,7 +366,7 @@ def check_non_completeness():
             continue
         if not is_unbounded_star_free(rs, (p, q)):
             continue
-        if sharpen(rs, (p, q), closure_by_steps) is not None:
+        if is_star_free(rs, closure_by_steps(space, (p, q))):
             continue
         chain = [tuple(sorted((p, q)))]
         current = chain[0]

@@ -1,6 +1,7 @@
 import inspect
 import random
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -495,37 +496,71 @@ def test_index_closure_matches_steps_and_oracle(name):
         assert closure(space, sub) == want == _oracle_closure(space, sub), sub
 
 
+def _keys_of(space, antichains):
+    """The down mask of each antichain."""
+    keys = []
+    for anti in antichains:
+        key = 0
+        for x in anti:
+            key |= space.down[x]
+        keys.append(key)
+    return keys
+
+
 @pytest.mark.parametrize("name", sorted(_INDEX_SPACES))
 def test_dropping_a_closed_set_fails_the_differential_test(name):
-    # each closed set in turn is taken out of every real's row.  The top,
-    # every real, is the last set, and an empty AND reads as the last set
-    # too, so dropping it changes no answer
+    # each indexed set in turn is taken out of every real's row.  An input
+    # whose closure it is then reads a larger indexed set, unless none
+    # holds it: then the AND is 0 and closure takes the steps, so dropping
+    # a maximal set of the index changes no answer
     space, inputs = _index_inputs(name)
     want = [closure_by_steps(space, sub) for sub in inputs]
     rows, antichains = space._closed
-    assert antichains[-1] == tuple(space.maximals)
-    for k in range(len(antichains) - 1):
+    keys = _keys_of(space, antichains)
+    for k, key in enumerate(keys):
+        inside = any(key & ~other == 0 for other in keys[:k] + keys[k + 1:])
         space._closed = [r & ~(1 << k) for r in rows], antichains
-        assert any(closure(space, sub) != w
-                   for sub, w in zip(inputs, want)), k
+        got = [closure(space, sub) for sub in inputs]
+        assert (got != want) == inside, k
     space._closed = rows, antichains
     assert [closure(space, sub) for sub in inputs] == want
 
 
-@pytest.mark.parametrize("make, closed, admissible", [
+@pytest.mark.parametrize("make, indexed, admissible", [
     (lambda: build_tensor(spin_space(2), spin_space(2)).real_space, 234, 217),
     (lambda: build_tensor(spin_space(3), spin_space(2)).real_space,
      1080, 1031),
-], ids=["z2z2", "z3z2"])
-def test_closed_set_counts(make, closed, admissible):
+    (lambda: spin_space(2), 16, 9),
+    (lambda: spin_space(3), 27, 27),
+    (lambda: simplex_space(4), 16, 15),
+], ids=["z2z2", "z3z2", "spin2", "spin3", "simplex4"])
+def test_closed_set_index_counts(make, indexed, admissible):
+    # all closed sets, or the elements alone on spin(3), whose 64 closed
+    # sets hold 37 inadmissible ones; by size either way
     rs = make()
     comp = build_completion(rs)
-    assert (len(rs.space._closed[1]), len(comp)) == (closed, admissible)
+    keys = _keys_of(rs.space, rs.space._closed[1])
+    assert (len(keys), len(comp)) == (indexed, admissible)
+    assert keys == sorted(keys, key=int.bit_count)
+    assert set(comp._keys) <= set(keys)
+    assert (set(keys) == set(comp._keys)) == (indexed == admissible)
+
+
+def test_spin9_search_stays_under_the_default_cap():
+    # spin(n) is flat: the admissible sets are the 3^n sets of axes with no
+    # star pair, and one of k axes has 2n - k minimal outside reals.  Its
+    # 4^n closed sets are not listed, as the inadmissible joins met by the
+    # first part already outnumber the elements
+    found, over, candidates = ontic._closed_sets(spin_space(9),
+                                                 ontic.CANDIDATE_CAP)
+    assert (len(found), over) == (3 ** 9, None)
+    assert candidates == sum(comb(9, k) * 2 ** k * (18 - k)
+                             for k in range(10)) == 236196
 
 
 def test_real_space_keeps_no_more_entries_than_closed_sets():
     # the index is the one thing a build leaves on the real space, and it
-    # holds one row per real and one antichain per closed set; no memo of
+    # holds one row per real and one antichain per indexed set; no memo of
     # steps or joins outlives the build
     rs = build_tensor(spin_space(2), spin_space(2)).real_space
     build_completion(rs)
@@ -674,13 +709,17 @@ def test_pair_pruning_matches_unpruned_search(make):
 
 
 def test_candidate_cap_counts_pruned_candidates():
-    # spin(2) takes 32 join candidates, one per closed set and minimal real
-    # outside it, over its 16 closed sets
-    rs = spin_space(2)
-    comp = build_completion(rs, cap=32)
-    assert (len(comp), comp.candidates) == (9, 32)
+    # spin(2) takes 24 join candidates, one per admissible set and minimal
+    # real outside it, to list its 9 elements, and 8 more to index its 7
+    # other closed sets.  A cap that stops the second part leaves the
+    # admissible sets alone as the index; one that stops the first raises
+    for cap, indexed in ((32, 16), (31, 9), (24, 9)):
+        rs = spin_space(2)
+        comp = build_completion(rs, cap=cap)
+        assert (len(comp), comp.candidates) == (9, cap)
+        assert len(rs.space._closed[1]) == indexed
     with pytest.raises(CapExceeded):
-        build_completion(spin_space(2), cap=31)
+        build_completion(spin_space(2), cap=23)
 
 
 def test_candidate_cap_defaults_read_one_constant():
@@ -697,12 +736,15 @@ def test_candidate_cap_defaults_read_one_constant():
 
 
 def _joined_by_closure(comp, element_of, members):
-    """The element whose antichain ontic.sharpen gives the members, or None:
-    the join by the steps of the closure on the reals, not by the
+    """The element whose antichain ontic.sharpen would give the members, or
+    None: the join by the steps of the closure on the reals, not by the
     completion's order or the closed-set index.  element_of maps each
     antichain of comp.elements to its id."""
-    anti = ontic.sharpen(comp.base, members, closure_by_steps)
-    return None if anti is None else element_of[anti]
+    members = [m for m in members if m != comp.base.space.bottom]
+    if not members:
+        return element_of[(comp.base.space.bottom,)]
+    anti = closure_by_steps(comp.base.space, members)
+    return element_of[anti] if is_star_free(comp.base, anti) else None
 
 
 @pytest.mark.parametrize("make", [

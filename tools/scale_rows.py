@@ -2,23 +2,25 @@
 
     python3 tools/scale_rows.py OUT.json
 
-The rows are the Z2⊗Z2 completion, the Z3⊗Z2 tensor and its completion,
-the Z3⊗Z3 tensor and its completion, the Z4⊗Z4 tensor, the Z3⊗Z2
-geometry, the Z3⊗Z3 Bell scenario and the CLI's verify suite.  Each row
-runs in its own interpreter (this script with `--child NAME`), so no memo
-or allocator state carries from one row to the next; the child reports its
-wall time, the element count it built (none for cli-verify) and its peak
-resident set size.  A completion row times the tensor and the completion
-together and also reports the tensor on its own, with the completion's
-hidden elements, its element count per antichain size, its closed sets and
-the join candidates its search tried.  The geometry row goes on to build the
-wide and narrow geometries over the completion and run verify_projective,
-verify_ortho and verify_invariants; it reports the time of that part on
-its own (geometry_s), of the two geometry builds (build_s) and of each
-verifier, the point counts, the verifiers' counts and pass flags, and a
-digest of the full reports.  The Bell row builds the
-tensor, the scenario and its report, as `qlattice bell` does, and reports
-the member count of sigma and the verdict, or the error that stopped it.
+The rows are the Z2⊗Z2 completion, the Z3⊗Z2 tensor and its completion, the
+Z3⊗Z3 tensor and its completion, the Z4⊗Z4 tensor, the completions of
+spin(8) and simplex(9) on their own, the Z3⊗Z2 geometry, the Z3⊗Z3 Bell
+scenario and the CLI's verify suite.  Each row runs in its own interpreter
+(this script with `--child NAME`), so no memo or allocator state carries
+from one row to the next; the child reports its wall time, the element
+count it built (none for cli-verify) and its peak resident set size.  A
+completion row over a tensor times the tensor and the completion together
+and also reports the tensor on its own.  Every completion row reports the
+completion's hidden elements, its element count per antichain size, the
+closed sets it indexed and the join candidates its search tried.  The
+geometry row goes on to build the wide and narrow geometries over the
+completion and run verify_projective, verify_ortho and verify_invariants;
+it reports the time of that part on its own (geometry_s), of the two
+geometry builds (build_s) and of each verifier, the point counts, the
+verifiers' counts and pass flags, and a digest of the full reports.  The
+Bell row builds the tensor, the scenario and its report, as `qlattice
+bell` does, and reports the member count of sigma and the verdict, or the
+error that stopped it.
 The cli-verify row times `import qlattice.cli` and one run of the whole
 verify suite, as `qlattice verify --suite all` does, and reports whether
 numpy was loaded.
@@ -44,7 +46,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
 
-# name: (spin axes of the left factor, of the right factor, last stage)
+# name: (spin axes of the left factor, of the right factor, last stage),
+# or (kind, size, "completion") for a real space completed on its own
 ROWS = {
     "z2z2-completion": (2, 2, "completion"),
     "z3z2-tensor": (3, 2, "tensor"),
@@ -52,6 +55,8 @@ ROWS = {
     "z3z3-tensor": (3, 3, "tensor"),
     "z3z3-completion": (3, 3, "completion"),
     "z4z4-tensor": (4, 4, "tensor"),
+    "spin8-completion": ("spin", 8, "completion"),
+    "simplex9-completion": ("simplex", 9, "completion"),
     "z3z2-geometry": (3, 2, "geometry"),
     "z3z3-bell": (3, 3, "bell"),
     "cli-verify": (None, None, "cli-verify"),
@@ -64,22 +69,27 @@ def run_row(name):
     if name == "cli-verify":
         return run_cli_verify()
     from qlattice.ontic import OnticCompletion
-    from qlattice.realspaces import spin_space
+    from qlattice.realspaces import simplex_space, spin_space
     from qlattice.tensor import build_tensor
     na, nb, stage = ROWS[name]
     start = time.perf_counter()
-    ts = build_tensor(spin_space(na), spin_space(nb))
-    out = {"name": name, "tensor_s": time.perf_counter() - start,
-           "tensor_elements": len(ts)}
-    elements = len(ts)
+    if isinstance(na, str):
+        rs = {"spin": spin_space, "simplex": simplex_space}[na](nb)
+        out, elements = {"name": name}, rs.space.n
+    else:
+        ts = build_tensor(spin_space(na), spin_space(nb))
+        rs = ts.real_space
+        out = {"name": name, "tensor_s": time.perf_counter() - start,
+               "tensor_elements": len(ts)}
+        elements = len(ts)
     if stage in ("completion", "geometry"):
-        comp = OnticCompletion(ts.real_space)
+        comp = OnticCompletion(rs)
         elements = comp.space.n
     if stage == "completion":
         sizes = collections.Counter(len(u) for u in comp.elements)
         out.update(hidden=sum(map(comp.is_hidden, range(elements))),
                    antichain_sizes={str(k): sizes[k] for k in sorted(sizes)},
-                   closed_sets=len(ts.real_space.space._closed[1]),
+                   closed_sets=len(rs.space._closed[1]),
                    candidates=comp.candidates)
     if stage == "geometry":
         out.update(run_geometry(comp, ts))
