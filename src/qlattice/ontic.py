@@ -44,8 +44,7 @@ input.  The tables are read off the up-set, down-set and cover masks.
 
 from itertools import combinations
 
-from .core_order import (InputError, CapExceeded, StateSpace, bits,
-                         inclusion_order, transpose)
+from .core_order import InputError, CapExceeded, StateSpace, bits, transpose
 from .realspaces import RealSpace, RealStructureEmbedding
 
 # the default cap on the join candidates that a completion build tries
@@ -155,11 +154,15 @@ def closure_by_steps(space, members):
 
 def closure(space, members):
     """The antichain of the least closed set holding the members' down-sets,
-    off the closed-set index when one of its sets holds them, else by steps."""
-    if space._closed is not None:
+    off the closed-set index when one of its sets holds them, else by steps;
+    an input holding the bottom is checked as the steps check it."""
+    members = tuple(members)
+    if space._closed is not None and members:
+        if space.bottom in members:
+            _checked(space, members)  # the bottom alone, or an InputError
         rows, antichains = space._closed
         above = -1
-        for m in _checked(space, members):
+        for m in members:
             above &= rows[m]
         if above:
             return antichains[(above & -above).bit_length() - 1]
@@ -270,7 +273,7 @@ class OnticCompletion(object):
         self.elements = [u for _, u in keyed]
         self._keys = [d for d, _ in keyed]
         names = [self._name(u) for u in self.elements]
-        self.space = StateSpace(names, inclusion_order(self._keys))
+        self.space = StateSpace.from_keys(names, self._keys)
         self._full = (1 << self.space.n) - 1
         reals = [i for i in range(real.n) if i != real.bottom]
         star = {i: rs.star_of(i) for i in reals}

@@ -27,13 +27,13 @@ the element's mask over the tuples of its two coordinates.
 import functools
 
 from .core_order import (YES, NO, InputError, CapExceeded, StateSpace, bits,
-                         inclusion_order, bool_bullet)
+                         bool_bullet)
 from . import chu
 from .realspaces import RealSpace, is_deterministic, real_effects
 from .ontic import CANDIDATE_CAP, OnticCompletion
 
-# the default element cap of a tensor build; StateSpace validation is
-# quadratic in the element count, so this keeps a default build in seconds
+# the default element cap of a tensor build; the order is one mask of n bits
+# per element, quadratic in n, so this keeps a default build in seconds
 ELEMENT_CAP = 10 ** 4
 
 
@@ -152,8 +152,7 @@ class TensorSpace(object):
         rects = [((x, y), covers[e]) for x, row in enumerate(self._rect)
                  for y, e in enumerate(row)]
         names = [self._label(u, rects) for u in covers]
-        # reverse inclusion of cover sets: inclusion of their complements
-        space = StateSpace(names, inclusion_order([full ^ u for u in covers]))
+        space = StateSpace.from_keys(names, covers, reverse=True)
         star = {}
         bottom = self._cover_index[full]
         # the star of pure pair (pa, pb) covers the pure pairs above pa* or

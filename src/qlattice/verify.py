@@ -21,7 +21,7 @@ from .geometry import (build_geometry, verify_projective, verify_ortho,
                        verify_invariants, covering_preservation_report)
 from . import quantum
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # -- inputs shared by several checks --------------------------------------------

@@ -1,10 +1,34 @@
+import functools
+
 import pytest
 
+from qlattice.core_order import StateSpace
 from qlattice.realspaces import spin_space
 from qlattice.tensor import indeterministic_tensor
 from qlattice.ontic import build_completion
 from qlattice.geometry import build_geometry
 from qlattice.quantum import BellScenario, bool_square as _bool_square
+
+
+@pytest.fixture(scope="session", autouse=True)
+def meet_scanned():
+    """Every space that StateSpace.from_keys builds in the tests, each of
+    them put through the full _validate, with the meet scan that from_keys
+    skips.  Yields the element counts of the spaces scanned, in build
+    order."""
+    scanned = []
+    build = StateSpace.from_keys.__func__
+
+    @functools.wraps(build)
+    def scanning(cls, names, keys, reverse=False):
+        space = build(cls, names, keys, reverse)
+        space._validate()
+        scanned.append(space.n)
+        return space
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StateSpace, "from_keys", classmethod(scanning))
+        yield scanned
 
 
 @pytest.fixture(scope="session")

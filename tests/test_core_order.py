@@ -87,6 +87,51 @@ def test_from_relation_rejects_missing_meet():
         StateSpace.from_relation(names, pairs)
 
 
+def test_from_relation_rejects_bowtie_under_a_top():
+    # bounded above and below, and a, b still have two maximal common lower
+    # bounds: the input no construction vouches for keeps the meet scan
+    names = ["bot", "x", "y", "a", "b", "top"]
+    pairs = [("bot", "x"), ("bot", "y"), ("x", "a"), ("x", "b"),
+             ("y", "a"), ("y", "b"), ("a", "top"), ("b", "top")]
+    with pytest.raises(InputError, match="no meet for 'a', 'b'"):
+        StateSpace.from_relation(names, pairs)
+    with pytest.raises(InputError, match="no meet for 'a', 'b'"):
+        StateSpace.from_json({"elements": names, "leq": pairs})
+
+
+def test_from_keys_skips_the_meet_scan_alone(monkeypatch):
+    # the bowtie as down-sets: {a, b} meet in no key.  The tests scan every
+    # space from_keys builds (conftest), so it fails here; from_keys itself
+    # builds it, and the scan it skipped still finds the pair
+    keys = [0b000001, 0b000011, 0b000101, 0b001111, 0b010111, 0b111111]
+    names = ["bot", "x", "y", "a", "b", "top"]
+    with pytest.raises(InputError, match="no meet for 'a', 'b'"):
+        StateSpace.from_keys(names, keys)
+    monkeypatch.setattr(StateSpace, "from_keys", classmethod(
+        StateSpace.from_keys.__func__.__wrapped__))
+    space = StateSpace.from_keys(names, keys)
+    assert space.up == inclusion_order(keys)
+    with pytest.raises(InputError, match="no meet for 'a', 'b'"):
+        StateSpace(names, space.up)
+    with pytest.raises(InputError, match="no meet for 'a', 'b'"):
+        space._validate()
+    # reverse inclusion is inclusion of the complements
+    flipped = StateSpace.from_keys(names, [0b111111 ^ k for k in keys],
+                                   reverse=True)
+    assert flipped.up == space.up
+    # the order axioms and the bottom are still checked
+    with pytest.raises(InputError, match="antisymmetry fails for 'x', 'y'"):
+        StateSpace.from_keys(names[:3], [0b01, 0b11, 0b11])
+    with pytest.raises(InputError, match="no bottom element"):
+        StateSpace.from_keys(names[:2], [0b01, 0b10])
+
+
+def test_built_spaces_get_the_meet_scan(meet_scanned):
+    before = len(meet_scanned)
+    ts, comp = indeterministic_tensor(spin_space(2), spin_space(2))
+    assert meet_scanned[before:] == [len(ts), len(comp)] == [113, 217]
+
+
 def test_from_relation_rejects_missing_bottom():
     with pytest.raises(InputError):
         StateSpace.from_relation(["a", "b"], [])

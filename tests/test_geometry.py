@@ -213,6 +213,12 @@ def test_witness_masks_match_point_scan(geo_wide):
 def test_invariants(geo_wide):
     report = verify_invariants(geo_wide, samples=200, seed=1)
     assert report["pass"]
+    # the two checks that cannot fail over two factors say so
+    assert sorted(k for k, v in report.items()
+                  if isinstance(v, dict) and v.get("vacuous")) \
+        == ["covered_quadruple_coordinates", "wr_matches_consistency"]
+    assert all(v["vacuous"] is True for v in report.values()
+               if isinstance(v, dict) and "vacuous" in v)
 
 
 def test_covering_preservation(two_qubit):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qlattice import ontic
-from qlattice.core_order import (CapExceeded, StateSpace, bits, bool_space,
-                                 row_masks)
+from qlattice.core_order import (CapExceeded, InputError, StateSpace, bits,
+                                 bool_space, row_masks)
 from qlattice.realspaces import bool_real_space, spin_space, simplex_space
 from qlattice.tensor import build_tensor
 from qlattice.ontic import (closure, closure_by_steps, closure_step,
@@ -494,6 +494,42 @@ def test_index_closure_matches_steps_and_oracle(name):
     for sub in inputs:
         want = closure_by_steps(space, sub)
         assert closure(space, sub) == want == _oracle_closure(space, sub), sub
+
+
+_CONTRACT_SPACES = {
+    "completed": lambda: build_completion(
+        build_tensor(spin_space(2), spin_space(2)).real_space).base.space,
+    "plain": lambda: build_tensor(spin_space(2), spin_space(2)).space,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_SPACES))
+def test_closure_input_contract(name):
+    # the index read checks its input as the steps do, on any iterable of
+    # ints or numpy ints, and reads a generator once
+    space = _CONTRACT_SPACES[name]()
+    assert (space._closed is not None) == (name == "completed")
+    bottom = space.bottom
+    others = [i for i in range(space.n) if i != bottom]
+    with pytest.raises(InputError, match="closure of an empty set"):
+        closure(space, [])
+    with pytest.raises(InputError, match="closure of an empty set"):
+        closure(space, iter(()))
+    for bad in ([bottom, others[0]], [others[5], others[2], bottom],
+                np.array([others[3], bottom])):
+        with pytest.raises(InputError, match="bottom element inside"):
+            closure(space, bad)
+    assert closure(space, [bottom]) == closure(space, [bottom, bottom]) \
+        == closure(space, np.array([bottom])) == (bottom,)
+    rng = random.Random(26)
+    for _ in range(200):
+        sub = rng.sample(others, rng.randint(1, 5))
+        want = closure_by_steps(space, sorted(sub))
+        assert closure(space, sub) == want, sub
+        assert closure(space, sub[::-1] + sub) == want, sub
+        assert closure(space, (m for m in sub)) == want, sub
+        assert closure(space, np.array(sub, dtype=np.int64)) == want, sub
+        assert closure(space, [np.int32(m) for m in sub]) == want, sub
 
 
 def _keys_of(space, antichains):

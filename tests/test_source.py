@@ -57,9 +57,9 @@ def test_unused_import_check_sees_leftovers():
 _LEQ_READERS = set()
 
 
-def _leq_readers(tree):
+def _readers(tree, attrs):
     """The dotted names of the functions (empty at module level) that read
-    an attribute named leq, once per read."""
+    an attribute, or pass a keyword, named in attrs, once per read."""
     found = []
 
     def visit(node, scope):
@@ -68,8 +68,9 @@ def _leq_readers(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Attribute) and child.attr == "leq" \
-                    and isinstance(child.ctx, ast.Load):
+            elif isinstance(child, ast.Attribute) and child.attr in attrs \
+                    and isinstance(child.ctx, ast.Load) \
+                    or isinstance(child, ast.keyword) and child.arg in attrs:
                 found.append(".".join(scope))
             visit(child, inner)
 
@@ -81,7 +82,8 @@ def test_library_reads_the_order_through_masks():
     readers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        readers.update((path.name, name) for name in _leq_readers(tree))
+        readers.update((path.name, name)
+                       for name in _readers(tree, {"leq"}))
     assert readers == _LEQ_READERS
 
 
@@ -90,7 +92,34 @@ def test_leq_check_sees_subscripts_and_aliases():
                      "class C:\n    def g(self, s):\n        m = s.leq\n"
                      "        return m[0]\n"
                      "s.leq = 1\n")
-    assert _leq_readers(tree) == ["f", "C.g"]
+    assert _readers(tree, {"leq"}) == ["f", "C.g"]
+
+
+# The functions that may build a space without the meet scan: the two
+# constructions whose meets exist by construction (StateSpace.from_keys).
+# Spaces from JSON, from a relation or from raw masks keep the scan.
+_UNSCANNED_BUILDERS = {("tensor.py", "TensorSpace._install_space"),
+                       ("ontic.py", "OnticCompletion.__init__")}
+
+
+def test_only_the_constructions_skip_the_meet_scan():
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builders.update((path.name, name) for name in
+                        _readers(tree, {"from_keys", "_scan_meets"}))
+    # from_keys itself is the one caller that passes _scan_meets
+    assert builders == _UNSCANNED_BUILDERS | {
+        ("core_order.py", "StateSpace.from_keys")}
+
+
+def test_builder_check_sees_aliases_and_keywords():
+    tree = ast.parse("def f(S):\n    return S.from_keys([], [])\n"
+                     "class C:\n    def g(self):\n        b = S.from_keys\n"
+                     "        return S([], [], _scan_meets=False)\n"
+                     "S.from_keys = 1\n")
+    assert _readers(tree, {"from_keys", "_scan_meets"}) == \
+        ["f", "C.g", "C.g"]
 
 
 def _module_level_numpy_imports(tree):
