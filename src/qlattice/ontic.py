@@ -11,21 +11,23 @@ consists of exactly the canonical admissible antichains, ordered by
 A pre-closure step reads the trace D(z) ∩ D(U) of each z, so it depends on
 D(U) alone; it is extensive and monotone on down-sets, so closure(U) is the
 least closed down-set holding D(U), and the closed down-sets form a closure
-system (Caspard and Monjardet, Discrete Appl. Math. 127(2), 2003).  An
-upper cover C' of a closed set C is closure(C ∪ ↓s) for any s minimal in
-C' − C, which is minimal outside C (Lindig, "Fast concept analysis", ICCS
-2000).  As star reverses the order, a closed set is admissible when it
-holds no real with its star, so admissible covers reach every admissible
-one: the completion lists them by a breadth-first search that joins each
-only with its minimal outside reals.  It goes on from the inadmissible
-joins met while they are no more numerous than the elements and the cap
-holds (spin(n) has 4^n closed sets, 3^n admissible), and leaves what it
-listed on the real space as a closed-set index: by size, a linear extension
-of inclusion, their antichains and per real the mask of the sets holding
-it.  Being all closed sets or the admissible ones, the index is
-down-closed, so the least indexed set holding D(U) is closure(U) when there
-is one: one AND per member and the lowest set bit; else closure takes the
-steps, as on a space with no completion.
+system (Caspard and Monjardet, Discrete Appl. Math. 127(2), 2003).  The
+completion lists them by Close-by-One (Kuznetsov, 1993; Outrata and
+Vychodil, Information Sciences 185(1), 2012): with the reals in a linear
+extension, a closed set C reached by adding s0 tries each real s after s0,
+and keeps closure(C ∪ ↓s) only when it adds no real before s, so only an s
+minimal outside C can pass (Lindig, ICCS 2000) and each closed set is
+listed once.  Star reverses the order, so a closed set is admissible when
+it holds no real with its star, and so are its closed subsets: the walk
+stops at an inadmissible set, and a second goes on from those while they
+are no more numerous than the elements and the cap holds (spin(n) has 4^n
+closed sets, 3^n admissible).  The build leaves both lists on the real
+space as a closed-set index: by size, a linear extension of inclusion,
+their antichains and per real the mask of the sets holding it.  Holding
+all closed sets or the admissible ones, the index is down-closed, so the
+least indexed set holding D(U) is closure(U) when there is one: one AND
+per member and the lowest set bit; else closure takes the steps, as on a
+space with no completion.
 
 One pre-closure step is bit-sliced, in the manner of the bit-vector lattice
 encodings of Aït-Kaci, Boyer, Lincoln and Nasr ("Efficient implementation
@@ -133,10 +135,13 @@ def closure_step(space, members):
 
 
 def _checked(space, members):
-    """The members as sorted distinct ids; nonempty, the bottom only alone."""
+    """The members as sorted distinct ids; nonempty, in range, the bottom
+    only alone."""
     members = sorted(set(map(int, members)))
     if not members:
         raise InputError("closure of an empty set")
+    if members[0] < 0 or members[-1] >= space.n:
+        raise InputError("element id out of range")
     if space.bottom in members and len(members) > 1:
         raise InputError("bottom element inside a closure argument")
     return members
@@ -155,15 +160,19 @@ def closure_by_steps(space, members):
 def closure(space, members):
     """The antichain of the least closed set holding the members' down-sets,
     off the closed-set index when one of its sets holds them, else by steps;
-    an input holding the bottom is checked as the steps check it."""
+    an input holding the bottom is checked as the steps check it, and one
+    holding an id out of range goes to the steps, which refuse it."""
     members = tuple(members)
     if space._closed is not None and members:
         if space.bottom in members:
             _checked(space, members)  # the bottom alone, or an InputError
         rows, antichains = space._closed
         above = -1
-        for m in members:
-            above &= rows[m]
+        try:
+            for m in members:
+                above &= rows[m] if m >= 0 else 0
+        except IndexError:
+            above = 0
         if above:
             return antichains[(above & -above).bit_length() - 1]
     return closure_by_steps(space, members)
@@ -212,42 +221,40 @@ def is_admissible(rs, members):
 
 def _closed_sets(rs, cap):
     """The admissible closed sets by down mask, the others or None when the
-    search stops short of them, and the candidates tried, one per listed set
-    and real minimal outside it; past cap on the admissible sets it raises."""
+    second walk stops short of them, and the candidates, one closure each;
+    past cap in the first walk it raises.  earlier[s]: the reals before s."""
     real = rs.space
     down, bottom = real.down, real.bottom
-    full = (1 << real.n) - 1
+    full, before = (1 << real.n) - 1, 0
+    earlier = [0] * real.n
+    for s in sorted(range(real.n), key=lambda s: down[s].bit_count()):
+        earlier[s] = before
+        before |= 1 << s
     found, over = {down[bottom]: (bottom,)}, {}
-    frontier = [down[bottom]]
-    candidates = 0
-    for listed in found, over:
-        while frontier:
-            fresh = []
-            for d in frontier:
-                anti = listed[d] if d != down[bottom] else ()
-                for s in bits(full & ~d):
-                    if down[s] & ~d != 1 << s:  # s is not minimal outside d
-                        continue
-                    if candidates == cap or (listed is over
-                                             and len(over) > len(found)):
-                        if listed is found:
-                            raise CapExceeded("completion candidate cap hit "
-                                              "after %d elements" % len(found))
-                        return found, None, candidates
-                    candidates += 1
-                    if d | down[s] in found or d | down[s] in over:
-                        continue  # a closed set is its own closure
-                    j = closure_by_steps(real, anti + (s,))
-                    home = found if is_star_free(rs, j) else over
-                    key = 0
-                    for x in j:
-                        key |= down[x]
-                    if key not in home:
-                        home[key] = j
-                        if home is listed:
-                            fresh.append(key)
-            frontier = fresh
-        frontier = list(over)
+    stack, roots, candidates = [(down[bottom], (), bottom)], [], 0
+    for part in found, over:
+        while stack:
+            d, anti, s0 = stack.pop()
+            for s in bits(full & ~earlier[s0] & ~d):
+                if down[s] & ~d != 1 << s:  # s is not minimal outside d
+                    continue
+                if candidates == cap or (part is over
+                                         and len(over) > len(found)):
+                    if part is found:
+                        raise CapExceeded("completion candidate cap hit "
+                                          "after %d elements" % len(found))
+                    return found, None, candidates
+                candidates += 1
+                j = closure_by_steps(real, anti + (s,))
+                key = 0
+                for x in j:
+                    key |= down[x]
+                if key & ~d & earlier[s]:
+                    continue  # another branch lists this set
+                home = found if part is found and is_star_free(rs, j) else over
+                home[key] = j
+                (roots if home is not part else stack).append((key, j, s))
+        stack = roots
     return found, over, candidates
 
 

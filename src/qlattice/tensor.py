@@ -12,10 +12,10 @@ on the right, the cover mask is UL[lm[full]] & UR[rm[full]] ANDed over the
 proper splits S of UL[lm[S]] | UR[rm[full ^ S]], where lm[S] and rm[S] are
 the left and right meets of the generators in S.
 
-Every element is a meet of pure tensors, so the enumeration reaches each
-one from a pure tensor by meeting in one pure pair at a time: at most one
-expansion per element and pure pair outside its cover set, cached for the
-build only.
+Every element is a meet of pure tensors, and its cover set is the closure
+of theirs, so the enumeration lists the cover sets by Close-by-One, as the
+ontic completion lists its closed sets: each from one parent, meeting in
+one pure pair at a time, with the generators carried along.
 
 A pair of simplex factors takes a fast path where every nonempty set of pure
 tensors is an element.  Pure pairs are listed as the product of the sorted
@@ -116,30 +116,22 @@ class TensorSpace(object):
 
     def _enumerate_general(self, cap):
         pure_pairs = self.pure_pairs
-        cache = {}  # generator tuple -> cover mask, for this build only
-        gens_of = {}
-        queue = []
-        for k, pp in enumerate(pure_pairs):
-            gens_of[1 << k] = (pp,)
-            queue.append(1 << k)
-        while queue:
-            u = queue.pop()
-            gens = gens_of[u]
-            for k, pp in enumerate(pure_pairs):
+        covers = []
+        stack = [(0, (), 0)]  # cover set, its generators, first pair to add
+        while stack:
+            u, gens, first = stack.pop()
+            for k in range(first, len(pure_pairs)):
                 if u >> k & 1:
                     continue
-                extended = tuple(sorted(gens + (pp,)))
-                w = cache.get(extended)
-                if w is None:
-                    w = cache[extended] = self._expand(extended)
-                if w not in gens_of:
-                    if len(gens_of) + 1 > cap:
-                        raise CapExceeded(
-                            "tensor enumeration cap %d hit" % cap)
-                    gens_of[w] = extended
-                    queue.append(w)
-        self._covers = sorted(gens_of.keys(),
-                              key=lambda u: (u.bit_count(), bits(u)))
+                extended = gens + (pure_pairs[k],)
+                w = self._expand(extended)
+                if w & ~u & ((1 << k) - 1):
+                    continue  # another branch lists this set
+                if len(covers) == cap:
+                    raise CapExceeded("tensor enumeration cap %d hit" % cap)
+                covers.append(w)
+                stack.append((w, extended, k + 1))
+        self._covers = sorted(covers, key=lambda u: (u.bit_count(), bits(u)))
 
     def _install_space(self):
         covers = self._covers

@@ -1,7 +1,6 @@
 import inspect
 import random
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from qlattice import ontic
 from qlattice.core_order import (CapExceeded, InputError, StateSpace, bits,
                                  bool_space, row_masks)
-from qlattice.realspaces import bool_real_space, spin_space, simplex_space
+from qlattice.realspaces import (RealSpace, bool_real_space, spin_space,
+                                 simplex_space)
 from qlattice.tensor import build_tensor
 from qlattice.ontic import (closure, closure_by_steps, closure_step,
                             is_star_free, is_unbounded_star_free,
@@ -519,6 +519,10 @@ def test_closure_input_contract(name):
                 np.array([others[3], bottom])):
         with pytest.raises(InputError, match="bottom element inside"):
             closure(space, bad)
+    # ids out of range, where a negative one must not read from the end
+    for bad in ([-1], [-1, 3], [space.n], [3, space.n], np.array([-1, 3])):
+        with pytest.raises(InputError, match="out of range"):
+            closure(space, bad)
     assert closure(space, [bottom]) == closure(space, [bottom, bottom]) \
         == closure(space, np.array([bottom])) == (bottom,)
     rng = random.Random(26)
@@ -562,36 +566,40 @@ def test_dropping_a_closed_set_fails_the_differential_test(name):
     assert [closure(space, sub) for sub in inputs] == want
 
 
-@pytest.mark.parametrize("make, indexed, admissible", [
-    (lambda: build_tensor(spin_space(2), spin_space(2)).real_space, 234, 217),
+@pytest.mark.parametrize("make, indexed, admissible, candidates", [
+    (lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+     234, 217, 850),
     (lambda: build_tensor(spin_space(3), spin_space(2)).real_space,
-     1080, 1031),
-    (lambda: spin_space(2), 16, 9),
-    (lambda: spin_space(3), 27, 27),
-    (lambda: simplex_space(4), 16, 15),
+     1080, 1031, 4870),
+    (lambda: spin_space(2), 16, 9, 15),
+    (lambda: spin_space(3), 27, 27, 54),
+    (lambda: simplex_space(4), 16, 15, 15),
 ], ids=["z2z2", "z3z2", "spin2", "spin3", "simplex4"])
-def test_closed_set_index_counts(make, indexed, admissible):
+def test_closed_set_index_counts(make, indexed, admissible, candidates):
     # all closed sets, or the elements alone on spin(3), whose 64 closed
-    # sets hold 37 inadmissible ones; by size either way
+    # sets hold 37 inadmissible ones; by size either way.  The candidates
+    # are the closures of the Close-by-One walk: a walk that lists a set
+    # twice, or drops one, closes more or fewer
     rs = make()
     comp = build_completion(rs)
     keys = _keys_of(rs.space, rs.space._closed[1])
     assert (len(keys), len(comp)) == (indexed, admissible)
+    assert comp.candidates == candidates
     assert keys == sorted(keys, key=int.bit_count)
     assert set(comp._keys) <= set(keys)
     assert (set(keys) == set(comp._keys)) == (indexed == admissible)
 
 
 def test_spin9_search_stays_under_the_default_cap():
-    # spin(n) is flat: the admissible sets are the 3^n sets of axes with no
-    # star pair, and one of k axes has 2n - k minimal outside reals.  Its
-    # 4^n closed sets are not listed, as the inadmissible joins met by the
-    # first part already outnumber the elements
+    # spin(n) is flat: every set of reals is closed, so each closure lists
+    # one, and the admissible ones are the 3^n sets of axes with no star
+    # pair.  The walks list the 3^n - 1 above the bottom, then inadmissible
+    # sets until those outnumber the elements, 3^n + 1 of them, and stop:
+    # the 4^n closed sets are not listed
     found, over, candidates = ontic._closed_sets(spin_space(9),
                                                  ontic.CANDIDATE_CAP)
     assert (len(found), over) == (3 ** 9, None)
-    assert candidates == sum(comb(9, k) * 2 ** k * (18 - k)
-                             for k in range(10)) == 236196
+    assert candidates == (3 ** 9 - 1) + (3 ** 9 + 1) == 39366
 
 
 def test_real_space_keeps_no_more_entries_than_closed_sets():
@@ -744,18 +752,59 @@ def test_pair_pruning_matches_unpruned_search(make):
     assert np.array_equal(comp.space.leq, want)
 
 
+def _shuffled(rs, seed):
+    """A copy of a real space with its ids permuted under a seed, built from
+    its order relation by name."""
+    space = rs.space
+    perm = list(range(space.n))
+    random.Random(seed).shuffle(perm)  # new id j is old id perm[j]
+    new_of = {old: j for j, old in enumerate(perm)}
+    pairs = [(space.names[x], space.names[y]) for x in range(space.n)
+             for y in bits(space.up[x])]
+    shuffled = StateSpace.from_relation([space.names[i] for i in perm], pairs)
+    return RealSpace(shuffled, {new_of[x]: new_of[y]
+                                for x, y in rs.star.items()})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spin_space(3),
+    lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+], ids=["spin3", "z2z2"])
+def test_completion_does_not_read_id_order(make):
+    # every space built by the library numbers its reals top down; in a
+    # shuffled copy, ids are neither a linear extension nor its reverse,
+    # and the completion and its index are the same up to the relabelling
+    rs = make()
+    comp = build_completion(rs)
+    shuffled = _shuffled(make(), 27)
+    up = shuffled.space.up
+    assert any(up[x] >> y & 1 for x in range(len(up)) for y in range(x))
+    assert any(up[y] >> x & 1 for x in range(len(up)) for y in range(x))
+    got = build_completion(shuffled)
+    elements, _ = _reference_completion(_shuffled(make(), 27))
+    assert got.elements == elements
+
+    def named(space, antichains):
+        return sorted(sorted(space.names[x] for x in u) for u in antichains)
+
+    assert named(shuffled.space, got.elements) == named(rs.space,
+                                                        comp.elements)
+    assert named(shuffled.space, shuffled.space._closed[1]) == \
+        named(rs.space, rs.space._closed[1])
+
+
 def test_candidate_cap_counts_pruned_candidates():
-    # spin(2) takes 24 join candidates, one per admissible set and minimal
-    # real outside it, to list its 9 elements, and 8 more to index its 7
-    # other closed sets.  A cap that stops the second part leaves the
-    # admissible sets alone as the index; one that stops the first raises
-    for cap, indexed in ((32, 16), (31, 9), (24, 9)):
+    # spin(2) takes 12 candidates, one closure each, to list its 9
+    # elements, and 3 more to index its 7 other closed sets.  A cap that
+    # stops the second walk leaves the admissible sets alone as the index;
+    # one that stops the first raises
+    for cap, indexed in ((15, 16), (14, 9), (12, 9)):
         rs = spin_space(2)
         comp = build_completion(rs, cap=cap)
         assert (len(comp), comp.candidates) == (9, cap)
         assert len(rs.space._closed[1]) == indexed
     with pytest.raises(CapExceeded):
-        build_completion(spin_space(2), cap=23)
+        build_completion(spin_space(2), cap=11)
 
 
 def test_candidate_cap_defaults_read_one_constant():

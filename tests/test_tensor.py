@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from qlattice.core_order import CapExceeded, InputError, bits
 from qlattice.realspaces import (bool_real_space, simplex_space, spin_space,
                                  is_deterministic)
-from qlattice.tensor import build_tensor, nfold_tensor, congruence_oracle
+from qlattice.tensor import (TensorSpace, build_tensor, nfold_tensor,
+                             congruence_oracle)
 
 from test_core_order import _oracle_meet_table
 
@@ -275,6 +276,31 @@ _FACTORS = {"bool": bool_real_space, "spin2": lambda: spin_space(2),
 def test_tensor_matches_pair_search(left, right):
     _check_against_reference(build_tensor(_FACTORS[left](),
                                           _FACTORS[right]()))
+
+
+@pytest.mark.parametrize("left, right, elements, expansions", [
+    (2, 2, 113, 556), (3, 2, 239, 1818)], ids=["z2z2", "z3z2"])
+def test_tensor_walk_expands_each_generator_list_once(monkeypatch, left,
+                                                      right, elements,
+                                                      expansions):
+    # the Close-by-One walk expands each listed set (and the empty root)
+    # with each later pure pair outside it, each set from one generator
+    # list, so no list comes twice; the cap counts the elements.  A walk
+    # that lists sets more than once blows up, so the count stops it
+    calls = []
+    expand = TensorSpace._expand
+
+    def counted(self, gens):
+        calls.append(gens)
+        assert len(calls) <= expansions, "more expansions than pinned"
+        return expand(self, gens)
+
+    with pytest.raises(CapExceeded, match="enumeration cap"):
+        build_tensor(spin_space(left), spin_space(right), cap=elements - 1)
+    monkeypatch.setattr(TensorSpace, "_expand", counted)
+    ts = build_tensor(spin_space(left), spin_space(right), cap=elements)
+    assert (len(ts), len(calls), len(set(calls))) == (elements, expansions,
+                                                       expansions)
 
 
 # spin(3) with spin(3) is left to the pinned count: its pair search takes

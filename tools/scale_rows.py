@@ -3,8 +3,8 @@
     python3 tools/scale_rows.py OUT.json
 
 The rows are the Z2⊗Z2 completion, the Z3⊗Z2 tensor and its completion, the
-Z3⊗Z3 tensor and its completion, the Z4⊗Z4 tensor, the completions of
-spin(8) and simplex(9) on their own, the Z3⊗Z2 geometry, the Z3⊗Z3 Bell
+Z3⊗Z3 tensor and its completion, the Z4⊗Z4 and Z5⊗Z5 tensors, the
+completions of spin(8) and simplex(9), the Z3⊗Z2 geometry, the Z3⊗Z3 Bell
 scenario and the CLI's verify suite.  Each row runs in its own interpreter
 (this script with `--child NAME`), so no memo or allocator state carries
 from one row to the next; the child reports its wall time, the element
@@ -55,6 +55,7 @@ ROWS = {
     "z3z3-tensor": (3, 3, "tensor"),
     "z3z3-completion": (3, 3, "completion"),
     "z4z4-tensor": (4, 4, "tensor"),
+    "z5z5-tensor": (5, 5, "tensor"),
     "spin8-completion": ("spin", 8, "completion"),
     "simplex9-completion": ("simplex", 9, "completion"),
     "z3z2-geometry": (3, 2, "geometry"),
