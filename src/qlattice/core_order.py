@@ -71,12 +71,13 @@ def row_masks(mat):
 
 
 def bits(mask):
-    """The set bits of an int mask, lowest first."""
+    """The set bits of an int mask, lowest first (read off the top bit)."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -134,7 +135,7 @@ class StateSpace(object):
     scan, for the families whose meets exist by construction.
     """
 
-    def __init__(self, names, up, _scan_meets=True):
+    def __init__(self, names, up, _scan_meets=True, _down=None):
         names = list(names)
         if len(set(names)) != len(names):
             dupes = sorted(n for n in set(names) if names.count(n) > 1)
@@ -150,7 +151,7 @@ class StateSpace(object):
         self.n = n
         self._index = {name: i for i, name in enumerate(names)}
         self.up = up
-        self.down = transpose(up, n)
+        self.down = transpose(up, n) if _down is None else _down
         self._leq = None
         # the element with each down-set, read by meet and by _validate
         self._by_down = {d: k for k, d in enumerate(self.down)}
@@ -281,9 +282,9 @@ class StateSpace(object):
         Tensor lemma (reverse): the keys are cover sets; every element is a
         meet of pure tensors, and the enumeration meets each element with
         every pure tensor, so it holds the meet of any two."""
-        up = inclusion_order(keys)
-        return cls(names, transpose(up, len(up)) if reverse else up,
-                   _scan_meets=False)
+        rows = inclusion_order(keys)  # reversed, row i is i's down-set
+        return cls(names, transpose(rows, len(rows)) if reverse else rows,
+                   _scan_meets=False, _down=rows if reverse else None)
 
     @classmethod
     def from_relation(cls, names, pairs):

@@ -25,16 +25,23 @@ So the quadrangle configurations (lam, (a, b), (c, d)) met chart by chart
 are the vertices lam of the pairings {(a, b), (c, d)} whose five points
 are pairwise consistent, and the vertices of one pairing are one mask
 (_quadrangles).  "configs" is the sum of the popcounts of those masks.
-Genericity, the hidden-corner test and inner colinearity read only the
-four flanks and run once per four-point set; witness existence reads only
-the two pairs and runs once per pairing.  The exchange axiom's "tuples"
-are the (s1, s2, s3, s4) with s1 and s2 colinear with s3 and s4 and all
-four pairwise consistent, counted with one popcount per (s3, s4, s1).
-Where the verifiers no longer scan chart by chart, their failure lists are
-put in the order such a scan meets them (_scan_order), so a report is the
-same as the per-chart scan's, failures included.
+The walk hands its caller the four flanks, so genericity, the
+hidden-corner test and inner colinearity are a few ANDs once per
+four-point set; witness existence reads only the two pairs and runs once
+per pairing.  The exchange axiom's "tuples" are the (s1, s2, s3, s4) with
+s1 and s2 colinear with s3 and s4 and all four pairwise consistent,
+counted with one popcount per (s3, s4, s1).  Where the verifiers no longer
+scan chart by chart, their failure lists are put in the order such a scan
+meets them (_scan_order), so a report is the same as the per-chart scan's,
+failures included.
+
+Orthogonal completeness reads the chart's pairs and four-point subsets
+directly (_orthogonally_complete), memoised per chart for one verifier
+call, which also builds its per-pure tables (base pure mask, starred
+centres, hidden profiles) once.
 """
 
+import functools
 from itertools import combinations
 import random
 
@@ -59,8 +66,8 @@ class GeometrySet(object):
     - thru[b][c]: the points covering the completion meet of b and c, so
       that colinear(a, b, c) is bit a of it.  thru[b][b] is every point,
       because colinear(a, b, b) holds for every a (b = c); the exchange
-      and degenerate-triple axioms read it that way.  Rows depend only on
-      the meet and are shared between the pairs with one meet.
+      and degenerate-triple axioms read it that way.  Rows are shared per
+      meet.
     - pencil[lam][a]: the points b != a with lam in thru[a][b], a sparse
       dict (missing means 0).  It answers "is s1 colinear with s2, s3" for
       every s2 at once: s2 = s3 or s2 in pencil[s1][s3].
@@ -69,10 +76,6 @@ class GeometrySet(object):
       The rows are those of realspaces.ortho_matrix and the columns their
       transpose.  Code that lets x vary reads the column of y; o2 tests
       symmetry by comparing each row with its column and assumes nothing.
-
-    orthogonally_complete skips the quadrangle scan on fewer than five
-    points, since a quadrangle's vertex and four flanks are five distinct
-    points.
     """
 
     def __init__(self, completion, ts, variant="narrow"):
@@ -166,30 +169,38 @@ class GeometrySet(object):
         return out
 
     def _incidence_tables(self):
-        """thru and pencil (see the class docstring).  A row of thru depends
-        only on the meet, so the pairs with one meet share one int."""
-        meet = self.completion.space.meet
-        covers = self.completion.space.covers
+        """thru and pencil (see the class docstring), the pairs grouped by
+        meet: walking the m below b top down in down-set size, the points
+        first met above m are those meeting b in m.  Each meet's line and
+        its points are built once; a row starts as a copy of the bottom's
+        line, the meet of most pairs."""
+        space = self.completion.space
+        size = [d.bit_count() for d in space.down]
         everything = self._point_mask
-        on_meet = {}
-        thru = {p: {p: everything} for p in self.points}
-        # spokes[b][m]: the points c != b that meet b in m
-        spokes = {p: {} for p in self.points}
-        for i, b in enumerate(self.points):
-            for c in self.points[i + 1:]:
-                m = meet(b, c)
-                line = on_meet.get(m)
-                if line is None:
-                    line = on_meet[m] = covers[m] & everything
-                thru[b][c] = thru[c][b] = line
-                spokes[b][m] = spokes[b].get(m, 0) | 1 << c
-                spokes[c][m] = spokes[c].get(m, 0) | 1 << b
-        pencil = {p: {} for p in self.points}
-        for b, fans in spokes.items():
-            for m, ends in fans.items():
-                for lam in bits(on_meet[m]):
-                    fan = pencil[lam]
-                    fan[b] = fan.get(b, 0) | ends
+        known = {}  # meet -> the points above it, its line, the line's bits
+        bottom_row = dict.fromkeys(self.points,
+                                   space.covers[space.bottom] & everything)
+        thru, pencil = {}, {p: {} for p in self.points}
+        for b in self.points:
+            row, seen = bottom_row.copy(), 1 << b
+            for m in sorted(bits(space.down[b]), key=size.__getitem__,
+                            reverse=True):
+                if m not in known:
+                    line = space.covers[m] & everything
+                    known[m] = (space.up[m] & everything, line, bits(line))
+                over, line, fan = known[m]
+                ends = over & ~seen
+                if not ends:
+                    continue
+                seen |= over
+                if m != space.bottom:
+                    row.update(dict.fromkeys(bits(ends), line))
+                for lam in fan:
+                    pencil[lam][b] = pencil[lam].get(b, 0) | ends
+                if seen == everything:
+                    break
+            row[b] = everything
+            thru[b] = row
         return thru, pencil
 
     def _perp_masks(self, rows):
@@ -204,9 +215,6 @@ class GeometrySet(object):
                 {p: cols[p] for p in self.points})
 
     # -- basic queries --------------------------------------------------------
-
-    def is_hidden(self, x):
-        return self.completion.is_hidden(x)
 
     def wr(self, x, y):
         """Pure points whose coordinates differ in at most two factors."""
@@ -245,28 +253,10 @@ class GeometrySet(object):
                                    for c in _bron_kerbosch(adj))
         return self._cliques
 
-    # -- lines and starred partners --------------------------------------------
-
     def line(self, a, b):
         """a, b and the points colinear with them; every point when a = b."""
         self._check_points(a, b)
         return frozenset(bits(self.thru[a][b] | 1 << a | 1 << b))
-
-    def starred_partners(self, x):
-        """Pure points obtained from x by starring exactly one factor
-        coordinate, keyed by the factor position."""
-        rx = self.completion.real_id(x)
-        if rx is None:
-            return {}
-        t = self.coords[rx]
-        out = {}
-        for i, factor in enumerate(self.factors):
-            s = list(t)
-            s[i] = factor.star_of(t[i])
-            hit = self._pure_of.get(tuple(s))
-            if hit is not None:
-                out[i] = self.completion.embed(hit)
-        return out
 
     # -- hidden-point anatomy --------------------------------------------------
 
@@ -333,8 +323,9 @@ def _bron_kerbosch(neighbors):
         if not p and not x:
             out.append(r)
             return
-        pivot = max(bits(p | x),
-                    key=lambda u: (p & neighbors[u]).bit_count())
+        # the most neighbours in p, the lowest id among equals
+        pivot = -max([((p & neighbors[u]).bit_count(), -u)
+                      for u in bits(p | x)])[1]
         for v in bits(p & ~neighbors[pivot]):
             expand(r | 1 << v, p & neighbors[v], x & neighbors[v])
             p &= ~(1 << v)
@@ -344,21 +335,18 @@ def _bron_kerbosch(neighbors):
     return out
 
 
-def _quadrangles(G, near):
-    """Quadrangles whose five points are pairwise near, once per four-point
-    set: yields (quad, pairings), quad the mask of the four flanks and each
-    pairing ((a, b), (c, d), vertices) with a < b, c < d, (a, b) < (c, d).
-    Its vertices are the points lam outside quad with lam in thru[a][b] and
-    in thru[c][d] and near all four flanks, as one mask:
+def _quadrangles(G):
+    """Quadrangles whose five points are pairwise consistent, once per
+    four-point set: yields (flanks, quad, pairings), the four flanks, their
+    mask and each pairing ((a, b), (c, d), vertices) with a < b, c < d,
+    (a, b) < (c, d).  Its vertices are one mask:
 
-        thru[a][b] & thru[c][d] & near[a] & near[b] & near[c] & near[d] & ~quad
+        thru[a][b] & thru[c][d] & cons[a] & cons[b] & cons[c] & cons[d] & ~quad
 
-    near maps each point to the mask of the points it may share a
-    quadrangle with, itself included; it must be symmetric.  The lowest
-    flank a heads the first pair of every pairing of its set, so all the
-    pairings of one set turn up under one a and are grouped there."""
-    thru = G.thru
-    for a in sorted(near):
+    The lowest flank a heads the first pair of every pairing of its set, so
+    all the pairings of one set turn up under one a and are grouped there."""
+    thru, near = G.thru, G._cons
+    for a in G.points:
         near_a = near[a]
         above_a = -(2 << a)
         found = {}
@@ -377,33 +365,30 @@ def _quadrangles(G, near):
                     lams = tips_c & row[d] & near[d] & ~(1 << d)
                     if lams:
                         quad = 1 << a | 1 << b | 1 << c | 1 << d
-                        found.setdefault(quad, []).append(
-                            ((a, b), (c, d), lams))
-        yield from found.items()
+                        entry = found.get(quad)
+                        if entry is None:
+                            entry = found[quad] = ((a, b, c, d), quad, [])
+                        entry[2].append(((a, b), (c, d), lams))
+        yield from found.values()
 
 
-def _quad_is_generic(G, quad):
-    """The six pairwise completion meets of the quadrangle differ, read as
-    their down masks, which name an element."""
-    down = G.completion.space.down
-    meets = {down[x] & down[y] for x, y in combinations(bits(quad), 2)}
-    return len(meets) == 6
-
-
-def _no_inner_colinearity(G, quad):
-    """No flank of the quad mask is colinear with two others."""
-    thru = G.thru
-    for y, z in combinations(bits(quad), 2):
-        if thru[y][z] & quad & ~(1 << y | 1 << z):
-            return False
-    return True
+def _inner_colinear(thru, a, b, c, d):
+    """One of four distinct flanks is colinear with two others."""
+    return bool(thru[a][b] & (1 << c | 1 << d)
+                or thru[c][d] & (1 << a | 1 << b)
+                or thru[a][c] & (1 << b | 1 << d)
+                or thru[b][d] & (1 << a | 1 << c)
+                or thru[a][d] & (1 << b | 1 << c)
+                or thru[b][c] & (1 << a | 1 << d))
 
 
 def _orthogonally_complete(G, chart):
     """GeometrySet.orthogonally_complete on a mask of points.
 
-    The quadrangle scan is skipped below five points: a quadrangle's vertex
-    is a point of the set outside its four flanks, so it needs five."""
+    A four-point subset holds a quadrangle with its vertex in the set when
+    some other point of the set lies on both lines of one of its pairings.
+    That test settles most subsets, so it runs before the corner test and
+    inner colinearity."""
     thru, rows, cols = G.thru, G.perp_rows, G.perp_cols
     members = bits(chart)
     for y, z in combinations(members, 2):
@@ -411,13 +396,15 @@ def _orthogonally_complete(G, chart):
         if not rows[y] >> z & 1 and thru[y][z] & chart \
                 & ~(1 << y | 1 << z | cols[y] | cols[z]):
             return False
-    if len(members) < 5:
-        return True
-    for quad, _ in _quadrangles(G, dict.fromkeys(members, chart)):
-        if not _no_inner_colinearity(G, quad):
+    for a, b, c, d in combinations(members, 4):
+        quad = 1 << a | 1 << b | 1 << c | 1 << d
+        row_a, row_b = thru[a], thru[b]
+        if not (row_a[b] & thru[c][d] | row_a[c] & row_b[d]
+                | row_a[d] & row_b[c]) & chart & ~quad:
             continue
-        if not any((rows[x] & quad & ~(1 << x)).bit_count() >= 2
-                   for x in bits(quad)):
+        if all((rows[x] & quad & ~(1 << x)).bit_count() < 2
+               for x in (a, b, c, d)) \
+                and not _inner_colinear(thru, a, b, c, d):
             return False
     return True
 
@@ -441,24 +428,21 @@ def _diagonal_witnesses(G, quad, pool=None):
     return bits(hits)
 
 
-def _paper_diagonal_witness(G, quad):
+def _paper_diagonal_witness(G, quad, pures):
     """The explicit quadrangle witness: star(xi) joined with the meet of the
     second diagonal, for a pure xi above the star of the first diagonal's
-    meet and not above the second's."""
+    meet and not above the second's; pures is the base pures' mask."""
     comp = G.completion
     base = comp.base
-    s1, s2, s3, s4 = quad
-    for x, y in ((s1, s3), (s2, s4)):
-        if comp.real_id(x) is None or comp.real_id(y) is None:
-            return None
-    m13 = base.space.meet(comp.real_id(s1), comp.real_id(s3))
-    m24 = base.space.meet(comp.real_id(s2), comp.real_id(s4))
+    reals = [comp.real_id(s) for s in quad]
+    if None in reals:
+        return None
+    m13 = base.space.meet(reals[0], reals[2])
+    m24 = base.space.meet(reals[1], reals[3])
     if base.space.bottom in (m13, m24):
         return None
     up13, up24 = (base.space.up[base.star_of(m)] for m in (m13, m24))
-    for xi in base.space.pures():
-        if not up13 >> xi & 1 or up24 >> xi & 1:
-            continue
+    for xi in bits(up13 & ~up24 & pures):
         chi = comp.sharpening([base.star_of(xi), m24])
         if chi is not None:
             return chi
@@ -473,32 +457,29 @@ def verify_projective(G):
     quadrangle axiom with the narrow restriction on non-starred planes.
 
     The per-chart scans are replaced by the pairwise consistent sets they
-    amount to (see the module docstring).  "tuples" counts the distinct
-    (s1, s2, s3, s4), s3 < s4, with s1 and s2 covering the meet of s3 and
-    s4 and all four pairwise consistent: for each consistent (s3, s4) the
-    seed is thru[s3][s4] & cons[s3] & cons[s4], and each s1 of the seed
-    adds the popcount of seed & cons[s1].  "configs" counts the quadrangle
-    configurations, the vertices of the pairings of _quadrangles under
-    consistency.  The degenerate-triple axiom still runs chart by chart, as
-    its failure list repeats a pair for every chart that holds it.  Wide
-    variant only: the general vy3 fails on the narrow family."""
+    amount to (see the module docstring).  vy1 is vacuous, as thru[b][b] is
+    every point, and says so.  Wide variant only: the general vy3 fails on
+    the narrow family."""
     if G.variant != "wide":
         raise InputError("projective verification needs the wide variant")
     cliques = G.consistency_cover()
-    thru, pencil = G.thru, G.pencil
-    report = {}
-
     charts = [sum(1 << x for x in U) for U in cliques]
-    vy1_bad = []
-    for U, chart in zip(cliques, charts):
-        if any(chart & ~thru[b][b] for b in U):
-            vy1_bad.extend((a, b) for a in U for b in U
-                           if not thru[b][b] >> a & 1)
-    report["vy1"] = {"pass": not vy1_bad, "failures": vy1_bad,
-                     "cover_size": len(cliques)}
+    report = {"vy1": {"pass": True, "failures": [],
+                      "cover_size": len(cliques), "vacuous": True},
+              "vy2": _verify_exchange(G, charts)}
+    report.update(_verify_quadrangles(G, charts))
+    report["pass"] = all(v["pass"] for v in report.values()
+                         if isinstance(v, dict))
+    return report
 
-    cons = G._cons
-    vy2_bad = []
+
+def _verify_exchange(G, charts):
+    """The exchange axiom.  "tuples" counts the (s1, s2, s3, s4), s3 < s4,
+    with s1 and s2 covering the meet of s3 and s4, all pairwise consistent:
+    each s1 of the seed thru[s3][s4] & cons[s3] & cons[s4] adds the
+    popcount of seed & cons[s1]."""
+    thru, pencil, cons = G.thru, G.pencil, G._cons
+    bad = []
     tuples = 0
     for s3 in G.points:
         for s4 in bits(cons[s3] & -(2 << s3)):
@@ -508,70 +489,70 @@ def verify_projective(G):
                 tuples += met.bit_count()
                 # s1 is colinear with s2, s3 when s2 = s3 or s2 lies in
                 # the pencil of s1 at s3
-                bad = met & ~(pencil[s1].get(s3, 0) | 1 << s3)
-                if bad:
-                    vy2_bad.extend((s1, s2, s3, s4) for s2 in bits(bad))
-    report["vy2"] = {
-        "pass": not vy2_bad,
-        "failures": _scan_order(charts, vy2_bad,
-                                key=lambda t: (t[2], t[3], t[0], t[1])),
-        "tuples": tuples}
-
-    report.update(_verify_quadrangles(G, charts))
-    report["pass"] = all(v["pass"] for v in report.values()
-                         if isinstance(v, dict))
-    return report
+                miss = met & ~(pencil[s1].get(s3, 0) | 1 << s3)
+                if miss:
+                    bad.extend((s1, s2, s3, s4) for s2 in bits(miss))
+    return {"pass": not bad,
+            "failures": _scan_order(charts, bad,
+                                    key=lambda t: (t[2], t[3], t[0], t[1])),
+            "tuples": tuples}
 
 
 def _verify_quadrangles(G, charts):
     """Nondegeneracy and the quadrangle axiom, general and restricted, in
     one walk over the quadrangles under consistency; no list of them is
-    kept, and _scan_order sorts each failure list."""
+    kept, and _scan_order sorts each failure list.  Genericity is six
+    distinct pairwise meets, read as down masks."""
+    thru, down = G.thru, G.completion.space.down
+    pures = sum(1 << r for r in G.completion.base.space.maximals)
+    centres = _starred_centres(G)
+    complete = functools.cache(functools.partial(_orthogonally_complete, G))
     narrow_mask = G._pure_mask | sum(1 << p for p in G.hidden_narrow)
     nondegen_bad, general_bad, restricted_bad = [], [], []
     configs = n_general = n_restricted = n_starred = 0
     general_hits = restricted_hits = 0
-    for quad, pairings in _quadrangles(G, G._cons):
-        flagged = quad & ~G._pure_mask and _quad_is_generic(G, quad)
+    for (a, b, c, d), quad, pairings in _quadrangles(G):
+        da, db, dc, dd = down[a], down[b], down[c], down[d]
+        generic = quad & ~G._pure_mask and len(
+            {da & db, da & dc, da & dd, db & dc, db & dd, dc & dd}) == 6
         for p1, p2, lams in pairings:
             configs += lams.bit_count()
-            if flagged:
+            if generic:
                 nondegen_bad.extend((lam,) + p1 + p2 for lam in bits(lams))
-        if not _no_inner_colinearity(G, quad):
+        if _inner_colinear(thru, a, b, c, d):
             continue
         starred = None
-        # x -> the quad plus x is orthogonally complete; the restricted
-        # tests below read it for vertices and witnesses alike
-        extends = {}
-        for (a, b), (c, d), lams in pairings:
-            corners = (a, b, c, d)
+        for p1, p2, lams in pairings:
+            corners = p1 + p2
             n_general += 1
-            for diag in ((a, b, c, d), (a, b, d, c)):
+            for diag in (corners, p1 + p2[::-1]):
                 hits = _diagonal_witnesses(G, diag)
                 if not hits:
                     general_bad.append(
                         (_first_vertex(charts, quad, lams),) + corners)
                     break
-                paper = _paper_diagonal_witness(G, diag)
+                paper = _paper_diagonal_witness(G, diag, pures)
                 if paper is not None and paper in hits:
                     general_hits += 1
             if quad & ~narrow_mask:
                 continue
             five = [lam for lam in bits(lams & narrow_mask)
-                    if _extends(G, quad, lam, extends)]
+                    if complete(quad | 1 << lam)]
             if not five:
                 continue
             if starred is None:
-                starred = _config_on_starred_plane(G, corners)
+                starred = any(not partners & ~quad
+                              and not quad & ~partners & ~lines
+                              for partners, lines in centres)
             if starred:
                 n_starred += len(five)
                 continue
             # what follows reads only the pairing: weigh it by the vertices
             n_restricted += len(five)
-            for diag in ((a, b, c, d), (a, b, d, c)):
+            for diag in (corners, p1 + p2[::-1]):
                 hits = [w for w in _diagonal_witnesses(G, diag,
                                                        pool=narrow_mask)
-                        if _extends(G, quad, w, extends)]
+                        if complete(quad | 1 << w)]
                 if not hits:
                     restricted_bad.extend((lam,) + corners for lam in five)
                     break
@@ -594,14 +575,6 @@ def _verify_quadrangles(G, charts):
     }
 
 
-def _extends(G, quad, x, known):
-    """The quad mask plus x is orthogonally complete; memoised in known."""
-    hit = known.get(x)
-    if hit is None:
-        hit = known[x] = _orthogonally_complete(G, quad | 1 << x)
-    return hit
-
-
 def _first_vertex(charts, quad, lams):
     """The vertex a per-chart scan meets the pairing at first: the lowest
     one in the first chart, in cover order, that holds the four flanks and
@@ -619,31 +592,26 @@ def _scan_order(charts, failures, key=tuple):
     return sorted(failures, key=lambda entry: (first_chart(entry), key(entry)))
 
 
-def _config_on_starred_plane(G, quad):
-    """The plane spanned by the quadrangle is starred exactly when some pure
-    centre has both of its one-factor starred partners among the corners and
-    the remaining corners stay on the centre's two coordinate lines.  When
-    the quadrangle vertex is pure the centre is the vertex itself; one-step
-    plane generation is unstable on hidden points, so the structural test
+def _starred_centres(G):
+    """(partners, lines) per pure centre (x, y) whose two starred partners
+    (x*, y) and (x, y*) are pures: their mask, and that of the pure points
+    sharing a coordinate with the centre.  A quadrangle's plane is starred
+    exactly when, for some centre, its corners hold both partners and the
+    rest lie on the centre's lines (no hidden point does).  One-step plane
+    generation is unstable on hidden points, so this structural test
     replaces a point-set comparison."""
-    q = set(quad)
-    for c in G.pure_points:
-        partners = set(G.starred_partners(c).values())
-        if len(partners) < 2 or not partners <= q:
-            continue
-        rest = q - partners
-        if all(_shares_coordinate(G, c, p) for p in rest):
-            return True
-    return False
-
-
-def _shares_coordinate(G, x, y):
-    """x and y lie on a common coordinate line.  The lines hold pure points
-    only, so a hidden point is on none of them."""
-    rx, ry = G.completion.real_id(x), G.completion.real_id(y)
-    if rx is None or ry is None:
-        return False
-    return any(a == b for a, b in zip(G.coords[rx], G.coords[ry]))
+    coords = {p: G.coords[G.completion.real_id(p)] for p in G.pure_points}
+    at = {t: p for p, t in coords.items()}
+    left, right = G.factors
+    out = []
+    for x, y in coords.values():
+        partners = (at.get((left.star_of(x), y)),
+                    at.get((x, right.star_of(y))))
+        if None not in partners:
+            out.append((1 << partners[0] | 1 << partners[1],
+                        sum(1 << p for p, (u, v) in coords.items()
+                            if u == x or v == y)))
+    return out
 
 
 def _direct_diagonal_witness(G, quad):
@@ -665,50 +633,19 @@ def verify_ortho(G, wide=None):
         raise InputError("orthogonality verification needs the narrow variant")
     report = {}
     pts = G.points
-
     rows, cols = G.perp_rows, G.perp_cols
     report["o1"] = {"pass": not any(rows[p] >> p & 1 for p in pts)}
     # perp is symmetric on the points when every row equals its column
     report["o2"] = {"pass": all(rows[p] == cols[p] for p in pts)}
 
-    o3_bad = []
-    for U in G.consistency_cover():
-        chart = sum(1 << x for x in U)
-        for a, b in combinations(U, 2):
-            eps = chart & cols[a] & cols[b]
-            if not eps:
-                continue
-            line = G.thru[a][b] & chart
-            for e in bits(eps):
-                o3_bad.extend((a, b, e, d) for d in bits(line & ~rows[e]))
+    o3_bad = _o3_failures(G)
     report["o3"] = {"pass": not o3_bad, "failures": o3_bad}
 
-    o4_bad, irr_bad = [], []
-    o4_witness_hits = 0
-    # pair mask -> its third points e with {a, b, e} orthogonally complete;
-    # a and b themselves always qualify, as two points hold no triple
-    thirds = {}
-    for a in pts:
-        profile = None if G.completion.real_id(a) is not None \
-            else G.hidden_profile(a)
-        for b in bits(G._cons[a] & ~(1 << a)):
-            pair = 1 << a | 1 << b
-            third = thirds.get(pair)
-            if third is None:
-                third = sum(1 << e for e in _third_points(G, a, b)
-                            if pair >> e & 1
-                            or _orthogonally_complete(G, pair | 1 << e))
-                thirds[pair] = third
-            if not third & cols[a]:
-                o4_bad.append((a, b))
-            else:
-                witness = _o4_paper_witness(G, a, b, profile)
-                if witness is not None and third >> witness & 1:
-                    o4_witness_hits += 1
-            if not third & ~pair:
-                irr_bad.append((a, b))
-    report["o4"] = {"pass": not o4_bad, "failures": o4_bad,
-                    "paper_witness_hits": o4_witness_hits}
+    # the hidden profiles and a chart -> verdict memo for the whole call
+    profiles = {chi: G.hidden_profile(chi) for chi in pts
+                if G.completion.real_id(chi) is None}
+    complete = functools.cache(functools.partial(_orthogonally_complete, G))
+    report["o4"], irr_bad = _verify_o4(G, profiles, complete)
     # the double-starred pure pairs are the diagonals of starred planes;
     # their only third points live outside the narrow family
     report["irreducibility"] = {
@@ -718,13 +655,60 @@ def verify_ortho(G, wide=None):
         "failures_are_antipodal": all(G.antipodal(a, b) for a, b in irr_bad),
     }
 
-    report["structure_type2"] = _check_type2_structure(G)
-    report["structure_type1"] = _check_type1_structure(G)
+    report["structure_type2"] = _check_type2_structure(G, profiles, complete)
+    report["structure_type1"] = _check_type1_structure(G, profiles, complete)
     if wide is not None:
         report["wide_exclusion"] = _check_wide_exclusion(G, wide)
     report["pass"] = all(v["pass"] for v in report.values()
                          if isinstance(v, dict))
     return report
+
+
+def _o3_failures(G):
+    """The o3 failures (a, b, e, d) chart by chart, e orthogonal to a and b,
+    d on their line and not orthogonal to e.  Pairwise consistent points
+    share a chart, so the charts are scanned only when some pair fails."""
+    rows, cols, thru, cons = G.perp_rows, G.perp_cols, G.thru, G._cons
+    if not any(thru[a][b] & cons[a] & cons[b] & cons[e] & ~rows[e]
+               for a in G.points for b in bits(cons[a] & -(2 << a))
+               for e in bits(cons[a] & cons[b] & cols[a] & cols[b])):
+        return []
+    bad = []
+    for U in G.consistency_cover():
+        chart = sum(1 << x for x in U)
+        for a, b in combinations(U, 2):
+            line = thru[a][b] & chart
+            for e in bits(chart & cols[a] & cols[b]):
+                bad.extend((a, b, e, d) for d in bits(line & ~rows[e]))
+    return bad
+
+
+def _verify_o4(G, profiles, complete):
+    """The o4 report over the ordered consistent pairs, and the pairs with
+    no third point off the pair (irreducibility failures)."""
+    cols, bad, irr_bad, witness_hits = G.perp_cols, [], [], 0
+    # pair mask -> its third points e with {a, b, e} orthogonally complete;
+    # a and b themselves always qualify, as two points hold no triple
+    thirds = {}
+    for a in G.points:
+        profile = profiles.get(a)
+        for b in bits(G._cons[a] & ~(1 << a)):
+            pair = 1 << a | 1 << b
+            third = thirds.get(pair)
+            if third is None:
+                third = sum(1 << e for e in _third_points(G, a, b)
+                            if pair >> e & 1 or complete(pair | 1 << e))
+                thirds[pair] = third
+            if not third & cols[a]:
+                bad.append((a, b))
+            else:
+                witness = _o4_paper_witness(G, a, b, profile)
+                if witness is not None and third >> witness & 1:
+                    witness_hits += 1
+            if not third & ~pair:
+                irr_bad.append((a, b))
+    return ({"pass": not bad, "failures": bad,
+             "paper_witness_hits": witness_hits}, irr_bad)
 
 
 def _o4_paper_witness(G, a, b, profile):
@@ -733,19 +717,14 @@ def _o4_paper_witness(G, a, b, profile):
     hidden a, which depends on a alone."""
     comp = G.completion
     base = comp.base
+    m_real = comp.real_id(comp.meet(a, b))
     if comp.real_id(a) is not None:
-        m = comp.meet(a, b)
-        m_real = comp.real_id(m)
         if m_real is None or m_real == base.space.bottom:
             return None
         return comp.sharpening([base.star_of(comp.real_id(a)), m_real])
-    if profile is None:
+    if profile is None or m_real is None:
         return None
     gamma, oriented = profile
-    m = comp.meet(a, b)
-    m_real = comp.real_id(m)
-    if m_real is None:
-        return None
     if m_real == gamma:
         return comp.embed(oriented[gamma][0])
     return comp.sharpening([m_real, base.star_of(gamma)])
@@ -755,13 +734,15 @@ def _perp(G, x, y):
     return bool(G.perp_rows[x] >> y & 1)
 
 
-def _check_type2_structure(G):
+def _check_type2_structure(G, profiles, complete):
     """Every narrow hidden point carries the canonical maximal orthogonally
     complete chart: the point plus the oriented pure pair over each of its
-    components, with the stated orthogonality pattern."""
+    components, with the stated orthogonality pattern.  profiles maps the
+    hidden points to G.hidden_profile; complete is a memoised
+    _orthogonally_complete."""
     bad = []
     for chi in sorted(G.hidden_narrow):
-        profile = G.hidden_profile(chi)
+        profile = profiles[chi]
         if profile is None:
             bad.append((chi, "no canonical decomposition"))
             continue
@@ -791,26 +772,26 @@ def _check_type2_structure(G):
         if not pattern_ok:
             bad.append((chi, "orthogonality pattern"))
             continue
-        if not G.orthogonally_complete(U):
+        if not complete(chart):
             bad.append((chi, "chart not orthogonally complete"))
             continue
         extendable = [p for p in bits(joint & ~chart)
-                      if G.orthogonally_complete(U | {p})]
+                      if complete(chart | 1 << p)]
         if extendable:
             bad.append((chi, "chart not maximal", extendable))
     return {"pass": not bad, "failures": bad,
             "hidden_points": len(G.hidden_narrow)}
 
 
-def _check_type1_structure(G):
+def _check_type1_structure(G, profiles, complete):
     """For every narrow hidden point and each of its components, the
     four-point single-trace chart exists with the stated partner point and
-    orthogonality pattern."""
+    orthogonality pattern; profiles and complete as for the type 2 check."""
     comp = G.completion
     base = comp.base
     bad = []
     for chi in sorted(G.hidden_narrow):
-        profile = G.hidden_profile(chi)
+        profile = profiles[chi]
         if profile is None:
             bad.append((chi, "no canonical decomposition"))
             continue
@@ -839,7 +820,7 @@ def _check_type1_structure(G):
             if not all(G._cons[x] & chart == chart for x in U):
                 bad.append((chi, delta, "chart not consistent"))
                 continue
-            if not G.orthogonally_complete(U):
+            if not complete(chart):
                 bad.append((chi, delta, "not orthogonally complete"))
     return {"pass": not bad, "failures": bad}
 
@@ -877,14 +858,10 @@ def verify_invariants(G, samples=200, seed=0):
     consistency of pures equals the two-coordinate relation, distinct
     consistent hidden points share exactly one component, covered
     quadruples agree outside two coordinates, and sampled hidden joins
-    match the coordinate-pattern triple of components.
-
-    Two of these cannot fail over a two-factor tensor, and the report marks
-    them "vacuous" until the paper's own statement gives them an
-    independent oracle: two pures differ in at most two coordinates, so wr
-    always holds and pure-pure consistency, which is defined by wr, always
-    matches it (wr_matches_consistency); and covered_quadruple_coordinates
-    fails only when fewer than n_factors - 2 = 0 coordinates agree."""
+    match the coordinate-pattern triple of components.  The first and the
+    third cannot fail over two factors and are marked "vacuous": wr always
+    holds and defines pure-pure consistency, and fewer than
+    n_factors - 2 = 0 coordinates never agree."""
     base = G.completion.base
     report = {}
 
@@ -893,9 +870,9 @@ def verify_invariants(G, samples=200, seed=0):
     report["wr_matches_consistency"] = {"pass": wr_ok, "vacuous": True}
 
     rek1_bad = []
-    hidden = sorted(set(G.points) - set(G.pure_points))
-    for x, y in combinations(hidden, 2):
-        if G.consistent(x, y):
+    hidden = G._point_mask & ~G._pure_mask
+    for x in bits(hidden):
+        for y in bits(G._cons[x] & hidden & -(2 << x)):
             shared = (G._parts[x] & G._parts[y]).bit_count()
             if shared != 1:
                 rek1_bad.append((x, y, shared))
@@ -962,9 +939,7 @@ def _component_pattern(G, mu, nu, phi):
             raise InputError("no pure with coordinates %r" % ((x, y),))
         return p
 
-    def m(x, y):
-        return base.space.meet(x, y)
-
+    m = base.space.meet
     return {
         m(delta(a2, b2), delta(a1, b1)),
         m(delta(a2, sk.star_of(b_)), delta(sj.star_of(a), b1)),
@@ -1023,12 +998,11 @@ def covering_preservation_report(rs):
 
 def export_incidence(G):
     names = G.completion.space.names
+    pairs = [(a, b) for a, b in combinations(G.points, 2)
+             if G.consistent(a, b)]
     lines = sorted({tuple(sorted(names[p] for p in G.line(a, b)))
-                    for a, b in combinations(G.points, 2)
-                    if G.consistent(a, b)})
-    edges = sorted((names[a], names[b])
-                   for a, b in combinations(G.points, 2)
-                   if G.consistent(a, b))
+                    for a, b in pairs})
+    edges = sorted((names[a], names[b]) for a, b in pairs)
     return {
         "variant": G.variant,
         "points": [names[p] for p in G.points],

@@ -27,7 +27,7 @@ the element's mask over the tuples of its two coordinates.
 import functools
 
 from .core_order import (YES, NO, InputError, CapExceeded, StateSpace, bits,
-                         bool_bullet)
+                         bool_bullet, transpose)
 from . import chu
 from .realspaces import RealSpace, is_deterministic, real_effects
 from .ontic import CANDIDATE_CAP, OnticCompletion
@@ -141,9 +141,7 @@ class TensorSpace(object):
         # the pure pairs above x and above y
         self._rect = [[self._cover_index[ul & ur] for ur in self._up_right]
                       for ul in self._up_left]
-        rects = [((x, y), covers[e]) for x, row in enumerate(self._rect)
-                 for y, e in enumerate(row)]
-        names = [self._label(u, rects) for u in covers]
+        names = self._labels(covers)
         space = StateSpace.from_keys(names, covers, reverse=True)
         star = {}
         bottom = self._cover_index[full]
@@ -164,16 +162,28 @@ class TensorSpace(object):
 
     # -- labels ------------------------------------------------------------
 
-    def _label(self, u, rects):
-        """The maximal closed rectangles inside cover set u, as x⊗y terms
-        joined by ⊓; rects lists ((x, y), mask) for every rectangle."""
+    def _labels(self, covers):
+        """Each element's name: the maximal rectangles x⊗y inside its cover
+        set u, joined by ⊓ in (x, y) order.  The rectangles inside u hold no
+        pair outside it (holds[k]: those holding pure pair k), and over[r]
+        is the rectangles strictly containing r (rectangles are distinct,
+        as a real space is generated by its pures)."""
         la, lb = self.left.space, self.right.space
-        inside = [(xy, rect) for xy, rect in rects if rect & ~u == 0]
-        maximal = sorted(xy for xy, rect in inside
-                         if not any(other != rect and rect & ~other == 0
-                                    for _, other in inside))
-        terms = ["%s⊗%s" % (la.names[x], lb.names[y]) for x, y in maximal]
-        return " ⊓ ".join(terms)
+        xy = [(x, y) for x in range(la.n) for y in range(lb.n)]
+        rects = [covers[self._rect[x][y]] for x, y in xy]
+        holds = transpose(rects, len(self.pure_pairs))
+        over = [functools.reduce(int.__and__, map(holds.__getitem__,
+                                                  bits(rect))) & ~(1 << r)
+                for r, rect in enumerate(rects)]
+        full, names = (1 << len(self.pure_pairs)) - 1, []
+        for u in covers:
+            inside = (1 << len(rects)) - 1
+            for k in bits(full & ~u):
+                inside &= ~holds[k]
+            names.append(" ⊓ ".join(
+                "%s⊗%s" % (la.names[xy[r][0]], lb.names[xy[r][1]])
+                for r in bits(inside) if not over[r] & inside))
+        return names
 
     # -- queries -----------------------------------------------------------
 

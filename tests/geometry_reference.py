@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from qlattice.geometry import (_direct_diagonal_witness, _o4_paper_witness,
-                               _paper_diagonal_witness, _shares_coordinate)
+                               _paper_diagonal_witness)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,8 +174,9 @@ def verify_projective(G):
     report = {}
     vy1_bad = [(a, b) for U in cliques for a in U for b in U
                if not colinear(G, a, b, b)]
+    # colinear(a, b, b) holds by definition, so vy1 cannot fail
     report["vy1"] = {"pass": not vy1_bad, "failures": vy1_bad,
-                     "cover_size": len(cliques)}
+                     "cover_size": len(cliques), "vacuous": True}
     checked, vy2_bad = exchange_tuples(G)
     report["vy2"] = {"pass": not vy2_bad, "failures": vy2_bad,
                      "tuples": len(checked)}
@@ -197,6 +198,7 @@ def verify_projective(G):
 
 def _quadrangle_axiom(G, configs):
     narrow = frozenset(G.pure_points) | G.hidden_narrow
+    pures = sum(1 << r for r in G.completion.base.space.pures())
     general_bad, restricted_bad = [], []
     n_general = n_restricted = n_starred = 0
     general_hits = restricted_hits = 0
@@ -214,7 +216,7 @@ def _quadrangle_axiom(G, configs):
                 if not hits:
                     general_bad.append((lam,) + quad)
                     break
-                paper = _paper_diagonal_witness(G, diag)
+                paper = _paper_diagonal_witness(G, diag, pures)
                 if paper is not None and paper in hits:
                     general_hits += 1
         five = set(quad) | {lam}
@@ -244,15 +246,41 @@ def _quadrangle_axiom(G, configs):
     }
 
 
+def starred_partners(G, x):
+    """Pure points obtained from x by starring exactly one factor
+    coordinate, keyed by the factor position."""
+    rx = G.completion.real_id(x)
+    if rx is None:
+        return {}
+    t = G.coords[rx]
+    out = {}
+    for i, factor in enumerate(G.factors):
+        s = list(t)
+        s[i] = factor.star_of(t[i])
+        for p in G.pure_points:
+            if G.coords[G.completion.real_id(p)] == tuple(s):
+                out[i] = p
+    return out
+
+
 def _on_starred_plane(G, quad):
     q = set(quad)
     for c in G.pure_points:
-        partners = set(G.starred_partners(c).values())
+        partners = set(starred_partners(G, c).values())
         if len(partners) < 2 or not partners <= q:
             continue
         if all(_shares_coordinate(G, c, p) for p in q - partners):
             return True
     return False
+
+
+def _shares_coordinate(G, x, y):
+    """x and y are pure points on a common coordinate line; hidden points
+    lie on none."""
+    rx, ry = G.completion.real_id(x), G.completion.real_id(y)
+    if rx is None or ry is None:
+        return False
+    return any(a == b for a, b in zip(G.coords[rx], G.coords[ry]))
 
 
 def verify_ortho(G, wide=None):
@@ -280,7 +308,8 @@ def verify_ortho(G, wide=None):
         if not any(P[e, a] for e in third):
             o4_bad.append((a, b))
         else:
-            profile = G.hidden_profile(a) if G.is_hidden(a) else None
+            profile = (G.hidden_profile(a) if G.completion.is_hidden(a)
+                       else None)
             if _o4_paper_witness(G, a, b, profile) in third:
                 o4_witness_hits += 1
         if not any(k not in (a, b) for k in third):

@@ -111,6 +111,7 @@ def test_from_keys_skips_the_meet_scan_alone(monkeypatch):
         StateSpace.from_keys.__func__.__wrapped__))
     space = StateSpace.from_keys(names, keys)
     assert space.up == inclusion_order(keys)
+    assert space.down == transpose(space.up, space.n)
     with pytest.raises(InputError, match="no meet for 'a', 'b'"):
         StateSpace(names, space.up)
     with pytest.raises(InputError, match="no meet for 'a', 'b'"):
@@ -119,6 +120,7 @@ def test_from_keys_skips_the_meet_scan_alone(monkeypatch):
     flipped = StateSpace.from_keys(names, [0b111111 ^ k for k in keys],
                                    reverse=True)
     assert flipped.up == space.up
+    assert flipped.down == transpose(flipped.up, flipped.n)
     # the order axioms and the bottom are still checked
     with pytest.raises(InputError, match="antisymmetry fails for 'x', 'y'"):
         StateSpace.from_keys(names[:3], [0b01, 0b11, 0b11])

@@ -8,8 +8,8 @@ import pytest
 
 from qlattice.core_order import InputError, bits, row_masks
 from qlattice.geometry import (GeometrySet, _bron_kerbosch, _diagonal_witnesses,
-                               _no_inner_colinearity, _quadrangles,
-                               _third_points, verify_projective,
+                               _inner_colinear, _orthogonally_complete,
+                               _quadrangles, _third_points, verify_projective,
                                verify_ortho, verify_invariants,
                                covering_preservation_report,
                                export_incidence)
@@ -106,6 +106,10 @@ def test_projective_axioms(geo_wide):
     report = verify_projective(geo_wide)
     assert report["pass"]
     assert report["vy1"]["cover_size"] == 481
+    # thru[b][b] is every point, so the degenerate triple axiom says so
+    assert [k for k, v in report.items()
+            if isinstance(v, dict) and v.get("vacuous")] == ["vy1"]
+    assert report["vy1"]["vacuous"] is True
     assert report["vy2"]["tuples"] == 39648
     assert report["nondegeneracy"]["configs"] == 6912
     assert report["vy3"]["configs"] == 432
@@ -354,14 +358,16 @@ def test_non_points_raise_input_error(geo_narrow):
         G.line(a, outside)
 
 
-def test_orthogonally_complete_matches_reference(geo_narrow, geo_wide):
+def test_orthogonally_complete_matches_reference(geo_narrow, geo_wide,
+                                                geo_z3z2_wide):
     rng = random.Random(6)
     decided_by_quadrangle = 0
     for G in (geo_narrow, _asymmetric_perp(geo_narrow, 1, 0.4),
-              _asymmetric_perp(geo_wide, 2, 0.6)):
+              _asymmetric_perp(geo_wide, 2, 0.6), geo_z3z2_wide):
+        # every chart size the verifiers pass, 3 to 8 points
         subsets = [set(rng.sample(U, min(k, len(U))))
                    for U in rng.sample(G.consistency_cover(), 40)
-                   for k in (3, 4, 5, 6, 7, len(U))]
+                   for k in (3, 4, 5, 6, 7, 8, len(U))]
         # a vertex and its flanks: five points that hold a quadrangle
         subsets += [{lam} | set(p1 + p2) for lam, p1, p2
                     in rng.sample(ref.quadrangle_configs(G), 200)]
@@ -375,21 +381,58 @@ def test_orthogonally_complete_matches_reference(geo_narrow, geo_wide):
     assert decided_by_quadrangle
 
 
+class _Chart(object):
+    """Five points 0..4 with the given colinear triples (x on the line of
+    y, z) and symmetric orthogonal pairs, read as GeometrySet reads them."""
+
+    def __init__(self, triples, perp):
+        self.thru = {y: {z: 0 for z in range(5)} for y in range(5)}
+        for x, y, z in triples:
+            self.thru[y][z] |= 1 << x
+            self.thru[z][y] |= 1 << x
+        self.perp_rows = {p: 0 for p in range(5)}
+        for x, y in perp:
+            self.perp_rows[x] |= 1 << y
+            self.perp_rows[y] |= 1 << x
+        self.perp_cols = self.perp_rows
+
+
+def test_inner_colinearity_excuses_a_quadrangle():
+    # 4 is the vertex of the pairing (0, 1), (2, 3); no corner of the quad
+    # is orthogonal to two others, and each colinear triple holds an
+    # orthogonal pair, so the chart is complete exactly when 2 lies on the
+    # line of 0 and 1 (the reference geometries never meet this case)
+    vertex = [(4, 0, 1), (4, 2, 3)]
+    perp = [(0, 1), (4, 2)]
+    assert _orthogonally_complete(_Chart(vertex + [(2, 0, 1)], perp), 0b11111)
+    assert not _orthogonally_complete(_Chart(vertex, perp), 0b11111)
+    # and a corner orthogonal to two others excuses it too
+    assert _orthogonally_complete(_Chart(vertex, perp + [(0, 2)]), 0b11111)
+
+
 def test_quadrangles_match_reference(geo_wide):
-    rng = random.Random(9)
+    # the bent copy's colinearity is not symmetric, so each of the six
+    # pair tests of inner colinearity decides some quadrangle
     for G in (geo_wide, _fewer_consistent(geo_wide, 1),
-              _merged_chart(geo_wide, 2)):
+              _merged_chart(geo_wide, 2), _bent_covers(geo_wide, 3)):
         got = set()
-        for quad, pairings in _quadrangles(G, G._cons):
+        colinear = set()
+        for flanks, quad, pairings in _quadrangles(G):
+            # the walk hands down the four flanks of the set
+            assert len(set(flanks)) == 4
+            assert sum(1 << x for x in flanks) == quad
             for p1, p2, lams in pairings:
                 assert sum(1 << x for x in p1 + p2) == quad
                 got.update((lam, p1, p2) for lam in bits(lams))
+            if _inner_colinear(G.thru, *flanks):
+                colinear.add(quad)
         configs = ref.quadrangle_configs(G)
         assert got == set(configs)
-        for lam, p1, p2 in rng.sample(configs, 300):
-            quad = p1 + p2
-            assert _no_inner_colinearity(G, sum(1 << x for x in quad)) \
-                == ref.no_inner_colinearity(G, quad)
+        quads = {sum(1 << x for x in p1 + p2): p1 + p2
+                 for _, p1, p2 in configs}
+        assert colinear == {mask for mask, quad in quads.items()
+                            if not ref.no_inner_colinearity(G, quad)}
+        assert colinear and len(colinear) < len(quads)
 
 
 def test_projective_reports_match_reference(geo_wide):

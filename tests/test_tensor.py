@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qlattice.core_order import CapExceeded, InputError, bits
+from qlattice.core_order import CapExceeded, InputError, bits, transpose
 from qlattice.realspaces import (bool_real_space, simplex_space, spin_space,
                                  is_deterministic)
 from qlattice.tensor import (TensorSpace, build_tensor, nfold_tensor,
@@ -263,6 +263,8 @@ def _check_against_reference(ts):
     assert ts.space.names == names
     assert np.array_equal(ts.space.leq, leq)
     assert ts.real_space.star == star
+    # from_keys hands the inclusion rows in as the down-sets
+    assert ts.space.down == transpose(ts.space.up, ts.space.n)
 
 
 _FACTORS = {"bool": bool_real_space, "spin2": lambda: spin_space(2),
@@ -272,10 +274,10 @@ _FACTORS = {"bool": bool_real_space, "spin2": lambda: spin_space(2),
 
 @pytest.mark.parametrize("left, right", [
     ("bool", "bool"), ("spin2", "spin2"), ("spin3", "spin2"),
-    ("spin2", "simplex2")])
+    ("spin2", "simplex2"), ("simplex2", "simplex3")])
 def test_tensor_matches_pair_search(left, right):
-    _check_against_reference(build_tensor(_FACTORS[left](),
-                                          _FACTORS[right]()))
+    factors = dict(_FACTORS, simplex3=lambda: simplex_space(3))
+    _check_against_reference(build_tensor(factors[left](), factors[right]()))
 
 
 @pytest.mark.parametrize("left, right, elements, expansions", [

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from qlattice.core_order import InputError
@@ -43,3 +46,52 @@ def test_simplex_tensor_check_reads_the_expansion_formula(monkeypatch):
     monkeypatch.setattr(TensorSpace, "_expand",
                         lambda self, gens: expand(self, gens) | 1)
     assert not verify.check_simplex_tensor()["pass"]
+
+
+def _antitone_full_scan(subsets, perps):
+    """The antitone failures of every ordered pair of subsets, in scan
+    order, as index pairs."""
+    return [(i, j) for i, a in enumerate(subsets)
+            for j, b in enumerate(subsets)
+            if set(a) <= set(b) and not perps[j] <= perps[i]]
+
+
+def test_antitone_failures_match_the_full_scan():
+    n = 5
+    subsets = [s for r in range(n + 1) for s in combinations(range(n), r)]
+    rng = random.Random(4)
+    perps = [frozenset(x for x in range(n) if rng.random() < 0.5)
+             for _ in subsets]
+    want = _antitone_full_scan(subsets, perps)
+    assert len(want) > 100
+    assert verify._antitone_failures(subsets, perps, n) == want
+
+
+def test_orthoclosure_check_finds_a_planted_antitone_failure(monkeypatch):
+    # complements of the two-element subsets that are not closed sets gain
+    # element 0: the closed-set laws still hold, the antitone law does not
+    true = verify.ortho_complement
+    closed = set()
+
+    def planted(emb, subset, orth=None):
+        out = true(emb, subset, orth)
+        if len(set(subset)) == 2 and frozenset(subset) not in closed:
+            out = out | {0}
+        return out
+
+    emb = verify.build_completion(verify.spin_space(2)).embedding
+    orth = verify.ortho_matrix(emb)
+    closed.update(verify.orthoclosed_sets(emb, orth))
+    n = emb.ambient.n
+    subsets = [s for r in range(n + 1) for s in combinations(range(n), r)]
+    perps = [planted(emb, a, orth) for a in subsets]
+    want = _antitone_full_scan(subsets, perps)
+    assert len(want) > 5
+    assert verify._antitone_failures(subsets, perps, n) == want
+    monkeypatch.setattr(verify, "ortho_complement", planted)
+    report = verify.check_orthoclosure()
+    assert not report["pass"]
+    assert report["failures"] == [
+        ("antitone", list(subsets[i]), list(subsets[j]))
+        for i, j in want[:5]]
+    assert report["subset_pairs"] == 512 ** 2

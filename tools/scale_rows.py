@@ -16,11 +16,12 @@ closed sets it indexed and the join candidates its search tried.  The
 geometry row goes on to build the wide and narrow geometries over the
 completion and run verify_projective, verify_ortho and verify_invariants;
 it reports the time of that part on its own (geometry_s), of the two
-geometry builds (build_s) and of each verifier, the point counts, the
-verifiers' counts and pass flags, and a digest of the full reports.  The
-Bell row builds the tensor, the scenario and its report, as `qlattice
-bell` does, and reports the member count of sigma and the verdict, or the
-error that stopped it.
+geometry builds (build_s), of each verifier and of three layers inside them
+(vy2_s, the exchange axiom; quadrangles_s, the quadrangle walk with its
+witness tests; o4_s), the point counts, the verifiers' counts and pass
+flags, and a digest of the full reports.  The Bell row builds the tensor,
+the scenario and its report, as `qlattice bell` does, and reports the
+member count of sigma and the verdict, or the error that stopped it.
 The cli-verify row times `import qlattice.cli` and one run of the whole
 verify suite, as `qlattice verify --suite all` does, and reports whether
 numpy was loaded.
@@ -123,8 +124,14 @@ def run_cli_verify():
 def run_geometry(comp, ts):
     """Build both geometries over a completion and run the verifiers, as
     the geometry check of `qlattice verify` does on two qubits."""
+    from qlattice import geometry
     from qlattice.geometry import (build_geometry, verify_invariants,
                                    verify_ortho, verify_projective)
+    layers = {}
+    for name, key in (("_verify_exchange", "vy2_s"),
+                      ("_verify_quadrangles", "quadrangles_s"),
+                      ("_verify_o4", "o4_s")):
+        setattr(geometry, name, _timed(getattr(geometry, name), layers, key))
     start = time.perf_counter()
     wide = build_geometry(comp, ts, variant="wide")
     narrow = build_geometry(comp, ts, variant="narrow")
@@ -139,6 +146,7 @@ def run_geometry(comp, ts):
         reports[key] = verify(*args)
         out[verify.__name__ + "_s"] = time.perf_counter() - begin
     out["geometry_s"] = time.perf_counter() - start
+    out.update(layers)
     # each section's counts and pass flags, and the length of its failures
     out["reports"] = {
         key: {part: {k: len(v) if isinstance(v, list) else v
@@ -148,6 +156,17 @@ def run_geometry(comp, ts):
     out["reports_sha256"] = hashlib.sha256(
         json.dumps(reports, sort_keys=True).encode()).hexdigest()
     return out
+
+
+def _timed(fn, times, key):
+    """fn, adding the wall time of each call to times[key]."""
+    def timed(*args):
+        begin = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            times[key] = times.get(key, 0.0) + time.perf_counter() - begin
+    return timed
 
 
 def run_bell(ts):
