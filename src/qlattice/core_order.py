@@ -119,6 +119,25 @@ def inclusion_order(masks):
     return rows
 
 
+def _peeled_covers(up):
+    """The upper covers, or None when an up-set reaches above its own id or
+    transitivity fails.  The highest id left in a strict up-set is a cover,
+    peeled off; by induction, transitivity is up[c] in up[i] per cover c."""
+    covers = []
+    for i, row in enumerate(up):
+        if row >> i != 1:
+            return None
+        rest, mine = row ^ (1 << i), 0
+        while rest:
+            c = rest.bit_length() - 1
+            if up[c] & ~row:
+                return None
+            mine |= 1 << c
+            rest &= ~up[c]
+        covers.append(mine)
+    return covers
+
+
 class StateSpace(object):
     """A finite meet-semilattice with bottom, over named elements, given by
     its up-sets as int masks: bit j of `up[i]`, and of the read-only
@@ -129,10 +148,10 @@ class StateSpace(object):
     the least upper bound of a bounded family the element whose up-set is
     the AND of theirs.  Validation is eager: reflexivity, antisymmetry,
     transitivity, a unique bottom and a meet for every pair are checked at
-    construction, naming the first offending pair in id order, with one OR
-    per comparable pair for the order axioms and the covers and one AND and
-    one lookup per pair for the meets.  `from_keys` skips only the meet
-    scan, for the families whose meets exist by construction.
+    construction, naming the first offending pair in id order: the order
+    axioms and covers take one OR per cover when ids run top down, else
+    one per comparable pair; the meets one AND and one lookup per pair,
+    which `from_keys` skips for families whose meets exist by construction.
     """
 
     def __init__(self, names, up, _scan_meets=True, _down=None):
@@ -169,31 +188,35 @@ class StateSpace(object):
         """Check the order axioms on the masks, naming the first offending
         pair in id order, and return each element's row of upper covers:
         its strict up-set minus everything strictly above a member of it.
-        Transitivity holds when the up-sets of the members of up[i] stay
-        inside up[i]; the work is one OR per comparable pair.  With meets,
-        a pair has a meet when down[i] & down[j] is some element's down-set.
-        The scan runs over i < j only and still names the first pair of a
+        Ids that run top down, as in tensors and the built-in base spaces,
+        take one OR per cover (_peeled_covers); otherwise, and to name a
+        failure, transitivity holds when the up-sets of the members of up[i]
+        stay inside up[i], one OR per comparable pair.  With meets, a pair
+        has a meet when down[i] & down[j] is some element's down-set.  The
+        scan runs over i < j only and still names the first pair of a
         row-major scan: the first row with a missing meet cannot miss it
         below the diagonal, or an earlier row would miss it too."""
         names, up, down = self.names, self.up, self.down
-        for i, row in enumerate(up):
-            if not row >> i & 1:
-                raise InputError("order not reflexive at %r" % names[i])
-        for i, row in enumerate(up):
-            both = row & down[i] & ~(1 << i)
-            if both:
-                raise InputError("antisymmetry fails for %r, %r"
-                                 % (names[i], names[bits(both)[0]]))
-        covers = []
-        for i, row in enumerate(up):
-            strict = row ^ (1 << i)
-            above = 0
-            for k in bits(strict):
-                above |= up[k] ^ (1 << k)
-            if above & ~row:
-                raise InputError("transitivity fails for %r, %r"
-                                 % (names[i], names[bits(above & ~row)[0]]))
-            covers.append(strict & ~above)
+        covers = _peeled_covers(up)
+        if covers is None:
+            for i, row in enumerate(up):
+                if not row >> i & 1:
+                    raise InputError("order not reflexive at %r" % names[i])
+            for i, row in enumerate(up):
+                both = row & down[i] & ~(1 << i)
+                if both:
+                    raise InputError("antisymmetry fails for %r, %r"
+                                     % (names[i], names[bits(both)[0]]))
+            covers = []
+            for i, row in enumerate(up):
+                strict = row ^ (1 << i)
+                above = 0
+                for k in bits(strict):
+                    above |= up[k] ^ (1 << k)
+                if above & ~row:
+                    raise InputError("transitivity fails for %r, %r" % (
+                        names[i], names[bits(above & ~row)[0]]))
+                covers.append(strict & ~above)
         if (1 << self.n) - 1 not in up:
             raise InputError("no bottom element")
         has = self._by_down.__contains__
@@ -265,8 +288,9 @@ class StateSpace(object):
         return [m for m in self.maximals if self.up[i] >> m & 1]
 
     def generated_by_pures(self):
-        return all(self.meet_all(self.pures_above(i)) == i
-                   for i in range(self.n) if self.pures_above(i))
+        pures = sum(1 << m for m in self.maximals)
+        return all(self.meet_all(bits(row & pures)) == i
+                   for i, row in enumerate(self.up) if row & pures)
 
     # -- construction ----------------------------------------------------
 
@@ -281,10 +305,15 @@ class StateSpace(object):
         inside an admissible one is admissible, so an AND of keys is a key.
         Tensor lemma (reverse): the keys are cover sets; every element is a
         meet of pure tensors, and the enumeration meets each element with
-        every pure tensor, so it holds the meet of any two."""
+        every pure tensor, so it holds the meet of any two.  The far side is
+        the transpose, or the complements' inclusion when they are sparser."""
         rows = inclusion_order(keys)  # reversed, row i is i's down-set
-        return cls(names, transpose(rows, len(rows)) if reverse else rows,
-                   _scan_meets=False, _down=rows if reverse else None)
+        full = (1 << max(keys, default=0).bit_length()) - 1
+        flip = [full ^ k for k in keys]
+        other = inclusion_order(flip) if sum(map(int.bit_count, flip)) < sum(
+            map(int.bit_count, rows)) else transpose(rows, len(rows))
+        up, down = (other, rows) if reverse else (rows, other)
+        return cls(names, up, _scan_meets=False, _down=down)
 
     @classmethod
     def from_relation(cls, names, pairs):

@@ -41,6 +41,7 @@ call, which also builds its per-pure tables (base pure mask, starred
 centres, hidden profiles) once.
 """
 
+import copy
 import functools
 from itertools import combinations
 import random
@@ -303,6 +304,23 @@ class GeometrySet(object):
         orthogonal to two others."""
         return _orthogonally_complete(self, sum(1 << x for x in set(subset)))
 
+    def narrowed(self):
+        """The narrow geometry cut from this one, each table restricted to
+        the pure and narrow hidden points: nothing is enumerated again."""
+        keep = self._pure_mask | sum(1 << p for p in self.hidden_narrow)
+        G = copy.copy(self)
+        G.variant, G._point_mask, G._cliques = "narrow", keep, None
+        G.points = tuple(p for p in self.points if keep >> p & 1)
+        G._parts = {p: self._parts[p] for p in G.points}
+        G._cons, G.perp_rows, G.perp_cols = (
+            {p: t[p] & keep for p in G.points}
+            for t in (self._cons, self.perp_rows, self.perp_cols))
+        G.thru = {b: {c: self.thru[b][c] & keep for c in G.points}
+                  for b in G.points}
+        G.pencil = {lam: {a: m & keep for a, m in self.pencil[lam].items()
+                          if keep >> a & 1 and m & keep} for lam in G.points}
+        return G
+
     def __len__(self):
         return len(self.points)
 
@@ -407,12 +425,6 @@ def _orthogonally_complete(G, chart):
                 and not _inner_colinear(thru, a, b, c, d):
             return False
     return True
-
-
-def _third_points(G, a, b):
-    """Points covering the completion meet of a and b, each pairwise
-    consistent with both, in id order."""
-    return bits(G.thru[a][b] & G._cons[a] & G._cons[b])
 
 
 def _diagonal_witnesses(G, quad, pool=None):
@@ -645,7 +657,7 @@ def verify_ortho(G, wide=None):
     profiles = {chi: G.hidden_profile(chi) for chi in pts
                 if G.completion.real_id(chi) is None}
     complete = functools.cache(functools.partial(_orthogonally_complete, G))
-    report["o4"], irr_bad = _verify_o4(G, profiles, complete)
+    report["o4"], irr_bad = _verify_o4(G, profiles)
     # the double-starred pure pairs are the diagonals of starred planes;
     # their only third points live outside the narrow family
     report["irreducibility"] = {
@@ -683,22 +695,17 @@ def _o3_failures(G):
     return bad
 
 
-def _verify_o4(G, profiles, complete):
+def _verify_o4(G, profiles):
     """The o4 report over the ordered consistent pairs, and the pairs with
     no third point off the pair (irreducibility failures)."""
-    cols, bad, irr_bad, witness_hits = G.perp_cols, [], [], 0
-    # pair mask -> its third points e with {a, b, e} orthogonally complete;
-    # a and b themselves always qualify, as two points hold no triple
-    thirds = {}
+    cols, bad, irr_bad, witness_hits, thirds = G.perp_cols, [], [], 0, {}
     for a in G.points:
         profile = profiles.get(a)
         for b in bits(G._cons[a] & ~(1 << a)):
             pair = 1 << a | 1 << b
             third = thirds.get(pair)
             if third is None:
-                third = sum(1 << e for e in _third_points(G, a, b)
-                            if pair >> e & 1 or complete(pair | 1 << e))
-                thirds[pair] = third
+                third = thirds[pair] = _complete_thirds(G, a, b)
             if not third & cols[a]:
                 bad.append((a, b))
             else:
@@ -709,6 +716,23 @@ def _verify_o4(G, profiles, complete):
                 irr_bad.append((a, b))
     return ({"pass": not bad, "failures": bad,
              "paper_witness_hits": witness_hits}, irr_bad)
+
+
+def _complete_thirds(G, a, b):
+    """a, b and the e of thru[a][b] consistent with both with {a, b, e}
+    orthogonally complete, as a mask: the chart fails on a pair y < z not
+    perp, with the third point colinear and perp to neither; for {a, e},
+    not perp is ~cols[a] below a and ~rows[a] above, colinear pencil[b][a]."""
+    rows, cols, pencil = G.perp_rows, G.perp_cols, G.pencil
+    pair = 1 << a | 1 << b
+    pool = G.thru[a][b] & G._cons[a] & G._cons[b] & ~pair
+    if not rows[min(a, b)] >> max(a, b) & 1:
+        pool &= cols[a] | cols[b]
+    for y, x in (a, b), (b, a):
+        if not rows[x] >> y & 1:
+            apart = ~cols[y] & (1 << y) - 1 | ~rows[y] & -(2 << y)
+            pool &= ~(apart & pencil[x].get(y, 0) & ~rows[x])
+    return pool | pair
 
 
 def _o4_paper_witness(G, a, b, profile):

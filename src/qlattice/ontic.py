@@ -17,11 +17,13 @@ Vychodil, Information Sciences 185(1), 2012): with the reals in a linear
 extension, a closed set C reached by adding s0 tries each real s after s0,
 and keeps closure(C ∪ ↓s) only when it adds no real before s, so only an s
 minimal outside C can pass (Lindig, ICCS 2000) and each closed set is
-listed once.  Star reverses the order, so a closed set is admissible when
-it holds no real with its star, and so are its closed subsets: the walk
-stops at an inadmissible set, and a second goes on from those while they
-are no more numerous than the elements and the cap holds (spin(n) has 4^n
-closed sets, 3^n admissible).  The build leaves both lists on the real
+listed once.  Such an s covers a member of C, so only C's frontier is
+scanned, and a closure stops at the first step that adds a real before s.
+Star reverses the order, so a closed set is admissible when it holds no
+real with its star, and so are its closed subsets: the walk stops at an
+inadmissible set, and a second goes on from those while they are no more
+numerous than the elements and the cap holds (spin(n) has 4^n closed sets,
+3^n admissible).  The build leaves both lists on the real
 space as a closed-set index: by size, a linear extension of inclusion,
 their antichains and per real the mask of the sets holding it.  Holding
 all closed sets or the admissible ones, the index is down-closed, so the
@@ -100,38 +102,12 @@ def _step_tables(space):
 def closure_step(space, members):
     """One application of the pre-closure: the maximal elements z that are
     the least upper bound of their own trace, the elements below z and
-    below some member.
-
-    Every bounded set has a unique least upper bound (meets exist), so z is
-    the least upper bound of its trace exactly when no element c that z
-    covers is above the whole trace, that is when the trace meets every
-    cover gap of z, the elements below z and not below c.  The gap lies
-    below z, so the trace meets it exactly when the input's down-set does,
-    and that is when the down-set of some member does: whether a gap is met
-    is the OR over the members of sat[u] (see _step_tables), one bit per
-    cover pair.  Adding a block's lowest bit to its met pairs carries into
-    its guard exactly when every pair of the block is met, and stops inside
-    the block otherwise, so one addition over all blocks at once leaves the
-    guard bits of the fixed elements.  The bottom covers nothing and is
-    always fixed; it is maximal only when nothing else is, that is for a
-    bottom-only input.  Blocks run bottom up, so the highest guard left is
-    a maximal fixed element; each one found clears the guards of everything
-    below it.  The work is one OR per member, one carry, and a few big-int
-    operations per element returned; the tables are built on a space's
-    first step."""
-    if space._step_tables is None:
-        space._step_tables = _step_tables(space)
-    sat, blocks, lows, guards, owner, keep = space._step_tables
-    hit = 0
-    for u in members:
-        hit |= sat[u]
-    fixed = ((hit & blocks) + lows) & guards
-    found = []
-    while fixed:
-        z = owner[fixed.bit_length()]
-        found.append(z)
-        fixed &= keep[z]
-    return tuple(sorted(found)) or (space.bottom,)
+    below some member.  Meets exist, so that is when no c that z covers
+    lies above the whole trace: when the trace, or as the gap lies below z
+    the down-set of some member, meets every cover gap of z.  So the step
+    is the OR of sat[u] over the members and one carry (see the module
+    docstring; _step_tables builds the tables on a space's first step)."""
+    return _close(space, members, once=True)
 
 
 def _checked(space, members):
@@ -147,14 +123,38 @@ def _checked(space, members):
     return members
 
 
+def _close(space, members, stop=0, once=False):
+    """The antichain of the closure of the members, or of one step once;
+    None once a step's down-set, which only grows, meets stop.  The highest
+    guard left is a maximal fixed element and clears those below; the pairs
+    met by the fixed elements feed the next step, and a step meeting no new
+    pair is the last, so only the answer is sorted."""
+    if space._step_tables is None:
+        space._step_tables = _step_tables(space)
+    sat, blocks, lows, guards, owner, keep = space._step_tables
+    down = space.down
+    hit = 0
+    for u in members:
+        hit |= sat[u]
+    while True:
+        fixed = ((hit & blocks) + lows) & guards
+        found, met = [], 0
+        while fixed:
+            z = owner[fixed.bit_length()]
+            if stop and down[z] & stop:
+                return None
+            found.append(z)
+            met |= sat[z]
+            fixed &= keep[z]
+        if met == hit or once:
+            return tuple(sorted(found)) or (space.bottom,)
+        hit = met
+
+
 def closure_by_steps(space, members):
     """The iterated pre-closure: closure on a space with no completion, and
     the oracle that reads no index.  Each step grows the down-set."""
-    current = tuple(_checked(space, members))
-    nxt = closure_step(space, current)
-    while nxt != current:
-        current, nxt = nxt, closure_step(space, nxt)
-    return current
+    return _close(space, _checked(space, members))
 
 
 def closure(space, members):
@@ -221,21 +221,22 @@ def is_admissible(rs, members):
 
 def _closed_sets(rs, cap):
     """The admissible closed sets by down mask, the others or None when the
-    second walk stops short of them, and the candidates, one closure each;
-    past cap in the first walk it raises.  earlier[s]: the reals before s."""
+    second walk stops short of them, and the candidates, one per closure
+    started; past cap in the first walk it raises.  earlier[s]: the reals
+    before s.  Each node carries its frontier, the upper covers of its
+    members, and a closure stops once it adds a real before s."""
     real = rs.space
-    down, bottom = real.down, real.bottom
-    full, before = (1 << real.n) - 1, 0
-    earlier = [0] * real.n
+    down, covers, bottom = real.down, real.covers, real.bottom
+    before, earlier = 0, [0] * real.n
     for s in sorted(range(real.n), key=lambda s: down[s].bit_count()):
         earlier[s] = before
         before |= 1 << s
-    found, over = {down[bottom]: (bottom,)}, {}
-    stack, roots, candidates = [(down[bottom], (), bottom)], [], 0
+    found, over, roots, candidates = {down[bottom]: (bottom,)}, {}, [], 0
+    stack = [(down[bottom], (), bottom, covers[bottom])]
     for part in found, over:
         while stack:
-            d, anti, s0 = stack.pop()
-            for s in bits(full & ~earlier[s0] & ~d):
+            d, anti, s0, front = stack.pop()
+            for s in bits(front & ~earlier[s0] & ~d):
                 if down[s] & ~d != 1 << s:  # s is not minimal outside d
                     continue
                 if candidates == cap or (part is over
@@ -245,15 +246,19 @@ def _closed_sets(rs, cap):
                                           "after %d elements" % len(found))
                     return found, None, candidates
                 candidates += 1
-                j = closure_by_steps(real, anti + (s,))
+                j = _close(real, anti + (s,), ~d & earlier[s])
+                if j is None:
+                    continue  # another branch lists this set
                 key = 0
                 for x in j:
                     key |= down[x]
-                if key & ~d & earlier[s]:
-                    continue  # another branch lists this set
                 home = found if part is found and is_star_free(rs, j) else over
                 home[key] = j
-                (roots if home is not part else stack).append((key, j, s))
+                grown = front
+                for x in bits(key & ~d):
+                    grown |= covers[x]
+                (roots if home is not part else stack).append(
+                    (key, j, s, grown))
         stack = roots
     return found, over, candidates
 

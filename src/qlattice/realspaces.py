@@ -113,17 +113,18 @@ def _star_problems(space, star, nonbottom, standalone):
         if star[star[i]] != i:
             problems.append("star not involutive at %r" % names[i])
             break
-    # order reversal, one test per comparable pair: j above i needs
-    # star[i] above star[j]
-    up = space.up
-    nonbottom_mask = sum(1 << i for i in nonbottom)
-    for i in nonbottom:
-        wrong = [j for j in bits(up[i] & nonbottom_mask)
-                 if not up[star[j]] >> star[i] & 1]
-        if wrong:
-            problems.append("star not order-reversing at (%r, %r)"
-                            % (names[i], names[wrong[0]]))
+    # order reversal: j above i needs star[i] above star[j].  The covers
+    # decide it on a standalone space, whose order is their transitive
+    # closure; an embedding, or a failure, scans the comparable pairs
+    up, inside = space.up, sum(1 << i for i in nonbottom)
+    for rows in ([space.covers] if standalone else []) + [up]:
+        wrong = next(((i, j) for i in nonbottom for j in bits(rows[i] & inside)
+                      if not up[star[j]] >> star[i] & 1), None)
+        if wrong is None:
             break
+        if rows is up:
+            problems.append("star not order-reversing at (%r, %r)"
+                            % (names[wrong[0]], names[wrong[1]]))
     for i in nonbottom:
         if space.bounded((i, star[i])):
             problems.append("no-common-upper-bound fails at (%r, %r)"
@@ -150,7 +151,8 @@ def validate_embedding(emb):
     real = list(emb.real)
     if amb.bottom not in real:
         problems.append("real subset misses the bottom element")
-    for a in real:
+    # a meet lies below its arguments, so down-closed reals are meet-closed
+    for a in real if any(amb.down[r] & ~emb.real_mask for r in real) else ():
         for b in real:
             if not emb.real_mask >> amb.meet(a, b) & 1:
                 problems.append("real subset not meet-closed at (%r, %r)"

@@ -356,7 +356,7 @@ def check_geometry():
     ts = _two_qubit_tensor()[1]
     comp = build_completion(ts.real_space)
     wide = build_geometry(comp, ts, variant="wide")
-    narrow = build_geometry(comp, ts, variant="narrow")
+    narrow = wide.narrowed()
     inv = verify_invariants(wide, samples=400, seed=7)
     proj = verify_projective(wide)
     orth = verify_ortho(narrow, wide=wide)

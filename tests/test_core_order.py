@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
-                                 StateSpace, bool_space, bool_meet, bool_join,
+                                 StateSpace, _peeled_covers, bool_space, bool_meet, bool_join,
                                  bool_bullet, bool_bar, bits,
                                  inclusion_order, row_masks, transpose,
                                  unpack_masks)
@@ -126,6 +126,78 @@ def test_from_keys_skips_the_meet_scan_alone(monkeypatch):
         StateSpace.from_keys(names[:3], [0b01, 0b11, 0b11])
     with pytest.raises(InputError, match="no bottom element"):
         StateSpace.from_keys(names[:2], [0b01, 0b10])
+
+
+def test_from_keys_takes_either_side_by_bit_count(two_qubit):
+    # the far side of the order is the transpose of the near one, or the
+    # inclusion of the complemented keys when those have fewer bits; the
+    # dense simplex square takes the complements, the rest the transpose
+    ts, comp = two_qubit
+    square = build_tensor(simplex_space(3), simplex_space(3))
+    complemented = []
+    for keys, reverse in ((ts._covers, True), (square._covers, True),
+                          (comp._keys, False)):
+        space = StateSpace.from_keys(range(len(keys)), keys, reverse)
+        near = inclusion_order(keys)
+        width = max(keys).bit_length()
+        if len(keys) * width - sum(map(int.bit_count, keys)) \
+                < sum(map(int.bit_count, near)):
+            complemented.append(len(keys))
+        want = transpose(near, len(keys)) if reverse else near
+        assert (space.up, space.down) == (want, transpose(want, len(keys)))
+    assert complemented == [511]
+
+
+def _relabelled(space, order):
+    """The space with new id k for old id order[k], built from its up-sets
+    by StateSpace, and its covers read back in the old ids."""
+    new_of = {old: k for k, old in enumerate(order)}
+    up = [sum(1 << new_of[j] for j in bits(space.up[old])) for old in order]
+    again = StateSpace([space.names[i] for i in order], up)
+    covers = [0] * space.n
+    for k, old in enumerate(order):
+        covers[old] = sum(1 << order[j] for j in bits(again.covers[k]))
+    return up, tuple(covers)
+
+
+def test_peeled_covers_match_scanned_covers(two_qubit):
+    # the peel runs where ids run top down, as in a tensor, and the scan
+    # elsewhere, as in a completion.  Each space relabelled to take the
+    # other path, top down by down-set size or shuffled, has the same covers
+    ts, comp = two_qubit
+    assert _peeled_covers(ts.space.up) == list(ts.space.covers)
+    assert _peeled_covers(comp.space.up) is None
+    rng = random.Random(6)
+    for space in (ts.space, simplex_space(3).space, comp.space):
+        top_down = sorted(range(space.n), key=lambda i: -space.down[i]
+                          .bit_count())
+        shuffled = rng.sample(range(space.n), space.n)
+        for order, peeled in ((top_down, True), (shuffled, False)):
+            up, covers = _relabelled(space, order)
+            assert (_peeled_covers(up) is not None) == peeled
+            assert covers == space.covers
+
+
+def test_planted_transitivity_failure_names_the_scanned_pair():
+    # an id-ordered order with one bit dropped from an up-set, away from
+    # its covers, fails transitivity: the peel sees it, and the error is
+    # the scan's, which the dense oracle names too
+    rng = random.Random(4)
+    space = build_tensor(spin_space(2), spin_space(2)).space
+    names = ["e%d" % i for i in range(space.n)]
+    rows = [i for i in range(space.n)
+            if space.up[i] & ~space.covers[i] & ~(1 << i)]
+    assert len(rows) > 10
+    for i in rows:
+        far = space.up[i] & ~space.covers[i] & ~(1 << i)
+        up = list(space.up)
+        up[i] ^= 1 << rng.choice(bits(far))
+        assert _peeled_covers(up) is None
+        want = _oracle_validation_error(unpack_masks(up, space.n))
+        assert want.startswith("transitivity fails")
+        with pytest.raises(InputError) as err:
+            StateSpace(names, up)
+        assert str(err.value) == want
 
 
 def test_built_spaces_get_the_meet_scan(meet_scanned):

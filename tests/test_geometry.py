@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from qlattice.core_order import InputError, bits, row_masks
-from qlattice.geometry import (GeometrySet, _bron_kerbosch, _diagonal_witnesses,
-                               _inner_colinear, _orthogonally_complete,
-                               _quadrangles, _third_points, verify_projective,
-                               verify_ortho, verify_invariants,
+from qlattice.geometry import (GeometrySet, _bron_kerbosch, _complete_thirds,
+                               _diagonal_witnesses, _inner_colinear,
+                               _orthogonally_complete, _quadrangles,
+                               verify_projective, verify_ortho,
+                               verify_invariants,
                                covering_preservation_report,
                                export_incidence)
 
@@ -47,6 +48,28 @@ def test_consistency_masks_match_definition(name, request):
     # always consistent over two factors
     assert verdicts == {(False, False): {True}, (False, True): {True, False},
                         (True, True): {True, False}}
+
+
+@pytest.mark.parametrize("name", ["geo_wide", "geo_z3z2_wide"])
+def test_narrowed_cut_equals_narrow_build(name, request):
+    # the verify suite cuts the narrow geometry from the wide one; every
+    # table is the narrow build's, and the wide one is left as it was
+    wide = request.getfixturevalue(name)
+    tables = ("variant", "points", "_point_mask", "_parts", "_cons", "thru",
+              "pencil", "perp_rows", "perp_cols")
+    before = copy.deepcopy([getattr(wide, k) for k in tables])
+    cut = wide.narrowed()
+    built = GeometrySet(wide.completion, _tensor_of(request, name), "narrow")
+    assert sorted(vars(cut)) == sorted(vars(built))
+    for key, value in vars(built).items():
+        assert getattr(cut, key) == value, key
+    assert cut.consistency_cover() == built.consistency_cover()
+    assert [getattr(wide, k) for k in tables] == before
+
+
+def _tensor_of(request, name):
+    fixture = "two_qubit" if name == "geo_wide" else "z3z2"
+    return request.getfixturevalue(fixture)[0]
 
 
 def test_unknown_variant_raises_input_error(two_qubit):
@@ -188,8 +211,13 @@ def test_witness_masks_match_point_scan(geo_wide):
         return [p for p in pool if all(covers[m, p] for m in meets)
                 and all(s in related[p] for s in corners)]
 
-    for a, b in rng.sample(list(combinations(pts, 2)), 300):
-        assert _third_points(G, a, b) == scan([hat.meet(a, b)], (a, b), pts)
+    # the third points of o4, read against a not symmetric perp too
+    for H in (G, _asymmetric_perp(G, 3, 0.3)):
+        for a, b in rng.sample(list(combinations(pts, 2)), 300):
+            want = {a, b} | {e for e in scan([hat.meet(a, b)], (a, b), pts)
+                             if ref.orthogonally_complete(H, {a, b, e},
+                                                          quads=False)}
+            assert bits(_complete_thirds(H, a, b)) == sorted(want)
     # diagonal pairs drawn from the pairs whose meet one point covers
     on = {p: [] for p in pts}
     for a, b in combinations(pts, 2):

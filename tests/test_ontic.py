@@ -1,6 +1,7 @@
 import inspect
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -793,8 +794,126 @@ def test_completion_does_not_read_id_order(make):
         named(rs.space, rs.space._closed[1])
 
 
+def _by_steps(space, members):
+    """closure_step iterated on sorted tuples until one repeats."""
+    current = tuple(sorted(set(members)))
+    nxt = closure_step(space, current)
+    while nxt != current:
+        current, nxt = nxt, closure_step(space, nxt)
+    return current
+
+
+def _full_scan_closed_sets(rs, cap, admissible=is_star_free):
+    """_closed_sets as it was before the frontier and the early stop: each
+    node scans every real after its s0 and outside its set, and closes each
+    candidate to the end by closure_step before the canonicity test."""
+    real = rs.space
+    down, bottom = real.down, real.bottom
+    full, before = (1 << real.n) - 1, 0
+    earlier = [0] * real.n
+    for s in sorted(range(real.n), key=lambda s: down[s].bit_count()):
+        earlier[s] = before
+        before |= 1 << s
+    found, over = {down[bottom]: (bottom,)}, {}
+    stack, roots, candidates = [(down[bottom], (), bottom)], [], 0
+    for part in found, over:
+        while stack:
+            d, anti, s0 = stack.pop()
+            for s in bits(full & ~earlier[s0] & ~d):
+                if down[s] & ~d != 1 << s:
+                    continue
+                if candidates == cap or (part is over
+                                         and len(over) > len(found)):
+                    if part is found:
+                        raise CapExceeded("cap")
+                    return found, None, candidates
+                candidates += 1
+                j = _by_steps(real, anti + (s,))
+                key = 0
+                for x in j:
+                    key |= down[x]
+                if key & ~d & earlier[s]:
+                    continue
+                home = found if part is found and admissible(rs, j) else over
+                home[key] = j
+                (roots if home is not part else stack).append((key, j, s))
+        stack = roots
+    return found, over, candidates
+
+
+@pytest.mark.parametrize("make, caps", [
+    (lambda: spin_space(2), (ontic.CANDIDATE_CAP, 11, 12, 13, 14, 15)),
+    (lambda: spin_space(3), (ontic.CANDIDATE_CAP,)),
+    (lambda: simplex_space(3), (ontic.CANDIDATE_CAP,)),
+    (lambda: build_tensor(spin_space(2), spin_space(2)).real_space,
+     (ontic.CANDIDATE_CAP,)),
+    (lambda: build_tensor(spin_space(3), spin_space(2)).real_space,
+     (ontic.CANDIDATE_CAP,)),
+    (lambda: _shuffled(spin_space(3), 27), (ontic.CANDIDATE_CAP,)),
+    (lambda: _shuffled(build_tensor(spin_space(2), spin_space(2))
+                       .real_space, 27), (ontic.CANDIDATE_CAP,)),
+], ids=["spin2", "spin3", "simplex3", "z2z2", "z3z2", "spin3-shuffled",
+        "z2z2-shuffled"])
+def test_frontier_walk_matches_full_scan(make, caps):
+    # the frontier scan and the early stop skip only candidates the full
+    # scan drops, so the sets, their order, the split at an inadmissible
+    # set and the candidate count are the same, cap or no cap
+    for cap in caps:
+        outcomes = []
+        for walk in (ontic._closed_sets, _full_scan_closed_sets):
+            try:
+                found, over, candidates = walk(make(), cap)
+            except CapExceeded:
+                outcomes.append("cap")
+            else:
+                outcomes.append((list(found.items()), over and
+                                 list(over.items()), candidates))
+        assert outcomes[0] == outcomes[1], cap
+        assert (outcomes[0] == "cap") == (cap == 11)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 31), min_size=1, max_size=7, unique=True))
+def test_frontier_walk_matches_full_scan_on_intersection_families(family):
+    # with every set admissible, both walks list every closed set of a
+    # meet-semilattice; in these, unlike the real spaces above, a real
+    # minimal outside a closed set need not be an atom, so a frontier that
+    # stopped growing would miss sets
+    rs = SimpleNamespace(space=_inclusion_space(family))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ontic, "is_star_free", lambda rs, members: True)
+        got = ontic._closed_sets(rs, ontic.CANDIDATE_CAP)
+    want = _full_scan_closed_sets(rs, ontic.CANDIDATE_CAP,
+                                  admissible=lambda rs, members: True)
+    assert (list(got[0].items()), got[1:]) == (list(want[0].items()),
+                                               want[1:])
+
+
+def test_early_stop_meets_the_stop_mask_only_when_the_closure_does():
+    # _close, the loop behind closure_by_steps, gives the closure that the
+    # repeated steps reach, and gives up only when its down-set meets stop
+    rs = build_tensor(spin_space(2), spin_space(2)).real_space
+    space = rs.space
+    rng = random.Random(5)
+    reals = [i for i in range(space.n) if i != space.bottom]
+    stopped = 0
+    for _ in range(300):
+        members = rng.sample(reals, rng.randint(1, 3))
+        anti = _by_steps(space, members)
+        assert closure_by_steps(space, members) == anti
+        key = 0
+        for x in anti:
+            key |= space.down[x]
+        assert ontic._close(space, sorted(members)) == anti
+        stop = 1 << rng.randrange(space.n)
+        got = ontic._close(space, sorted(members), stop)
+        assert got == (None if key & stop else anti)
+        stopped += got is None
+    assert 0 < stopped < 300
+
+
 def test_candidate_cap_counts_pruned_candidates():
-    # spin(2) takes 12 candidates, one closure each, to list its 9
+    # spin(2) takes 12 candidates, one closure started each, to list its 9
     # elements, and 3 more to index its 7 other closed sets.  A cap that
     # stops the second walk leaves the admissible sets alone as the index;
     # one that stops the first raises

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlattice import chu
-from qlattice.core_order import InputError, StateSpace, row_masks
+from qlattice.core_order import InputError, StateSpace, bits, row_masks
 from qlattice.realspaces import (make_space, bool_real_space, simplex_space,
                                  spin_space, is_deterministic,
                                  is_completely_indeterministic, is_linear,
@@ -249,6 +249,65 @@ def test_non_reversing_star_matches_leq_oracle():
     assert want
     problems = validate_real(SimpleNamespace(space=space, star=star))
     assert _problems_of_kind(problems, "star not order-reversing") == want
+
+
+def test_cover_pair_reversal_names_the_full_scan_pair(two_qubit):
+    # a standalone space tests order reversal on its cover pairs and scans
+    # the comparable pairs only to name a failure.  Stars re-paired at two
+    # random axes stay involutive; the pair named is the oracle's first
+    rng = random.Random(9)
+    failed = 0
+    for rs in (simplex_space(3), two_qubit[0].real_space):
+        space = rs.space
+        nonbottom = [i for i in range(space.n) if i != space.bottom]
+        for _ in range(15):
+            x = rng.choice(nonbottom)
+            y = rng.choice([i for i in nonbottom if i not in (x, rs.star[x])])
+            star = dict(rs.star)
+            star[x], star[rs.star[y]] = rs.star[y], x
+            star[y], star[rs.star[x]] = rs.star[x], y
+            want = _oracle_order_reversal(space, star, nonbottom)
+            problems = validate_real(SimpleNamespace(space=space, star=star))
+            assert _problems_of_kind(problems,
+                                     "star not order-reversing") == want
+            failed += bool(want)
+    assert 5 < failed < 30
+
+
+def _oracle_meet_closure(ambient, real):
+    """The first pair of reals, in id order, whose meet (read off leq) is
+    not real."""
+    leq, real = ambient.leq, sorted(real)
+    for a in real:
+        for b in real:
+            lower = np.flatnonzero(leq[:, a] & leq[:, b])
+            meet = next(m for m in lower if leq[lower, m].all())
+            if meet not in real:
+                return ["real subset not meet-closed at (%r, %r)"
+                        % (ambient.names[a], ambient.names[b])]
+    return []
+
+
+def test_meet_closure_shortcut_only_on_down_closed_reals(z2_completion):
+    # down-closed reals are meet-closed at once; any other real subset is
+    # scanned pair by pair, meet-closed or not
+    rng = random.Random(3)
+    seen = set()
+    for ambient in (simplex_space(4).space, z2_completion.space):
+        for _ in range(60):
+            real = {ambient.bottom} | set(rng.sample(range(ambient.n),
+                                                     rng.randint(1, 5)))
+            if rng.random() < 0.3:  # down-close it
+                real = {j for r in real for j in bits(ambient.down[r])}
+            problems = validate_embedding(
+                _unchecked_embedding(ambient, real, {}))
+            want = _oracle_meet_closure(ambient, real)
+            assert _problems_of_kind(problems, "real subset not meet") \
+                == want
+            down_closed = all(ambient.down[r] >> j & 1 == 0 or j in real
+                              for r in real for j in range(ambient.n))
+            seen.add((down_closed, bool(want)))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 @settings(max_examples=200, deadline=None)

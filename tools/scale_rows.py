@@ -4,6 +4,7 @@
 
 The rows are the Z2⊗Z2 completion, the Z3⊗Z2 tensor and its completion, the
 Z3⊗Z3 tensor and its completion, the Z4⊗Z4 and Z5⊗Z5 tensors, the
+simplex(3)² tensor that the verify suite's broadcasting check builds, the
 completions of spin(8) and simplex(9), the Z3⊗Z2 geometry, the Z3⊗Z3 Bell
 scenario and the CLI's verify suite.  Each row runs in its own interpreter
 (this script with `--child NAME`), so no memo or allocator state carries
@@ -13,11 +14,11 @@ completion row over a tensor times the tensor and the completion together
 and also reports the tensor on its own.  Every completion row reports the
 completion's hidden elements, its element count per antichain size, the
 closed sets it indexed and the join candidates its search tried.  The
-geometry row goes on to build the wide and narrow geometries over the
-completion and run verify_projective, verify_ortho and verify_invariants;
-it reports the time of that part on its own (geometry_s), of the two
-geometry builds (build_s), of each verifier and of three layers inside them
-(vy2_s, the exchange axiom; quadrangles_s, the quadrangle walk with its
+geometry row goes on to build the wide geometry over the completion, cut
+the narrow one from it, as the verify suite does, and run verify_projective,
+verify_ortho and verify_invariants; it reports the time of that part on its
+own (geometry_s), of the wide build and the cut (build_s), of each verifier
+and of three layers inside them (vy2_s, the exchange axiom; quadrangles_s, the quadrangle walk with its
 witness tests; o4_s), the point counts, the verifiers' counts and pass
 flags, and a digest of the full reports.  The Bell row builds the tensor,
 the scenario and its report, as `qlattice bell` does, and reports the
@@ -48,7 +49,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
 
 # name: (spin axes of the left factor, of the right factor, last stage),
-# or (kind, size, "completion") for a real space completed on its own
+# (kind, size, "completion") for a real space completed on its own, or
+# (kind, size, "tensor") for its tensor square
 ROWS = {
     "z2z2-completion": (2, 2, "completion"),
     "z3z2-tensor": (3, 2, "tensor"),
@@ -57,6 +59,7 @@ ROWS = {
     "z3z3-completion": (3, 3, "completion"),
     "z4z4-tensor": (4, 4, "tensor"),
     "z5z5-tensor": (5, 5, "tensor"),
+    "simplex3-square": ("simplex", 3, "tensor"),
     "spin8-completion": ("spin", 8, "completion"),
     "simplex9-completion": ("simplex", 9, "completion"),
     "z3z2-geometry": (3, 2, "geometry"),
@@ -75,11 +78,13 @@ def run_row(name):
     from qlattice.tensor import build_tensor
     na, nb, stage = ROWS[name]
     start = time.perf_counter()
-    if isinstance(na, str):
+    if stage == "completion" and isinstance(na, str):
         rs = {"spin": spin_space, "simplex": simplex_space}[na](nb)
         out, elements = {"name": name}, rs.space.n
     else:
-        ts = build_tensor(spin_space(na), spin_space(nb))
+        factors = (simplex_space(nb), simplex_space(nb)) \
+            if na == "simplex" else (spin_space(na), spin_space(nb))
+        ts = build_tensor(*factors)
         rs = ts.real_space
         out = {"name": name, "tensor_s": time.perf_counter() - start,
                "tensor_elements": len(ts)}
@@ -134,7 +139,7 @@ def run_geometry(comp, ts):
         setattr(geometry, name, _timed(getattr(geometry, name), layers, key))
     start = time.perf_counter()
     wide = build_geometry(comp, ts, variant="wide")
-    narrow = build_geometry(comp, ts, variant="narrow")
+    narrow = wide.narrowed()
     out = {"points": {"wide": len(wide), "narrow": len(narrow)},
            "build_s": time.perf_counter() - start}
     reports = {}
