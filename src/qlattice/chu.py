@@ -1,13 +1,10 @@
-"""Effects over a state space, the evaluation map, and two-sided morphisms.
+"""Effects over a state space and the evaluation map.
 
 An effect is a pair of optional elements (yes part, no part).  Evaluating an
 effect at a state answers Y when the yes part lies below the state, N when
 the no part does, and BOT otherwise; a missing part never matches.  A valid
 two-sided effect has unbounded parts, so the two answers can never fire at
 once.
-
-Morphisms come in adjoint pairs: a meet-preserving forward map on states
-determines a unique dual map on effects and vice versa.
 """
 
 from dataclasses import dataclass
@@ -51,10 +48,6 @@ def evaluate(space, l, sigma):
     if l.no is not None and space.up[l.no] >> sigma & 1:
         return NO
     return BOT
-
-
-def effect_profile(space, l):
-    return tuple(evaluate(space, l, s) for s in range(space.n))
 
 
 def _part_meet(space, x, y):
@@ -101,52 +94,3 @@ def all_effects(space, cap=4096):
             if not space.bounded((i, j)):
                 out.append(Effect(i, j))
     return out
-
-
-def check_extensionality(space, effects=None):
-    """Distinct effects must evaluate differently somewhere, and distinct
-    states must be told apart by some effect."""
-    effects = all_effects(space) if effects is None else effects
-    profiles = {}
-    for l in effects:
-        p = effect_profile(space, l)
-        if p in profiles and profiles[p] != l:
-            return False, (profiles[p], l)
-        profiles[p] = l
-    columns = {}
-    for s in range(space.n):
-        col = tuple(evaluate(space, l, s) for l in effects)
-        if col in columns:
-            return False, (space.names[columns[col]], space.names[s])
-        columns[col] = s
-    return True, None
-
-
-def check_morphism(source, target, forward):
-    """True iff the map preserves all pairwise meets; otherwise returns the
-    first violating pair in id order."""
-    for i in range(source.n):
-        for j in range(i, source.n):
-            if forward[source.meet(i, j)] != target.meet(forward[i], forward[j]):
-                return False, (source.names[i], source.names[j])
-    return True, None
-
-
-class ChuMorphism(object):
-    """A state map between two spaces, checked to preserve meets."""
-
-    def __init__(self, source, target, forward):
-        forward = tuple(int(f) for f in forward)
-        if len(forward) != source.n:
-            raise InputError("forward map covers %d of %d elements"
-                             % (len(forward), source.n))
-        ok, witness = check_morphism(source, target, forward)
-        if not ok:
-            raise InputError("not a homomorphism: meet of %r, %r not preserved"
-                             % witness)
-        self.source = source
-        self.target = target
-        self.forward = forward
-
-    def apply(self, i):
-        return self.forward[i]

@@ -337,10 +337,10 @@ class Description(object):
                 for ci in range(len(self.cover))]
 
 
-def coherent_descriptions(completion, cover=None):
+def coherent_descriptions(completion):
     """All coherent descriptions over the maximal cover, as Description
     objects (enumerated through per-pure state families)."""
-    cover = maximal_contexts(completion) if cover is None else cover
+    cover = maximal_contexts(completion)
     out = []
     for sigma in _coherent_states(completion):
         out.append((sigma, Description.from_state(completion, cover, sigma)))

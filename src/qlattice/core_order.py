@@ -7,10 +7,11 @@ absorbing) and an involution swapping Y and N.
 
 `StateSpace` is a finite meet-semilattice with a bottom element, given and
 stored as int bitmasks of up-sets, plus their transpose (the down-sets) and
-the upper covers; the order matrix `leq` is a view built on first read.
-numpy is imported only by that view and by `row_masks`, so a process that
-never reads `leq` never loads it.  Everything downstream (real structures,
-ontic completions, tensors) is built out of these.
+the upper covers.  The library reads the order through these masks alone
+and needs only the standard library; the dense order matrix `leq` is a
+numpy view, built on first read for callers that want one, so a process
+that never reads it never loads numpy.  Everything downstream (real
+structures, ontic completions, tensors) is built out of these.
 """
 
 import json
@@ -63,13 +64,6 @@ def bool_bar(x):
     return BOT
 
 
-def row_masks(mat):
-    """Each row of a boolean matrix as an int, bit j for column j."""
-    import numpy as np
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def bits(mask):
     """The set bits of an int mask, lowest first (read off the top bit)."""
     out = []
@@ -83,7 +77,7 @@ def bits(mask):
 
 def unpack_masks(masks, width):
     """A family of int masks as a boolean matrix, row i holding the low
-    `width` bits of masks[i]: the inverse of row_masks."""
+    `width` bits of masks[i]."""
     import numpy as np
     nbytes = (width + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little")
@@ -356,8 +350,8 @@ class StateSpace(object):
     def to_json(self):
         return json.dumps(self.to_json_dict(), indent=2)
 
-    def to_dot(self, graph_name="space"):
-        lines = ["digraph %s {" % graph_name, "  rankdir=BT;"]
+    def to_dot(self):
+        lines = ["digraph space {", "  rankdir=BT;"]
         for name in self.names:
             lines.append('  "%s";' % name)
         for i, row in enumerate(self.covers):

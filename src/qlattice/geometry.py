@@ -1037,9 +1037,9 @@ def export_incidence(G):
     }
 
 
-def consistency_dot(G, graph_name="consistency"):
+def consistency_dot(G):
     names = G.completion.space.names
-    out = ["graph %s {" % graph_name]
+    out = ["graph consistency {"]
     for p in G.points:
         out.append('  "%s";' % names[p])
     for a, b in combinations(G.points, 2):

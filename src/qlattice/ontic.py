@@ -55,10 +55,6 @@ from .realspaces import RealSpace, RealStructureEmbedding
 CANDIDATE_CAP = 10 ** 6
 
 
-class LiftError(InputError):
-    """A morphism image fails admissibility and cannot be lifted."""
-
-
 def _step_tables(space):
     """The bit tables of closure_step, built once per space: (sat, blocks,
     lows, guards, owner, keep).  Each element above the bottom owns one
@@ -345,17 +341,3 @@ class OnticCompletion(object):
 
 def build_completion(rs, cap=CANDIDATE_CAP):
     return OnticCompletion(rs, cap=cap)
-
-
-def lift_morphism(comp_a, comp_b, f):
-    """Lift a meet-preserving real map f (base-A id -> base-B id) to the
-    completions; raises LiftError when some image antichain is inadmissible."""
-    forward = []
-    for idx in range(len(comp_a.elements)):
-        image = [f(w) for w in comp_a.components(idx)]
-        target = comp_b.sharpening(image)
-        if target is None:
-            raise LiftError(
-                "image of %r is inadmissible" % comp_a.space.names[idx])
-        forward.append(target)
-    return forward

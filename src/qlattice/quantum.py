@@ -26,7 +26,7 @@ import functools
 from .core_order import YES, NO, BOT, InputError, bits
 from . import chu
 from .realspaces import bool_real_space, spin_space, is_deterministic
-from .tensor import ELEMENT_CAP, build_tensor, global_section, least_section
+from .tensor import build_tensor, global_section, least_section
 from .ontic import build_completion, sharpen
 from .contextuality import find_joint_morphism
 
@@ -41,11 +41,11 @@ def bool_square():
 
 # -- broadcasting -----------------------------------------------------------
 
-def diagonal_broadcast(rs, cap=ELEMENT_CAP):
+def diagonal_broadcast(rs):
     """The copy morphism on a deterministic space: each real state goes to
     the meet of w (x) w over the pures w above it.  Returns the self-tensor
     and the forward map; raises when a trace identity fails."""
-    ts = build_tensor(rs, rs, cap=cap)
+    ts = build_tensor(rs, rs)
     space = rs.space
     forward = []
     for sigma in range(space.n):
@@ -70,14 +70,14 @@ def _indeterministic_pair(rs):
     return None
 
 
-def broadcast_obstruction(rs, confirm_cap=12):
+def broadcast_obstruction(rs):
     """Decide broadcastability of a real space.
 
     Deterministic spaces get the diagonal copy map, trace-verified.  For an
     indeterministic space the no-broadcasting proof is replayed: two sharp
     measurements force the images of s1, s1* and s2*, and the two ways of
-    reaching the bottom disagree.  On small spaces the obstruction is
-    confirmed by an exhaustive joint-morphism search.
+    reaching the bottom disagree.  On spaces of at most 12 elements the
+    obstruction is confirmed by an exhaustive joint-morphism search.
     """
     space = rs.space
     if is_deterministic(rs):
@@ -108,7 +108,7 @@ def broadcast_obstruction(rs, confirm_cap=12):
         "bottom_images": [bb.space.names[via_pair], bb.space.names[via_cross]],
     }
     out = {"broadcasts": False, "witness": witness}
-    if space.n <= confirm_cap:
+    if space.n <= 12:
         comp = build_completion(rs)
         l1 = chu.make_effect(space, s1, s1s)
         l2 = chu.make_effect(space, s2, s2s)

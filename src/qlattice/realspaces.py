@@ -259,22 +259,25 @@ def spin_space(n):
     return RealSpace(space, star)
 
 
+# each space kind, in any case, by the name of its constructor
+_KINDS = {"bool": "bool", "z": "simplex", "simplex": "simplex",
+          "zprime": "spin", "spin": "spin", "custom": "custom"}
+
+
 def make_space(kind, param=None):
-    if kind == "bool":
+    """A real space by kind: bool; z or simplex, or zprime or spin, of size
+    param; custom from the JSON data param.  Kinds are case-insensitive."""
+    maker = _KINDS.get(kind.lower())
+    if maker is None:
+        raise InputError("unknown space kind %r" % (kind,))
+    if maker == "bool":
         return bool_real_space()
-    if kind == "Z":
-        if param is None:
-            raise InputError("simplex constructor needs a size")
-        return simplex_space(int(param))
-    if kind == "Zprime":
-        if param is None:
-            raise InputError("spin constructor needs a size")
-        return spin_space(int(param))
-    if kind == "custom":
-        if param is None:
-            raise InputError("custom constructor needs JSON data")
+    if param is None:
+        raise InputError("%s constructor needs %s" % (
+            maker, "JSON data" if maker == "custom" else "a size"))
+    if maker == "custom":
         return RealSpace.from_json(param)
-    raise InputError("unknown space kind %r" % (kind,))
+    return (simplex_space if maker == "simplex" else spin_space)(int(param))
 
 
 # -- classification --------------------------------------------------------

@@ -257,18 +257,19 @@ def indeterministic_tensor(rs_a, rs_b, cap=CANDIDATE_CAP):
     return ts, OnticCompletion(ts.real_space, cap=cap)
 
 
-def congruence_profile(ts, gens, effect_cap=4096):
+def congruence_profile(ts, gens):
     """The bullet-meet evaluation of a generator set against every real
     effect pair, as (Y mask, N mask), bit k for the k-th effect pair.
 
     It is the elementwise meet of the generators' columns, a column being
     the bullet evaluation of one generating pair against every effect pair:
     outcomes meet to Y (N) when all are Y (N), so it is one AND per mask.
-    The effects and the columns are built once per tensor."""
+    The effects and the columns are built once per tensor; more than 4,096
+    effect pairs exceed the cap."""
     if ts._congruence is None:
         ts._congruence = (real_effects(ts.left), real_effects(ts.right), {})
     effects_a, effects_b, columns = ts._congruence
-    if len(effects_a) * len(effects_b) > effect_cap:
+    if len(effects_a) * len(effects_b) > 4096:
         raise CapExceeded("congruence oracle over %d effect pairs"
                           % (len(effects_a) * len(effects_b)))
     yes = no = -1
@@ -288,11 +289,10 @@ def congruence_profile(ts, gens, effect_cap=4096):
     return yes, no
 
 
-def congruence_oracle(ts, gens1, gens2, effect_cap=4096):
+def congruence_oracle(ts, gens1, gens2):
     """Brute-force check that two generator sets define the same element:
     equality of their congruence profiles."""
-    return (congruence_profile(ts, gens1, effect_cap)
-            == congruence_profile(ts, gens2, effect_cap))
+    return congruence_profile(ts, gens1) == congruence_profile(ts, gens2)
 
 
 # -- global sections over binary settings -------------------------------------

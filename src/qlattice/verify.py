@@ -97,7 +97,7 @@ def _idempotent_on(space, members):
     return closure_by_steps(space, first) == first
 
 
-def check_closure_idempotency(samples=1000, seed=20240901):
+def check_closure_idempotency():
     spaces = [("bool", bool_space()),
               ("simplex2", simplex_space(2).space),
               ("simplex3", simplex_space(3).space),
@@ -116,9 +116,10 @@ def check_closure_idempotency(samples=1000, seed=20240901):
                 checked += 1
                 if not _idempotent_on(space, sub):
                     bad.append((tag, sub))
-    rng = random.Random(seed)
+    # then 1,000 seeded random subsets, of 1 to 6 elements, of the tensor
+    rng = random.Random(20240901)
     others = [i for i in range(big.n) if i != big.bottom]
-    for _ in range(samples):
+    for _ in range(1000):
         sub = rng.sample(others, rng.randint(1, 6))
         checked += 1
         if not _idempotent_on(big, sub):
@@ -212,10 +213,10 @@ def check_completion_z2():
 
 # -- 6. tensor order oracle ------------------------------------------------------
 
-def check_tensor_congruence(max_size=3):
+def check_tensor_congruence():
     ts = _two_qubit_tensor()[1]
     gen_sets = []
-    for r in range(1, max_size + 1):
+    for r in (1, 2, 3):
         gen_sets.extend(combinations(ts.pure_pairs, r))
     # the congruence profiles of each class, one per generator set; two
     # generator sets are congruent exactly when their profiles are equal

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import qlattice
+from qlattice.cli import VERBS
 from qlattice.geometry import export_incidence
 
 # the CLI runs the same qlattice package that the tests import
@@ -43,8 +44,38 @@ def test_unknown_kind_exits_2():
 
 
 def test_missing_option_exits_2():
-    out = run_cli("build")
-    assert out.returncode == 2
+    # usage errors: a missing option or verb, an unknown verb, a value of
+    # the wrong type or outside its choices, an abbreviated option
+    for args in (("build",), (), ("nosuch",),
+                 ("build", "--kind", "z", "--n", "1.5"),
+                 ("geometry", "--variant", "bogus"),
+                 ("verify", "--suite", "nosuch"),
+                 ("tensor", "--fac", "bool,bool")):
+        out = run_cli(*args)
+        assert out.returncode == 2, args
+        assert out.stdout == "", args
+        assert "Traceback" not in out.stderr, args
+
+
+def test_help_exits_0():
+    top = run_cli("--help")
+    verb = run_cli("tensor", "--help")
+    assert top.returncode == verb.returncode == 0
+    assert all(name in top.stdout for name in VERBS)
+    assert "--factors" in verb.stdout
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_output_is_utf8_whatever_the_stream_encoding(encoding):
+    # element names hold "⊗", which neither encoding can write
+    args = [sys.executable, "-m", "qlattice.cli", "tensor",
+            "--factors", "bool,bool"]
+    want = subprocess.run(args, capture_output=True, env=ENV)
+    got = subprocess.run(args, capture_output=True,
+                         env=dict(ENV, PYTHONIOENCODING=encoding))
+    assert want.returncode == got.returncode == 0, got.stderr
+    assert "⊗".encode("utf-8") in want.stdout
+    assert got.stdout == want.stdout
 
 
 def test_cap_exceeded_exits_3():
@@ -166,14 +197,17 @@ def test_geometry_json_is_the_incidence_object(geo_narrow):
 
 _NUMPY_PROBE = """
 import json, sys
+start = set(sys.modules)
 import qlattice.cli
 from qlattice import ontic, realspaces, verify
 report = verify.run_suite()
 space = ontic.build_completion(realspaces.spin_space(2)).space
+loaded = {name.split(".")[0] for name in set(sys.modules) - start}
 before = "numpy" in sys.modules
 leq = space.leq
 print(json.dumps({
     "pass": report["pass"], "numpy_before_leq": before,
+    "outside_stdlib": sorted(loaded - sys.stdlib_module_names - {"qlattice"}),
     "numpy_after_leq": "numpy" in sys.modules,
     "type": type(leq).__module__ + "." + type(leq).__name__,
     "dtype": str(leq.dtype), "writeable": bool(leq.flags.writeable),
@@ -184,12 +218,14 @@ print(json.dumps({
 
 
 def test_command_path_leaves_numpy_unloaded():
-    # a fresh interpreter: the CLI import and the whole verify suite run on
-    # int masks, and only a read of the leq view loads numpy
+    # a fresh interpreter: the CLI import and the whole verify suite load
+    # nothing outside the standard library, and only a read of the leq view
+    # loads numpy
     out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
                          capture_output=True, text=True, env=ENV)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {
-        "pass": True, "numpy_before_leq": False, "numpy_after_leq": True,
+        "pass": True, "numpy_before_leq": False, "outside_stdlib": [],
+        "numpy_after_leq": True,
         "type": "numpy.ndarray", "dtype": "bool", "writeable": False,
         "cached": True, "matches_up": True}

@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from qlattice.core_order import InputError, bits, row_masks
+from qlattice.core_order import InputError, bits
 from qlattice.geometry import (GeometrySet, _bron_kerbosch, _complete_thirds,
                                _diagonal_witnesses, _inner_colinear,
                                _orthogonally_complete, _quadrangles,
@@ -16,6 +16,7 @@ from qlattice.geometry import (GeometrySet, _bron_kerbosch, _complete_thirds,
                                export_incidence)
 
 import geometry_reference as ref
+from order_reference import row_masks
 from test_core_order import _brute_covers
 
 

@@ -9,15 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qlattice import ontic
 from qlattice.core_order import (CapExceeded, InputError, StateSpace, bits,
-                                 bool_space, row_masks)
+                                 bool_space)
 from qlattice.realspaces import (RealSpace, bool_real_space, spin_space,
                                  simplex_space)
 from qlattice.tensor import build_tensor
 from qlattice.ontic import (closure, closure_by_steps, closure_step,
                             is_star_free, is_unbounded_star_free,
-                            is_admissible, build_completion, lift_morphism)
+                            is_admissible, build_completion)
 from qlattice import verify
 from qlattice.verify import counterexample_lattice
+from order_reference import row_masks
 
 
 def test_preclosure_counterexample_sets():
@@ -177,12 +178,6 @@ def test_real_i_is_element_i(name, request):
         list(range(n)) + [None] * (len(comp) - n)
     assert [comp.is_hidden(k) for k in range(len(comp))] == \
         [False] * n + [True] * (len(comp) - n)
-
-
-def test_lift_identity(z2, z2_completion):
-    comp = z2_completion
-    lifted = lift_morphism(comp, comp, lambda i: i)
-    assert lifted == list(range(comp.space.n))
 
 
 def test_admissibility_on_tensor_reals(two_qubit):
@@ -933,8 +928,9 @@ def test_candidate_cap_defaults_read_one_constant():
                 tensor.indeterministic_tensor)
     defaults = [inspect.signature(f).parameters["cap"].default
                 for f in builders]
-    defaults += [p.default for verb in (cli.complete, cli.geometry)
-                 for p in verb.params if p.name == "cap_elements"]
+    parser = cli.make_parser()
+    defaults += [parser.parse_args(argv).cap_elements
+                 for argv in (["complete", "--kind", "bool"], ["geometry"])]
     assert defaults == [ontic.CANDIDATE_CAP] * 5
     assert ontic.CANDIDATE_CAP == 10 ** 6
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlattice import chu
-from qlattice.core_order import InputError, StateSpace, bits, row_masks
+from qlattice.core_order import InputError, StateSpace, bits
 from qlattice.realspaces import (make_space, bool_real_space, simplex_space,
                                  spin_space, is_deterministic,
                                  is_completely_indeterministic, is_linear,
@@ -20,6 +20,7 @@ from qlattice.ontic import build_completion
 from qlattice.tensor import build_tensor
 
 from geometry_reference import ortho_outer_product
+from order_reference import row_masks
 from test_core_order import _brute_covers
 from test_ontic import _inclusion_space
 
@@ -99,11 +100,22 @@ def test_is_linear_matches_leq_oracle(two_qubit):
 
 
 def test_make_space_kinds():
-    assert make_space("bool").space.n == 3
-    assert make_space("Z", 3).space.n == 7
-    assert make_space("Zprime", 2).space.n == 5
-    with pytest.raises(InputError):
-        make_space("nosuch")
+    # every alias, in any case, names the same constructor
+    for kind, size, elements in (
+            ("bool", None, 3), ("BOOL", None, 3),
+            ("Z", 3, 7), ("z", 3, 7), ("simplex", 3, 7), ("Simplex", 3, 7),
+            ("Zprime", 2, 5), ("zprime", 2, 5), ("spin", 2, 5),
+            ("SPIN", 2, 5)):
+        assert make_space(kind, size).space.n == elements, kind
+    rs = spin_space(2)
+    assert make_space("Custom", rs.to_json()).space.names == rs.space.names
+    for kind, message in (("nosuch", "unknown space kind 'nosuch'"),
+                          ("Z", "simplex constructor needs a size"),
+                          ("spin", "spin constructor needs a size"),
+                          ("custom", "custom constructor needs JSON data")):
+        with pytest.raises(InputError) as err:
+            make_space(kind)
+        assert str(err.value) == message
 
 
 def test_json_roundtrip():

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 import warnings
 
 import qlattice
@@ -122,9 +123,9 @@ def test_builder_check_sees_aliases_and_keywords():
         ["f", "C.g", "C.g"]
 
 
-def _module_level_numpy_imports(tree):
-    """The line numbers of the imports of numpy that run when the module is
-    imported: every one outside a function body."""
+def _module_level_imports(tree):
+    """(line, top-level module name) of each absolute import that runs when
+    the module is imported: every one outside a function body."""
     found = []
 
     def visit(node):
@@ -133,22 +134,50 @@ def _module_level_numpy_imports(tree):
                                   ast.Lambda)):
                 continue
             if isinstance(child, ast.Import):
-                names = [a.name for a in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(n == "numpy" or n.startswith("numpy.") for n in names):
-                found.append(child.lineno)
+                found.extend((child.lineno, a.name.split(".")[0])
+                             for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.append((child.lineno, child.module.split(".")[0]))
             visit(child)
 
     visit(tree)
     return found
 
 
+def _module_level_numpy_imports(tree):
+    return [line for line, name in _module_level_imports(tree)
+            if name == "numpy"]
+
+
+def _outside_stdlib(tree):
+    """The modules outside the standard library that a module imports at
+    module level."""
+    return sorted({name for _, name in _module_level_imports(tree)}
+                  - sys.stdlib_module_names)
+
+
+def test_src_imports_only_the_standard_library():
+    # the package has no runtime dependencies: its modules import each
+    # other and the standard library, and numpy only inside the leq view
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _outside_stdlib(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            found[path.name] = names
+    assert found == {}
+
+
+def test_stdlib_check_sees_absolute_imports():
+    tree = ast.parse("import json, click.core\nfrom . import a\n"
+                     "from .b import c\nfrom numpy import ndarray\n"
+                     "try:\n    import os.path, yaml\nexcept ImportError:\n"
+                     "    pass\ndef f():\n    import networkx\n")
+    assert _outside_stdlib(tree) == ["click", "numpy", "yaml"]
+
+
 def test_src_imports_numpy_only_inside_functions():
-    # numpy is imported inside the functions that need it (the leq view
-    # and row_masks), never by importing the package
+    # numpy is imported only inside `core_order.unpack_masks`, which builds
+    # the leq view, never by importing the package
     found = {}
     for path in sorted(SRC.glob("*.py")):
         lines = _module_level_numpy_imports(

@@ -24,8 +24,9 @@ flags, and a digest of the full reports.  The Bell row builds the tensor,
 the scenario and its report, as `qlattice bell` does, and reports the
 member count of sigma and the verdict, or the error that stopped it.
 The cli-verify row times `import qlattice.cli` and one run of the whole
-verify suite, as `qlattice verify --suite all` does, and reports whether
-numpy was loaded.
+verify suite, as `qlattice verify --suite all` does, and reports the
+top-level modules outside the standard library that the two loaded (none,
+as the package has no runtime dependencies).
 Each row runs REPEATS times, each time in a fresh process.  A timing
 (every `*_s` field) is the median of the runs; `wall_s_min` and
 `peak_rss_mb_min` add the minimum, and `peak_rss_mb` is the median too.
@@ -111,17 +112,21 @@ def run_row(name):
 
 def run_cli_verify():
     """The CLI import and the whole verify suite, timed apart, with the
-    suite's verdict."""
+    suite's verdict and the modules outside the standard library that they
+    loaded."""
+    before = set(sys.modules)
     start = time.perf_counter()
     import qlattice.cli  # noqa: F401
     from qlattice import verify
     imported = time.perf_counter()
     report = verify.run_suite()
     done = time.perf_counter()
+    loaded = {name.split(".")[0] for name in set(sys.modules) - before}
     return {"name": "cli-verify", "import_s": imported - start,
             "verify_s": done - imported, "wall_s": done - start,
             "pass": report["pass"],
-            "numpy_loaded": "numpy" in sys.modules,
+            "outside_stdlib": sorted(loaded - sys.stdlib_module_names
+                                     - {"qlattice"}),
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
