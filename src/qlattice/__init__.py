@@ -2,15 +2,14 @@
 minimal tensors, contexts, and the derived geometry."""
 
 from .core_order import (YES, NO, BOT, BOOL_VALUES, InputError, CapExceeded,
-                         StateSpace, bool_space, bool_meet, bool_join,
-                         bool_bullet, bool_bar)
+                         StateSpace, bool_space, bool_bullet)
 from .realspaces import (RealSpace, RealStructureEmbedding, make_space,
                          bool_real_space, simplex_space, spin_space, classify)
-from .ontic import OnticCompletion, build_completion, closure, is_admissible
+from .ontic import OnticCompletion, build_completion, closure
 from .tensor import (TensorSpace, build_tensor, nfold_tensor,
                      indeterministic_tensor)
 from .contextuality import (find_joint_morphism, maximal_contexts,
-                            coherent_descriptions, verify_model_iso)
+                            verify_model_iso)
 from .geometry import (GeometrySet, build_geometry, verify_projective,
                        verify_ortho, verify_invariants,
                        covering_preservation_report)

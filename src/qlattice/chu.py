@@ -24,6 +24,8 @@ class Effect(object):
 
 
 BOTTOM_EFFECT = Effect(None, None)
+# most candidate part pairs that all_effects runs over
+PAIR_CAP = 4096
 
 
 def make_effect(space, yes=None, no=None):
@@ -80,12 +82,12 @@ def effect_sup(space, l1, l2):
     return Effect(yes, no)
 
 
-def all_effects(space, cap=4096):
+def all_effects(space):
     """Every valid effect, bottom effect first, then one- and two-sided
     ones in element order."""
-    if space.n * space.n > cap:
+    if space.n * space.n > PAIR_CAP:
         raise CapExceeded("effect enumeration over %d candidate pairs (cap %d)"
-                          % (space.n * space.n, cap))
+                          % (space.n * space.n, PAIR_CAP))
     out = [BOTTOM_EFFECT]
     out.extend(Effect(i, None) for i in range(space.n))
     out.extend(Effect(None, i) for i in range(space.n))

@@ -1,15 +1,18 @@
-"""Compatibility contexts, joint measurements, and operational descriptions.
+"""Compatibility contexts, joint measurements, and the description model.
 
 A set of effects is a context when all of them can be observed through one
-joint morphism into a power of the three-outcome domain.  Descriptions
-assign outcomes per context, subject to the evaluation laws inside each
-context and agreement on overlaps; the coherent descriptions over a real
-structure correspond exactly to the elements of its ontic completion, and
-the model is contextual precisely when some coherent description fits no
-real state.
+joint morphism into a power of the three-outcome domain: a meet-preserving
+map of the completed space into the states over k binary settings, one per
+effect, held as the list of its element images.  Descriptions assign
+outcomes per context, subject to the evaluation laws inside each context
+and agreement on overlaps; they are enumerated as per-pure families of real
+states, and the coherent ones correspond exactly to the elements of the
+ontic completion.  The model is contextual precisely when some coherent
+description fits no real state.
 """
 
-from .core_order import BOT, NO, YES, InputError, CapExceeded, bits
+from .core_order import (YES, NO, BOT, OUTCOME_MASK, InputError, CapExceeded,
+                         bits)
 from . import chu
 from .realspaces import real_effects, is_deterministic
 from .tensor import global_section
@@ -21,56 +24,32 @@ def _effect_key(l):
     return (-1 if l.yes is None else l.yes, -1 if l.no is None else l.no)
 
 
-def evaluate_on_completion(completion, l, idx):
-    """A real effect of the base at a completed state: real i is element i
-    of the completion, so the effect's parts are already element ids."""
-    return chu.evaluate(completion.space, l, idx)
-
-
 # -- joint morphisms --------------------------------------------------------
 
-class JointMorphism(object):
-    """A meet-preserving map from a completed space into the states over k
-    binary settings, one per effect, whose coordinate marginals realize the
-    effects.  A state is a mask over the 2**k outcome tuples, encoded as in
-    `tensor.global_section`."""
-
-    def __init__(self, completion, effects, k, pure_masks):
-        self.completion = completion
-        self.effects = list(effects)
-        self.k = k
-        space = completion.space
-        self._images = []
-        for x in range(space.n):
-            mask = 0
-            for p in space.pures_above(x):
-                mask |= pure_masks[p]
-            self._images.append(mask)
-
-    def apply(self, idx):
-        return self._images[idx]
-
-    def marginal(self, i, idx):
-        """Outcome of the i-th effect at a state, read off the joint image."""
-        return _coordinate_value(self.k, self._images[idx], i)
+def _images(space, pure_masks):
+    """Each element's image under a joint morphism: a state is a mask over
+    the 2**k outcome tuples, encoded as in `tensor.global_section`, and an
+    element goes to the union of the images of the pures above it."""
+    images = []
+    for x in range(space.n):
+        mask = 0
+        for p in space.pures_above(x):
+            mask |= pure_masks[p]
+        images.append(mask)
+    return images
 
 
-# a 1-coordinate marginal over a boolean factor: bit 0 for Y, bit 1 for N
-_ROW_MASK = {YES: 1, NO: 2, BOT: 3}
-
-
-def _coordinate_value(k, mask, i):
-    _, (yes, no) = global_section(k, [((i,), 3)])
-    seen = bool(mask & yes) | 2 * bool(mask & no)
-    if not seen:
-        raise InputError("mask with partial coordinate support")
-    return (YES, NO, BOT)[seen - 1]
+def _coordinate_mask(k, mask, i):
+    """The possibility mask of setting i at a state: bit 0 when one of its
+    tuples reads Y there, bit 1 when one reads N."""
+    _, (yes, no) = global_section(k, [((i,), OUTCOME_MASK[BOT])])
+    return bool(mask & yes) | 2 * bool(mask & no)
 
 
 def _cylinder(k, values):
     """Mask of the tuples compatible with a per-coordinate outcome row (BOT
     is free), and the cells that a mask inside it must meet."""
-    return global_section(k, [((i,), _ROW_MASK[v])
+    return global_section(k, [((i,), OUTCOME_MASK[v])
                               for i, v in enumerate(values)])
 
 
@@ -88,7 +67,8 @@ def _masks_with_exact_projection(k, values):
 
 
 def find_joint_morphism(completion, effects):
-    """A joint observation of the effects on the completed space, or None.
+    """A joint observation of the effects on the completed space, as its
+    list of element images, or None.
 
     Deterministic bases always admit the constructive cylinder assignment;
     otherwise the per-pure images are searched by backtracking and the
@@ -105,21 +85,19 @@ def find_joint_morphism(completion, effects):
     if k > EFFECT_CAP:
         raise CapExceeded("joint morphism over %d effects" % k)
     pures = list(space.maximals)
-    rows = {p: [evaluate_on_completion(completion, l, p) for l in effects]
-            for p in pures}
+    # real i is element i of the completion: the parts are element ids here
+    rows = {p: [chu.evaluate(space, l, p) for l in effects] for p in pures}
     if is_deterministic(completion.base):
-        masks = {p: _cylinder(k, rows[p])[0] for p in pures}
-        return JointMorphism(completion, effects, k, masks)
+        return _images(space, {p: _cylinder(k, rows[p])[0] for p in pures})
     choices = {p: _masks_with_exact_projection(k, rows[p]) for p in pures}
     order = sorted(pures)
     assignment = {}
 
     def backtrack(pos):
         if pos == len(order):
-            psi = JointMorphism(completion, effects, k, assignment)
-            if _verify_joint(psi):
-                return psi
-            return None
+            images = _images(space, assignment)
+            ok = _verify_joint(completion, effects, images)
+            return images if ok else None
         p = order[pos]
         for mask in choices[p]:
             assignment[p] = mask
@@ -132,46 +110,42 @@ def find_joint_morphism(completion, effects):
     return backtrack(0)
 
 
-def _verify_joint(psi):
-    completion = psi.completion
+def _verify_joint(completion, effects, images):
     space = completion.space
+    k = len(effects)
     for x in range(space.n):
         for y in range(x, space.n):
-            if psi.apply(space.meet(x, y)) != psi.apply(x) | psi.apply(y):
+            if images[space.meet(x, y)] != images[x] | images[y]:
                 return False
     for x in range(space.n):
-        for i, l in enumerate(psi.effects):
-            want = evaluate_on_completion(completion, l, x)
-            try:
-                got = _coordinate_value(psi.k, psi.apply(x), i)
-            except InputError:
+        for i, l in enumerate(effects):
+            want = OUTCOME_MASK[chu.evaluate(space, l, x)]
+            if _coordinate_mask(k, images[x], i) != want:
                 return False
-            if got != want:
-                return False
-    return _pullback_real(psi)
+    return _pullback_real(completion, images)
 
 
-def _pullback_real(psi):
+def _pullback_real(completion, images):
     """Every real target effect must pull back to a real source effect.
 
     A part mask can be shrunk to the union of the state images it contains
     without changing the pulled-back profile, so only union-generated parts
     need checking; disjoint parts always make a valid target effect."""
-    completion = psi.completion
     space = completion.space
     source_profiles = set()
     for l in real_effects(completion.embedding):
         source_profiles.add(tuple(chu.evaluate(space, l, x)
                                   for x in range(space.n)))
-    images = sorted(set(psi.apply(x) for x in range(space.n)))
-    if len(images) > 12:
-        raise CapExceeded("pullback check over %d joint images" % len(images))
+    distinct = sorted(set(images))
+    if len(distinct) > 12:
+        raise CapExceeded("pullback check over %d joint images"
+                          % len(distinct))
     unions = {0}
-    for m in images:
+    for m in distinct:
         unions |= {u | m for u in unions}
     parts = sorted(unions)
-    hits = {u: frozenset(x for x in range(space.n)
-                         if psi.apply(x) | u == u) for u in parts}
+    hits = {u: frozenset(x for x in range(space.n) if images[x] | u == u)
+            for u in parts}
     for y in parts:
         for n_ in parts:
             if y & n_:
@@ -190,12 +164,6 @@ class Context(object):
     def __init__(self, effects, kind):
         self.effects = frozenset(effects)
         self.kind = kind
-
-    def __eq__(self, other):
-        return isinstance(other, Context) and self.effects == other.effects
-
-    def __hash__(self):
-        return hash(self.effects)
 
     def sorted_effects(self):
         return sorted(self.effects, key=_effect_key)
@@ -314,39 +282,6 @@ def maximal_contexts(completion):
 
 # -- descriptions ------------------------------------------------------------
 
-class Description(object):
-    """Per-context outcome assignments over a compatibility cover."""
-
-    def __init__(self, cover, values):
-        self.cover = list(cover)
-        self.values = [dict(v) for v in values]
-
-    @classmethod
-    def from_state(cls, completion, cover, idx):
-        values = [{l: evaluate_on_completion(completion, l, idx)
-                   for l in c.effects} for c in cover]
-        return cls(cover, values)
-
-    def value(self, ci, l):
-        return self.values[ci][l]
-
-    def serialize(self, space):
-        return [{"context": ci,
-                 "values": [[l.serialize(space), self.values[ci][l]]
-                            for l in self.cover[ci].sorted_effects()]}
-                for ci in range(len(self.cover))]
-
-
-def coherent_descriptions(completion):
-    """All coherent descriptions over the maximal cover, as Description
-    objects (enumerated through per-pure state families)."""
-    cover = maximal_contexts(completion)
-    out = []
-    for sigma in _coherent_states(completion):
-        out.append((sigma, Description.from_state(completion, cover, sigma)))
-    return cover, out
-
-
 def _family_coherent(completion, family):
     """Coherence constraints on a per-pure family of real states."""
     base = completion.base
@@ -404,17 +339,6 @@ def enumerate_families(completion):
             nxt[pures[pos]] = v
             stack.append((pos + 1, nxt))
     return pures, out
-
-
-def _coherent_states(completion):
-    pures, families = enumerate_families(completion)
-    states = []
-    for fam in families:
-        sigma = completion.sharpening(fam.values())
-        if sigma is None:
-            raise InputError("coherent family with inadmissible join")
-        states.append(sigma)
-    return states
 
 
 def verify_model_iso(completion):

@@ -1,9 +1,13 @@
 """Finite bounded meet-semilattices and the three-valued outcome domain.
 
-The outcome domain has three values Y, N and BOT, ordered so that BOT sits
-below the two definite answers.  On top of the meet that comes with this
-order it carries a commutative "and"-like product (Y is the unit, N is
-absorbing) and an involution swapping Y and N.
+An outcome is an element id of `bool_space()`: YES, NO or BOT, named "Y",
+"N" and "BOT", with BOT below the two definite answers.  The domain's meet
+and join are the space's own, and its bar is the star of
+`realspaces.bool_real_space()`, swapping Y and N and fixing BOT.  On top it
+carries a commutative "and"-like product (Y is the unit, N is absorbing).
+Read as the set of answers it allows, an outcome is its OUTCOME_MASK (bit 0
+for Y, bit 1 for N), and outcomes meet by union (Abramsky and
+Brandenburger, New J. Phys. 13, 113036, 2011).
 
 `StateSpace` is a finite meet-semilattice with a bottom element, given and
 stored as int bitmasks of up-sets, plus their transpose (the down-sets) and
@@ -16,10 +20,11 @@ structures, ontic completions, tensors) is built out of these.
 
 import json
 
-YES = "Y"
-NO = "N"
-BOT = "BOT"
+# the element ids of bool_space()
+YES, NO, BOT = 0, 1, 2
 BOOL_VALUES = (YES, NO, BOT)
+# each outcome's possibility mask, by id: bit 0 for Y, bit 1 for N
+OUTCOME_MASK = (0b01, 0b10, 0b11)
 
 
 class InputError(ValueError):
@@ -30,21 +35,6 @@ class CapExceeded(RuntimeError):
     """A configured size cap was hit before the computation finished."""
 
 
-def bool_meet(x, y):
-    return x if x == y else BOT
-
-
-def bool_join(x, y):
-    """Least upper bound, or None for the unbounded pair {Y, N}."""
-    if x == y:
-        return x
-    if x == BOT:
-        return y
-    if y == BOT:
-        return x
-    return None
-
-
 def bool_bullet(x, y):
     # commutative monoid: Y is the unit, N absorbs, BOT*BOT = BOT
     if x == NO or y == NO:
@@ -53,14 +43,6 @@ def bool_bullet(x, y):
         return y
     if y == YES:
         return x
-    return BOT
-
-
-def bool_bar(x):
-    if x == YES:
-        return NO
-    if x == NO:
-        return YES
     return BOT
 
 
@@ -237,9 +219,6 @@ class StateSpace(object):
             self._leq.setflags(write=False)
         return self._leq
 
-    def below(self, i, j):
-        return bool(self.up[i] >> j & 1)
-
     def meet(self, i, j):
         return self._by_down[self.down[i] & self.down[j]]
 
@@ -366,4 +345,4 @@ class StateSpace(object):
 
 def bool_space():
     """The three-outcome domain as a StateSpace."""
-    return StateSpace([YES, NO, BOT], [0b001, 0b010, 0b111])
+    return StateSpace(["Y", "N", "BOT"], [0b001, 0b010, 0b111])

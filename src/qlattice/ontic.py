@@ -211,10 +211,6 @@ def sharpen(rs, members):
     return out if out == (bottom,) or is_star_free(rs, out) else None
 
 
-def is_admissible(rs, members):
-    return sharpen(rs, members) is not None
-
-
 def _closed_sets(rs, cap):
     """The admissible closed sets by down mask, the others or None when the
     second walk stops short of them, and the candidates, one per closure
@@ -235,7 +231,7 @@ def _closed_sets(rs, cap):
             for s in bits(front & ~earlier[s0] & ~d):
                 if down[s] & ~d != 1 << s:  # s is not minimal outside d
                     continue
-                if candidates == cap or (part is over
+                if candidates >= cap or (part is over
                                          and len(over) > len(found)):
                     if part is found:
                         raise CapExceeded("completion candidate cap hit "

@@ -23,14 +23,12 @@ the tensor's completion is never enumerated.
 
 import functools
 
-from .core_order import YES, NO, BOT, InputError, bits
+from .core_order import YES, NO, BOT, OUTCOME_MASK, InputError, bits
 from . import chu
 from .realspaces import bool_real_space, spin_space, is_deterministic
 from .tensor import build_tensor, global_section, least_section
 from .ontic import build_completion, sharpen
 from .contextuality import find_joint_morphism
-
-BOOL_ID = {YES: 0, NO: 1, BOT: 2}
 
 
 @functools.cache
@@ -93,14 +91,13 @@ def broadcast_obstruction(rs):
     s1, s2 = _indeterministic_pair(rs)
     s1s, s2s = rs.star_of(s1), rs.star_of(s2)
     bb = bool_square()
-    y, n, bot = 0, 1, 2
     forced = {
-        space.names[s1]: bb.index_of([(y, bot)]),
-        space.names[s1s]: bb.index_of([(n, bot)]),
-        space.names[s2s]: bb.index_of([(bot, n)]),
+        space.names[s1]: bb.index_of([(YES, BOT)]),
+        space.names[s1s]: bb.index_of([(NO, BOT)]),
+        space.names[s2s]: bb.index_of([(BOT, NO)]),
     }
-    via_pair = bb.meet(bb.index_of([(y, bot)]), bb.index_of([(n, bot)]))
-    via_cross = bb.meet(bb.index_of([(n, bot)]), bb.index_of([(bot, n)]))
+    via_pair = bb.meet(bb.index_of([(YES, BOT)]), bb.index_of([(NO, BOT)]))
+    via_cross = bb.meet(bb.index_of([(NO, BOT)]), bb.index_of([(BOT, NO)]))
     witness = {
         "kind": "obstruction",
         "measurements": [space.names[s1], space.names[s2]],
@@ -152,9 +149,6 @@ class BellScenario(object):
         self.rho = (chu.make_effect(rsp, t1, right.star_of(t1)),
                     chu.make_effect(rsp, t2, right.star_of(t2)))
 
-    def components(self):
-        return self.sigma
-
     def serialize_sigma(self):
         return sorted(self.ts.space.names[i] for i in self.sigma)
 
@@ -169,8 +163,7 @@ def bell_scenario(na=2, nb=2):
 
 def _bool_image(rs, l):
     """Pure-to-boolean value table of a sharp measurement."""
-    return {p: BOOL_ID[chu.evaluate(rs.space, l, p)]
-            for p in rs.space.pures()}
+    return {p: chu.evaluate(rs.space, l, p) for p in rs.space.pures()}
 
 
 def measurement_image(scenario, l_left, l_right, members=None):
@@ -239,8 +232,7 @@ def constructive_lambda(scenario, members):
     for k in ts.cover_set(rid):
         p, q = ts.pure_pairs[k]
         values = (maps[0][p], maps[1][p], maps[2][q], maps[3][q])
-        # the row mask of a coordinate: bit 0 for Y, bit 1 for N
-        mask |= global_section(4, [((i,), (1, 2, 3)[v])
+        mask |= global_section(4, [((i,), OUTCOME_MASK[v])
                                    for i, v in enumerate(values)])[0]
     return mask
 

@@ -32,9 +32,6 @@ class RealSpace(object):
         except KeyError:
             raise InputError("star undefined at %r" % self.space.names[i])
 
-    def pures(self):
-        return self.space.pures()
-
     def to_json_dict(self):
         d = self.space.to_json_dict()
         names = self.space.names
@@ -307,11 +304,11 @@ def is_completely_indeterministic(rs):
     return True
 
 
-def is_linear(rs, completion=None):
+def is_linear(rs):
     """Every covered pure pair admits a third state covering its meet; the
     third state may be hidden, so the search runs in the ontic completion."""
     from .ontic import OnticCompletion
-    completion = OnticCompletion(rs) if completion is None else completion
+    completion = OnticCompletion(rs)
     space, hat = rs.space, completion.space
     pures = space.pures()
     for i, s1 in enumerate(pures):
@@ -327,11 +324,11 @@ def is_linear(rs, completion=None):
     return True
 
 
-def classify(rs, completion=None):
+def classify(rs):
     return {
         "deterministic": is_deterministic(rs),
         "completely_indeterministic": is_completely_indeterministic(rs),
-        "linear": is_linear(rs, completion=completion),
+        "linear": is_linear(rs),
     }
 
 
@@ -359,15 +356,6 @@ def ortho_complement(emb, subset, orth=None):
     rows = ortho_matrix(emb) if orth is None else orth
     want = sum(1 << int(s) for s in set(subset))
     return frozenset(x for x, row in enumerate(rows) if row & want == want)
-
-
-def orthoclosure(emb, subset, orth=None):
-    """The orthogonal and double orthogonal of a subset of the ambient
-    space, as frozensets of element ids."""
-    orth = ortho_matrix(emb) if orth is None else orth
-    one = ortho_complement(emb, subset, orth)
-    two = ortho_complement(emb, one, orth)
-    return one, two
 
 
 def orthoclosed_sets(emb, orth=None):

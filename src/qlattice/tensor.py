@@ -127,7 +127,7 @@ class TensorSpace(object):
                 w = self._expand(extended)
                 if w & ~u & ((1 << k) - 1):
                     continue  # another branch lists this set
-                if len(covers) == cap:
+                if len(covers) >= cap:
                     raise CapExceeded("tensor enumeration cap %d hit" % cap)
                 covers.append(w)
                 stack.append((w, extended, k + 1))
@@ -224,9 +224,6 @@ class TensorSpace(object):
         return factor.meet_all(self.pure_pairs[k][side - 1]
                                for k in bits(self._covers[idx]))
 
-    def star(self, idx):
-        return self.real_space.star_of(idx)
-
     def serialize_element(self, idx):
         la, lb = self.left.space, self.right.space
         return sorted([la.names[self.pure_pairs[k][0]],
@@ -313,12 +310,13 @@ def _cells(k, coords):
 def global_section(k, marginals):
     """S_max for marginals over k binary settings, and the cells it must
     meet.  A state is a nonempty mask over the outcome tuples, bit
-    t = sum x_i 2**(k-1-i) for tuple x (Y is 0), in product order.  A
-    marginal is (coords, mask), with mask over the sub-tuples of coords in
-    the same order (for a pair, the boolean tensor square's cover mask).  A
-    state's marginal is a union over its tuples, so every matching state
-    lies inside S_max, the tuples whose every projection is wanted, and one
-    exists exactly when S_max meets every wanted cell."""
+    t = sum x_i 2**(k-1-i) for tuple x of outcome ids (YES or NO), in
+    product order.  A marginal is (coords, mask), with mask over the
+    sub-tuples of coords in the same order (for a pair, the boolean tensor
+    square's cover mask).  A state's marginal is a union over its tuples,
+    so every matching state lies inside S_max, the tuples whose every
+    projection is wanted, and one exists exactly when S_max meets every
+    wanted cell."""
     s_max = (1 << (1 << k)) - 1
     need = []
     for coords, mask in marginals:

@@ -10,7 +10,7 @@ import random
 from itertools import combinations, product
 
 from .core_order import (YES, NO, BOT, BOOL_VALUES, InputError, StateSpace,
-                         bool_space, bool_meet, bool_bullet, bool_bar)
+                         bool_space, bool_bullet)
 from .realspaces import (bool_real_space, simplex_space, spin_space,
                          ortho_matrix, ortho_complement, orthoclosed_sets)
 from .ontic import (closure_by_steps, closure_step, is_star_free,
@@ -54,14 +54,18 @@ _BAR_TABLE = {YES: NO, NO: YES, BOT: BOT}
 
 
 def check_bool_tables():
+    """The 21 entries of the outcome domain's tables: meet and bar read off
+    `bool_real_space()`, the real space under the boolean tensor square,
+    and the bullet product."""
+    rs = bool_real_space()
     bad = []
     for x, y in product(BOOL_VALUES, BOOL_VALUES):
-        if bool_meet(x, y) != _MEET_TABLE[(x, y)]:
+        if rs.space.meet(x, y) != _MEET_TABLE[(x, y)]:
             bad.append(("meet", x, y))
         if bool_bullet(x, y) != _BULLET_TABLE[(x, y)]:
             bad.append(("bullet", x, y))
     for x in BOOL_VALUES:
-        if bool_bar(x) != _BAR_TABLE[x]:
+        if rs.star.get(x, x) != _BAR_TABLE[x]:  # bar fixes the bottom
             bad.append(("bar", x))
     return {"pass": not bad, "failures": bad, "entries": 21}
 
@@ -248,12 +252,11 @@ def check_bell():
     a, b = z2.space.index("a"), z2.space.index("b")
     scenario = quantum.BellScenario(z2, z2, a, b, a, b, ts=ts)
     bb = quantum.bool_square()
-    y, n, bot = 0, 1, 2
     want = {
-        "13": bb.index_of([(n, bot), (y, n)]),
-        "14": bb.index_of([(y, bot), (n, y)]),
-        "23": bb.index_of([(y, n), (bot, y)]),
-        "24": bb.index_of([(bot, bot)]),
+        "13": bb.index_of([(NO, BOT), (YES, NO)]),
+        "14": bb.index_of([(YES, BOT), (NO, YES)]),
+        "23": bb.index_of([(YES, NO), (BOT, YES)]),
+        "24": bb.index_of([(BOT, BOT)]),
     }
     phi = quantum.bell_marginals(scenario)
     marginals_ok = phi == want

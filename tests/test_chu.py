@@ -1,8 +1,8 @@
 import pytest
 
-from qlattice.core_order import YES, NO, BOT, InputError
+from qlattice.core_order import YES, NO, BOT, InputError, bool_space
 from qlattice import chu
-from qlattice.realspaces import spin_space, simplex_space
+from qlattice.realspaces import bool_real_space, spin_space, simplex_space
 
 
 def _sharp(rs, name):
@@ -88,7 +88,15 @@ def test_effect_meet_pointwise():
     space = z2.space
     l1, l2 = _sharp(z2, "a"), _sharp(z2, "b")
     m = chu.effect_meet(space, l1, l2)
-    from qlattice.core_order import bool_meet
+    outcomes = bool_space()
     for s in range(space.n):
-        assert chu.evaluate(space, m, s) == bool_meet(
+        assert chu.evaluate(space, m, s) == outcomes.meet(
             chu.evaluate(space, l1, s), chu.evaluate(space, l2, s))
+
+
+def test_outcomes_are_bool_space_ids():
+    # the sharp effect l(Y, N) reads each state of the outcome domain as
+    # itself
+    rs = bool_real_space()
+    for x in range(rs.space.n):
+        assert chu.evaluate(rs.space, chu.Effect(YES, NO), x) == x

@@ -79,10 +79,18 @@ def test_output_is_utf8_whatever_the_stream_encoding(encoding):
 
 
 def test_cap_exceeded_exits_3():
-    out = run_cli("complete", "--kind", "zprime", "--n", "2",
-                  "--cap-elements", "3")
-    assert out.returncode == 3
-    assert "cap exceeded" in out.stderr
+    # a cap below the count, and a negative cap on each verb that takes one
+    for args in (("complete", "--kind", "zprime", "--n", "2",
+                  "--cap-elements", "3"),
+                 ("complete", "--kind", "zprime", "--n", "3",
+                  "--cap-elements", "-1"),
+                 ("tensor", "--factors", "zprime:2,zprime:2",
+                  "--cap-elements", "-1"),
+                 ("geometry", "--cap-elements", "-1")):
+        out = run_cli(*args)
+        assert out.returncode == 3, args
+        assert out.stdout == "", args
+        assert "cap exceeded" in out.stderr, args
 
 
 @pytest.mark.parametrize("args", [

@@ -1,16 +1,17 @@
+import functools
+import operator
 from itertools import product
 
 import pytest
 
 from qlattice import chu
-from qlattice.core_order import BOT, NO, YES, CapExceeded, InputError
+from qlattice.core_order import OUTCOME_MASK, BOOL_VALUES, CapExceeded
 from qlattice.realspaces import real_effects, simplex_space, spin_space
 from qlattice.ontic import build_completion
 from qlattice.contextuality import (EFFECT_CAP, find_joint_morphism,
                                     is_compatible, maximal_contexts,
-                                    coherent_descriptions, reduce_generators,
-                                    verify_model_iso, evaluate_on_completion,
-                                    _coordinate_value, _cylinder,
+                                    reduce_generators, verify_model_iso,
+                                    _coordinate_mask, _cylinder,
                                     _masks_with_exact_projection)
 
 from section_reference import marginal
@@ -64,24 +65,23 @@ def test_joint_morphism_exists_on_a_simplex():
     assert find_joint_morphism(comp, effects) is not None
 
 
-def test_coherent_descriptions_count(z2_completion):
-    cover, descs = coherent_descriptions(z2_completion)
-    assert len(descs) == 9
-
-
 def test_joint_morphism_for_one_sharp_effect(z2, z2_completion):
     comp = z2_completion
     space = comp.space
     a = z2.space.index("a")
     la = chu.make_effect(z2.space, a, z2.star_of(a))
-    psi = find_joint_morphism(comp, [la])
-    assert psi is not None
-    # brute-force oracle: meets go to unions of the image masks, and the
-    # single coordinate reproduces the effect on every completed state
+    images = find_joint_morphism(comp, [la])
+    assert images is not None and len(images) == space.n
+    # brute-force oracle: meets go to unions of the image masks, an element
+    # goes to the union of the images of the pures above it, and the single
+    # coordinate reads the effect's possibilities on every completed state
     for x in range(space.n):
         for y in range(space.n):
-            assert psi.apply(space.meet(x, y)) == psi.apply(x) | psi.apply(y)
-        assert psi.marginal(0, x) == evaluate_on_completion(comp, la, x)
+            assert images[space.meet(x, y)] == images[x] | images[y]
+        assert images[x] == functools.reduce(
+            operator.or_, (images[p] for p in space.pures_above(x)))
+        want = OUTCOME_MASK[chu.evaluate(space, la, x)]
+        assert marginal(1, images[x], (0,)) == want
 
 
 def test_joint_morphism_caps_the_effect_count(z2_completion):
@@ -112,17 +112,11 @@ def test_coordinate_helpers_match_projection_brute_force(k):
     full = (1 << (1 << k)) - 1
     proj = [[marginal(k, mask, (i,)) for i in range(k)]
             for mask in range(full + 1)]
-    value = {1: YES, 2: NO, 3: BOT}
     for mask in range(full + 1):
         for i in range(k):
-            if proj[mask][i] == 0:
-                with pytest.raises(InputError):
-                    _coordinate_value(k, mask, i)
-            else:
-                assert _coordinate_value(k, mask, i) == value[proj[mask][i]]
-    row_mask = {YES: 1, NO: 2, BOT: 3}
-    for row in product((YES, NO, BOT), repeat=k):
-        want = [row_mask[v] for v in row]
+            assert _coordinate_mask(k, mask, i) == proj[mask][i]
+    for row in product(BOOL_VALUES, repeat=k):
+        want = [OUTCOME_MASK[v] for v in row]
         cylinder = sum(1 << t for t in range(1 << k)
                        if all(proj[1 << t][i] & want[i] for i in range(k)))
         assert _cylinder(k, row)[0] == cylinder

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlattice.core_order import (YES, NO, BOT, BOOL_VALUES, InputError,
-                                 StateSpace, _peeled_covers, bool_space, bool_meet, bool_join,
-                                 bool_bullet, bool_bar, bits,
+                                 OUTCOME_MASK, StateSpace, _peeled_covers,
+                                 bool_space, bool_bullet, bits,
                                  inclusion_order, transpose, unpack_masks)
-from qlattice.realspaces import spin_space, simplex_space
+from qlattice.realspaces import bool_real_space, spin_space, simplex_space
 from qlattice.tensor import build_tensor, indeterministic_tensor
 
 from order_reference import row_masks
@@ -22,8 +22,11 @@ def test_meet_table():
         (NO, YES): BOT, (NO, NO): NO, (NO, BOT): BOT,
         (BOT, YES): BOT, (BOT, NO): BOT, (BOT, BOT): BOT,
     }
-    for pair, value in expect.items():
-        assert bool_meet(*pair) == value
+    space = bool_space()
+    for (x, y), value in expect.items():
+        assert space.meet(x, y) == value
+        # outcomes meet by the union of their possibilities
+        assert OUTCOME_MASK[value] == OUTCOME_MASK[x] | OUTCOME_MASK[y]
 
 
 def test_bullet_table():
@@ -37,17 +40,25 @@ def test_bullet_table():
 
 
 def test_bar_table():
-    assert bool_bar(YES) == NO
-    assert bool_bar(NO) == YES
-    assert bool_bar(BOT) == BOT
+    # bar is the star of the boolean real space, with the bottom fixed
+    star = bool_real_space().star
+
+    def bar(x):
+        return star.get(x, x)
+
+    assert bar(YES) == NO
+    assert bar(NO) == YES
+    assert bar(BOT) == BOT
+    assert BOT not in star
     for x in BOOL_VALUES:
-        assert bool_bar(bool_bar(x)) == x
+        assert bar(bar(x)) == x
 
 
 def test_join_partiality():
-    assert bool_join(YES, NO) is None
-    assert bool_join(BOT, NO) == NO
-    assert bool_join(YES, YES) == YES
+    space = bool_space()
+    assert space.join(YES, NO) is None
+    assert space.join(BOT, NO) == NO
+    assert space.join(YES, YES) == YES
 
 
 def test_bullet_monoid_laws():
@@ -62,8 +73,9 @@ def test_bullet_monoid_laws():
 
 
 def test_meet_all_and_bullet_all():
-    assert functools.reduce(bool_meet, [YES, YES]) == YES
-    assert functools.reduce(bool_meet, [YES, NO, YES]) == BOT
+    space = bool_space()
+    assert space.meet_all([YES, YES]) == YES
+    assert space.meet_all([YES, NO, YES]) == BOT
     # the bullet fold starts from its unit Y, and N absorbs
     assert functools.reduce(bool_bullet, [], YES) == YES
     assert functools.reduce(bool_bullet, [YES, BOT, NO], YES) == NO
@@ -72,8 +84,9 @@ def test_meet_all_and_bullet_all():
 def test_bool_space_shape():
     space = bool_space()
     assert space.n == 3
-    assert sorted(space.names) == ["BOT", "N", "Y"]
+    assert [space.names[x] for x in BOOL_VALUES] == ["Y", "N", "BOT"]
     bot = space.bottom
+    assert bot == BOT
     assert all(space.leq[bot, i] for i in range(3))
     assert len(space.pures()) == 2
 
@@ -342,7 +355,7 @@ def test_constructor_takes_up_set_masks():
     names = ["bot", "a", "b"]
     space = StateSpace(names, [0b111, 0b010, 0b100])
     assert space.down == [0b001, 0b011, 0b101]
-    assert space.below(0, 2) and not space.below(2, 0)
+    assert space.up[0] >> 2 & 1 and not space.up[2] >> 0 & 1
     for up, message in (([0b111, 0b010], "2 up-set masks for 3 elements"),
                         ([0b111, 0b010, 0b100, 0b1000],
                          "4 up-set masks for 3 elements"),

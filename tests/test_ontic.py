@@ -15,7 +15,7 @@ from qlattice.realspaces import (RealSpace, bool_real_space, spin_space,
 from qlattice.tensor import build_tensor
 from qlattice.ontic import (closure, closure_by_steps, closure_step,
                             is_star_free, is_unbounded_star_free,
-                            is_admissible, build_completion)
+                            build_completion)
 from qlattice import verify
 from qlattice.verify import counterexample_lattice
 from order_reference import row_masks
@@ -187,7 +187,7 @@ def test_admissibility_on_tensor_reals(two_qubit):
     others = [i for i in range(rs.space.n) if i != rs.space.bottom]
     for _ in range(50):
         sub = rng.sample(others, rng.randint(1, 4))
-        if is_admissible(rs, sub):
+        if ontic.sharpen(rs, sub) is not None:
             assert is_star_free(rs, closure(rs.space, sub))
 
 
@@ -257,7 +257,6 @@ def test_sharpening_takes_raw_member_lists(make):
             got = ontic.sharpen(rs, members)
             assert got == (None if want is None
                            else comp.components(want)), sub
-            assert is_admissible(rs, members) == (want is not None)
         # a one-pass iterable is read once
         assert comp.sharpening(iter(sub)) == want, sub
     assert verdicts == {True, False}
@@ -911,14 +910,15 @@ def test_candidate_cap_counts_pruned_candidates():
     # spin(2) takes 12 candidates, one closure started each, to list its 9
     # elements, and 3 more to index its 7 other closed sets.  A cap that
     # stops the second walk leaves the admissible sets alone as the index;
-    # one that stops the first raises
+    # one that stops the first raises, as a negative one does
     for cap, indexed in ((15, 16), (14, 9), (12, 9)):
         rs = spin_space(2)
         comp = build_completion(rs, cap=cap)
         assert (len(comp), comp.candidates) == (9, cap)
         assert len(rs.space._closed[1]) == indexed
-    with pytest.raises(CapExceeded):
-        build_completion(spin_space(2), cap=11)
+    for cap in (11, -1):
+        with pytest.raises(CapExceeded):
+            build_completion(spin_space(2), cap=cap)
 
 
 def test_candidate_cap_defaults_read_one_constant():

@@ -45,7 +45,7 @@ def test_sigma_is_hidden_with_three_components(scenario, z2):
     want = sorted([ts.index_of([(a, a), (b, b)]),
                    ts.index_of([(a, astar), (astar, b)]),
                    ts.index_of([(b, astar), (astar, a)])])
-    assert sorted(scenario.components()) == want
+    assert sorted(scenario.sigma) == want
 
 
 @pytest.mark.parametrize("na, nb", [(2, 2), (3, 2)])

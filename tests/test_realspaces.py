@@ -12,7 +12,7 @@ from qlattice.realspaces import (make_space, bool_real_space, simplex_space,
                                  spin_space, is_deterministic,
                                  is_completely_indeterministic, is_linear,
                                  ortho_matrix, ortho_complement,
-                                 orthoclosure, orthoclosed_sets,
+                                 orthoclosed_sets,
                                  RealSpace, RealStructureEmbedding,
                                  real_effects_of, validate_embedding,
                                  validate_real, _star_problems)
@@ -94,7 +94,7 @@ def test_is_linear_matches_leq_oracle(two_qubit):
     verdicts = []
     for rs, completion in cases:
         want = _linear_by_leq(rs, completion)
-        assert is_linear(rs, completion=completion) == want
+        assert is_linear(rs) == want
         verdicts.append(want)
     assert verdicts == [False, True, True, False, True]
 
@@ -154,7 +154,8 @@ def test_double_orthogonal_is_a_closure(emb):
     n = len(orth)
     for bits in range(1 << n):
         subset = frozenset(i for i in range(n) if bits >> i & 1)
-        one, two = orthoclosure(emb, subset, orth)
+        one = ortho_complement(emb, subset, orth)
+        two = ortho_complement(emb, one, orth)
         assert subset <= two
         # closing again changes nothing
         assert ortho_complement(emb, two, orth) == one

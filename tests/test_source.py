@@ -195,3 +195,108 @@ def test_numpy_import_check_sees_module_and_class_level():
                      "def f():\n    import numpy as np\n"
                      "import numpyish\n")
     assert _module_level_numpy_imports(tree) == [1, 3, 7]
+
+
+PERFBENCH = TESTS.parent / "perfbench"
+
+# The src functions and classes that no code outside their own definition
+# names, each with the reason it stays.  Dunder methods are called by the
+# language and are not listed.
+_UNREFERENCED = {
+    ("quantum.py", "constructive_lambda"):
+        "the paper's witness for a real state, read by "
+        "test_real_states_admit_global_states",
+    ("core_order.py", "StateSpace.to_json"):
+        "JSON text for library callers; the CLI emits to_json_dict",
+    ("realspaces.py", "RealSpace.to_json"):
+        "JSON text for library callers; the CLI emits to_json_dict",
+    ("geometry.py", "GeometrySet.colinear"):
+        "the geometry's ternary relation, read by the geometry tests",
+}
+
+
+def _definitions_and_references(tree, extra=()):
+    """The (qualified name, node) of every function and class, dunders
+    left out, and per referenced name the enclosing definitions of each
+    reference: an ast Name or Attribute, or a word of the strings in
+    extra, which is read at module level."""
+    defs, refs = [], {}
+
+    def visit(node, scope, inside):
+        for child in ast.iter_child_nodes(node):
+            inner, within = scope, inside
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner, within = scope + (child.name,), inside | {id(child)}
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    defs.append((".".join(inner), child))
+            elif isinstance(child, ast.Name):
+                refs.setdefault(child.id, []).append(inside)
+            elif isinstance(child, ast.Attribute):
+                refs.setdefault(child.attr, []).append(inside)
+            visit(child, inner, within)
+
+    visit(tree, (), frozenset())
+    for text in extra:
+        for word in text.split("."):
+            refs.setdefault(word, []).append(frozenset())
+    return defs, refs
+
+
+def _layer_strings(tree):
+    """The strings of the perfbench LAYERS table: the traced names."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS"
+                for t in node.targets):
+            return [c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant)
+                    and isinstance(c.value, str)]
+    return []
+
+
+def _unreferenced(trees, readers):
+    """(file, qualified name) of each definition in trees that no
+    reference in trees or readers reaches from outside the definition."""
+    refs, defs = {}, []
+    for name, (tree, extra) in list(trees.items()) + list(readers.items()):
+        found, seen = _definitions_and_references(tree, extra)
+        if name in trees:
+            defs += [(name, qual, node) for qual, node in found]
+        for word, places in seen.items():
+            refs.setdefault(word, []).extend(places)
+    return sorted((name, qual) for name, qual, node in defs
+                  if not any(id(node) not in inside for inside in
+                             refs.get(node.name, ())))
+
+
+def test_every_src_definition_is_referenced():
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    trees = {p.name: (parse(p), ()) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"}
+    readers = {"tools/" + p.name: (parse(p), ())
+               for p in sorted(TOOLS.glob("*.py"))}
+    for p in sorted(PERFBENCH.glob("*.py")):
+        tree = parse(p)
+        readers["perfbench/" + p.name] = (tree, _layer_strings(tree))
+    assert len(readers) > 4
+    assert _unreferenced(trees, readers) == sorted(_UNREFERENCED)
+
+
+def test_reference_check_sees_definitions_used_only_by_themselves():
+    src = ast.parse(
+        "def lonely(n):\n    return lonely(n - 1)  # used\n"
+        "def used():\n    '''lonely'''\n"
+        "class C:\n    def __init__(self):\n        self.m()\n"
+        "    def m(self):\n        pass\n"
+        "    def traced(self):\n        pass\n"
+        "    def gone(self):\n        return self.gone\n"
+        "used()\n")
+    bench = ast.parse("LAYERS = [('m', 'C.traced', 'x', None)]\n")
+    assert _layer_strings(bench) == ["m", "C.traced", "x"]
+    assert _unreferenced({"a.py": (src, ())},
+                         {"b.py": (bench, _layer_strings(bench))}) == [
+        ("a.py", "C.gone"), ("a.py", "lonely")]

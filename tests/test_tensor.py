@@ -83,7 +83,7 @@ def test_star_of_pure_tensor(two_qubit, z2):
     a = z2.space.index("a")
     b = z2.space.index("b")
     u = ts.pure_tensor(a, b)
-    s = ts.star(u)
+    s = ts.real_space.star_of(u)
     astar, bstar = z2.star_of(a), z2.star_of(b)
     want = frozenset(k for k, (p, q) in enumerate(ts.pure_pairs)
                      if p == astar or q == bstar)
@@ -129,8 +129,10 @@ def test_nfold_tensor_matches_iterated():
 
 
 def test_cap_is_enforced():
-    with pytest.raises(CapExceeded):
-        build_tensor(spin_space(2), spin_space(2), cap=20)
+    # a negative cap is below every count, not switched off
+    for cap in (20, -1):
+        with pytest.raises(CapExceeded):
+            build_tensor(spin_space(2), spin_space(2), cap=cap)
 
 
 def test_serialize_element_roundtrip(two_qubit):
@@ -421,6 +423,6 @@ def test_every_rectangle_is_an_element(left, right):
     for x in range(la.n):
         for y in range(lb.n):
             rect = sum(1 << k for k, (pa, pb) in enumerate(ts.pure_pairs)
-                       if la.below(x, pa) and lb.below(y, pb))
+                       if la.up[x] >> pa & 1 and lb.up[y] >> pb & 1)
             assert ts.cover_mask(ts._rect[x][y]) == rect
             assert ts.normalize([(x, y)]) == rect

@@ -1,9 +1,10 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
-from qlattice.core_order import InputError
+from qlattice.core_order import YES, NO, InputError
 from qlattice import verify
 from qlattice.tensor import TensorSpace
 
@@ -23,6 +24,21 @@ def test_every_suite_names_known_checks():
 def test_unknown_check_is_rejected():
     with pytest.raises(InputError):
         verify.run_suite(["nosuch"])
+
+
+def test_bool_tables_read_the_real_space(monkeypatch):
+    # a stub whose meet of Y and N is Y fails the one entry it breaks
+    real = verify.bool_real_space()
+
+    class Space:
+        def meet(self, x, y):
+            return YES if (x, y) == (YES, NO) else real.space.meet(x, y)
+
+    monkeypatch.setattr(verify, "bool_real_space", lambda: SimpleNamespace(
+        space=Space(), star=real.star))
+    report = verify.check_bool_tables()
+    assert not report["pass"]
+    assert report["failures"] == [("meet", YES, NO)]
 
 
 def test_run_suite_report_shape():
